@@ -5,13 +5,11 @@ into 6-cycles and prisms, verifies arbitrary designs independently, and
 certifies by search that the three exceptional orders admit none.
 """
 
-from .bipartite import BipartiteSpec, c6_decompose_bipartite, side_partition
-from .catalog import CatalogKey, CatalogKind, k6_multidecomposition
+from .bipartite import c6_decompose_bipartite, side_partition
 from .constructions import (
     InfeasibleOrderError,
     JoinLayout,
     Part,
-    PartKind,
     hexagon_plus_factor,
     join_layout,
     max_multipack,
@@ -61,9 +59,6 @@ from .verifier import Finding, VerificationReport, incidence_table, verify_desig
 __version__ = "0.1.0"
 
 __all__ = [
-    "BipartiteSpec",
-    "CatalogKey",
-    "CatalogKind",
     "Complete",
     "CompleteBipartite",
     "Design",
@@ -80,7 +75,6 @@ __all__ = [
     "MultigraphHostError",
     "NonexistenceReport",
     "Part",
-    "PartKind",
     "Prism",
     "SearchConfig",
     "SearchOutcome",
@@ -98,7 +92,6 @@ __all__ = [
     "hexagon_plus_factor",
     "incidence_table",
     "join_layout",
-    "k6_multidecomposition",
     "leave_lower_bound",
     "load_design",
     "loads_design",

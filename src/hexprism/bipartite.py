@@ -10,28 +10,12 @@ follows side_partition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .bases import load_base
 from .core import CompleteBipartite, Design, Kind, relabel_block
 
 
 class InfeasibleParametersError(ValueError):
     """Bipartite parameters outside the admissible set; names the clause."""
-
-
-@dataclass(frozen=True)
-class BipartiteSpec:
-    left: frozenset
-    right: frozenset
-
-    def __init__(self, left, right):
-        object.__setattr__(self, "left", frozenset(left))
-        object.__setattr__(self, "right", frozenset(right))
-        if not self.left or not self.right:
-            raise ValueError("both sides must be nonempty")
-        if self.left & self.right:
-            raise ValueError("sides must be disjoint")
 
 
 def side_partition(n: int) -> tuple[int, ...]:
@@ -54,9 +38,9 @@ def side_partition(n: int) -> tuple[int, ...]:
 def _seed_maps(part, group):
     """Vertex mapping from the fitting seed onto (4-or-6 part, 6-group)."""
     if len(part) == 6:
-        seed = load_base("b66_hexagons")
+        seed = load_base("bipartite:6x6")
     else:
-        seed = load_base("b46_hexagons")
+        seed = load_base("bipartite:4x6")
     host = seed.host
     mapping = {}
     for src, dst in zip(sorted(host.left), part):
@@ -66,10 +50,10 @@ def _seed_maps(part, group):
     return seed, mapping
 
 
-def c6_decompose_bipartite(spec: BipartiteSpec) -> Design:
-    """Decompose the complete bipartite graph on the given sides into
-    hexagons, mn/6 of them, each alternating between the sides."""
-    m, n = len(spec.left), len(spec.right)
+def c6_decompose_bipartite(host: CompleteBipartite) -> Design:
+    """Decompose the complete bipartite host into hexagons, mn/6 of them,
+    each alternating between the sides."""
+    m, n = len(host.left), len(host.right)
     for label, size in (("left", m), ("right", n)):
         if size < 4:
             raise InfeasibleParametersError(
@@ -84,10 +68,10 @@ def c6_decompose_bipartite(spec: BipartiteSpec) -> Design:
             f"6 must divide the edge count, but {m} * {n} = {m * n} is not divisible by 6"
         )
     if m % 6 == 0:
-        axis, other = sorted(spec.left), sorted(spec.right)
+        axis, other = sorted(host.left), sorted(host.right)
     else:
         assert n % 6 == 0, "one even side must be divisible by 6 when 3 divides mn"
-        axis, other = sorted(spec.right), sorted(spec.left)
+        axis, other = sorted(host.right), sorted(host.left)
     groups = [axis[i : i + 6] for i in range(0, len(axis), 6)]
     parts = []
     at = 0
@@ -99,8 +83,4 @@ def c6_decompose_bipartite(spec: BipartiteSpec) -> Design:
         for part in parts:
             seed, mapping = _seed_maps(part, group)
             blocks.extend(relabel_block(b, mapping) for b in seed.blocks)
-    return Design(
-        host=CompleteBipartite(spec.left, spec.right),
-        kind=Kind.DECOMPOSITION,
-        blocks=tuple(blocks),
-    )
+    return Design(host=host, kind=Kind.DECOMPOSITION, blocks=tuple(blocks))

@@ -1,136 +1,48 @@
-"""The bundled design catalog.
+"""The bundled design catalog, keyed by strings such as "packing:9".
 
-Explicit designs ship as 0-based JSON data files; the four derived bases
-load through the bases module.  The 17-vertex covering entry is assembled on
-first access from its listed blocks plus two fills: the 9-vertex hexagon
-decomposition relabeled onto the top nine vertices, and a bipartite hexagon
-decomposition between the first eight vertices and the top six.  Every entry
-is verified before it is cached.
+Every entry but one loads from its data file through the bases module.  The
+17-vertex covering entry is assembled on first access from its listed
+blocks plus two fills: the 9-vertex hexagon decomposition relabeled onto the
+top nine vertices, and a bipartite hexagon decomposition between the first
+eight vertices and the top six.  Every entry is verified before it is cached.
 """
 
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass
-from enum import Enum
-
-from .bases import load_base, load_data_design
-from .bipartite import BipartiteSpec, c6_decompose_bipartite
-from .core import Design, Kind, relabel_block
+from .bases import FILES, cached, check, load_base, load_data_design
+from .bipartite import c6_decompose_bipartite
+from .core import CompleteBipartite, Design, Kind, relabel_block
 from .verifier import verify_design
 
-
-class CatalogKind(Enum):
-    DECOMPOSITION = "decomposition"
-    PACKING = "packing"
-    COVERING = "covering"
-    PURE_HEXAGONS = "hexagons"
-    PURE_PRISMS = "prisms"
-    BIPARTITE_HEXAGONS = "bipartite"
+_ASSEMBLED = "covering:17"
 
 
-@dataclass(frozen=True)
-class CatalogKey:
-    kind: CatalogKind
-    order: int | tuple[int, int]
-
-    def __post_init__(self):
-        if self.kind is CatalogKind.BIPARTITE_HEXAGONS:
-            if not (isinstance(self.order, tuple) and len(self.order) == 2):
-                raise ValueError("bipartite catalog keys take an (m, n) pair")
-        elif not isinstance(self.order, int):
-            raise ValueError(f"{self.kind.value} catalog keys take a single order")
-
-
-_EXPLICIT_FILES = {
-    CatalogKey(CatalogKind.DECOMPOSITION, 6): "k6_decomposition",
-    CatalogKey(CatalogKind.DECOMPOSITION, 13): "k13_decomposition",
-    CatalogKey(CatalogKind.DECOMPOSITION, 15): "k15_decomposition",
-    CatalogKey(CatalogKind.DECOMPOSITION, 19): "k19_decomposition",
-    CatalogKey(CatalogKind.PACKING, 7): "k7_packing",
-    CatalogKey(CatalogKind.PACKING, 8): "k8_packing",
-    CatalogKey(CatalogKind.PACKING, 9): "k9_packing",
-    CatalogKey(CatalogKind.PACKING, 11): "k11_packing",
-    CatalogKey(CatalogKind.PACKING, 17): "k17_packing",
-    CatalogKey(CatalogKind.COVERING, 7): "k7_covering",
-    CatalogKey(CatalogKind.COVERING, 8): "k8_covering",
-    CatalogKey(CatalogKind.COVERING, 11): "k11_covering",
-}
-
-_DERIVED_FILES = {
-    CatalogKey(CatalogKind.PURE_HEXAGONS, 9): "k9_hexagons",
-    CatalogKey(CatalogKind.PURE_PRISMS, 10): "k10_prisms",
-    CatalogKey(CatalogKind.BIPARTITE_HEXAGONS, (4, 6)): "b46_hexagons",
-    CatalogKey(CatalogKind.BIPARTITE_HEXAGONS, (6, 6)): "b66_hexagons",
-}
-
-_ASSEMBLED = CatalogKey(CatalogKind.COVERING, 17)
-
-_cache: dict[CatalogKey, Design] = {}
-_lock = threading.Lock()
-
-
-def keys() -> tuple[CatalogKey, ...]:
-    all_keys = list(_EXPLICIT_FILES) + [_ASSEMBLED] + list(_DERIVED_FILES)
-    return tuple(
-        sorted(
-            all_keys,
-            key=lambda k: (
-                k.kind.value,
-                k.order if isinstance(k.order, tuple) else (k.order,),
-            ),
-        )
-    )
+def keys() -> tuple[str, ...]:
+    return tuple(FILES)
 
 
 def _assemble_k17_covering() -> Design:
-    listed = load_data_design("k17_covering_listed", verify=False)
-    nine = load_base("k9_hexagons")
+    listed = load_data_design(_ASSEMBLED, verify=False)
+    nine = load_base("hexagons:9")
     shift = {v: v + 8 for v in range(9)}
     fill_one = tuple(relabel_block(b, shift) for b in nine.blocks)
     fill_two = c6_decompose_bipartite(
-        BipartiteSpec(frozenset(range(8)), frozenset(range(11, 17)))
+        CompleteBipartite(frozenset(range(8)), frozenset(range(11, 17)))
     ).blocks
-    return Design(
+    design = Design(
         host=listed.host,
         kind=Kind.COVERING,
         blocks=listed.blocks + fill_one + fill_two,
         padding=listed.padding,
     )
-
-
-def get(key: CatalogKey) -> Design:
-    """The catalog entry for the key, verified once and cached."""
-    with _lock:
-        hit = _cache.get(key)
-    if hit is not None:
-        return hit
-    if key in _EXPLICIT_FILES:
-        design = load_data_design(_EXPLICIT_FILES[key])
-    elif key in _DERIVED_FILES:
-        design = load_base(_DERIVED_FILES[key])
-    elif key == _ASSEMBLED:
-        design = _assemble_k17_covering()
-        report = verify_design(design)
-        if not report.valid:
-            raise RuntimeError(
-                "assembled 17-vertex covering failed verification: "
-                + "; ".join(f.code for f in report.failures)
-            )
-    else:
-        raise KeyError(f"no catalog entry for {key}")
-    with _lock:
-        _cache[key] = design
+    check(_ASSEMBLED, verify_design(design))
     return design
 
 
-def k6_multidecomposition() -> Design:
-    """The order-6 base: one hexagon plus its complementary prism."""
-    return get(CatalogKey(CatalogKind.DECOMPOSITION, 6))
-
-
-def derived_base(key: CatalogKey) -> Design:
-    """One of the four search-derived bases."""
-    if key not in _DERIVED_FILES:
-        raise KeyError(f"{key} is not a derived base entry")
-    return get(key)
+def get(key: str) -> Design:
+    """The catalog entry for the key, verified once and cached."""
+    if key == _ASSEMBLED:
+        return cached(key, _assemble_k17_covering)
+    if key not in FILES:
+        raise KeyError(f"no catalog entry for {key!r}")
+    return load_base(key)

@@ -15,7 +15,6 @@ import dataclasses
 import json
 import sys
 
-from .catalog import CatalogKey, CatalogKind
 from .catalog import get as catalog_get
 from .catalog import keys as catalog_keys
 from .constructions import (
@@ -249,31 +248,14 @@ def cmd_search(args) -> int:
     return EXIT_FAIL
 
 
-def _key_string(key: CatalogKey) -> str:
-    if isinstance(key.order, tuple):
-        return f"{key.kind.value}:{key.order[0]}x{key.order[1]}"
-    return f"{key.kind.value}:{key.order}"
-
-
-def _parse_key(text: str) -> CatalogKey:
-    tag, _, rest = text.partition(":")
-    kind = CatalogKind(tag)
-    if kind is CatalogKind.BIPARTITE_HEXAGONS:
-        m_str, _, n_str = rest.partition("x")
-        return CatalogKey(kind, (int(m_str), int(n_str)))
-    return CatalogKey(kind, int(rest))
-
-
 def cmd_catalog(args) -> int:
     if args.key is None:
-        for key in catalog_keys():
-            print(_key_string(key))
+        print("\n".join(catalog_keys()))
         return EXIT_OK
     try:
-        key = _parse_key(args.key)
-        design = catalog_get(key)
-    except (ValueError, KeyError):
-        known = ", ".join(_key_string(k) for k in catalog_keys())
+        design = catalog_get(args.key)
+    except KeyError:
+        known = ", ".join(catalog_keys())
         return _fail(f"unknown catalog key {args.key!r}; known keys: {known}", EXIT_USAGE)
     try:
         _emit_design(design, args.format, args.output)

@@ -10,13 +10,14 @@ built monolithically from a bundled design plus one block transformation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
+from typing import NamedTuple
 
 from .bases import load_base
-from .bipartite import BipartiteSpec, c6_decompose_bipartite
-from .catalog import CatalogKey, CatalogKind, get as catalog_get
+from .bipartite import c6_decompose_bipartite
+from .catalog import get as catalog_get
 from .core import (
     Complete,
+    CompleteBipartite,
     Design,
     Hexagon,
     Kind,
@@ -36,26 +37,51 @@ class InfeasibleOrderError(ValueError):
         self.report = report
 
 
-class PartKind(Enum):
-    K1 = 1
-    K2 = 2
-    K4 = 4
-    K6 = 6
-    K8 = 8
-    K10 = 10
-    K12 = 12
-    K14 = 14
-    K16 = 16
+class Recipe(NamedTuple):
+    """How one residue class of n is built: head parts, then equal tail parts.
+
+    head_entry (when set) is placed across all head parts; tail_entry on each
+    tail part, joined with part 0 when joined is set.  Every cross pair left
+    over, apart from those on a single-vertex part, gets a bipartite fill.
+    """
+
+    head: tuple[int, ...]
+    head_entry: str | None
+    tail: int
+    tail_entry: str
+    joined: bool
+
+
+_D, _P, _C = Kind.DECOMPOSITION, Kind.PACKING, Kind.COVERING
+_SIXES = Recipe((), None, 6, "decomposition:6", False)
+_TENS = Recipe((10,), "prisms:10", 6, "decomposition:6", False)
+
+# keyed by (kind, n % 12); the decomposition orders 7, 9 and 10 do not exist
+# and their packings and coverings are built without a layout
+RECIPES = {
+    (_D, 0): _SIXES,
+    (_D, 6): _SIXES,
+    (_D, 4): _TENS,
+    (_D, 10): _TENS,
+    (_D, 1): Recipe((1,), None, 12, "decomposition:13", True),
+    (_D, 7): Recipe((1, 6, 12), "decomposition:19", 12, "decomposition:13", True),
+    (_D, 3): Recipe((1, 14), "decomposition:15", 12, "decomposition:13", True),
+    (_D, 9): Recipe((1, 8), "hexagons:9", 12, "decomposition:13", True),
+    (_P, 2): Recipe((2,), None, 6, "packing:8", True),
+    (_P, 8): Recipe((2,), None, 6, "packing:8", True),
+    (_P, 5): Recipe((1, 16), "packing:17", 12, "decomposition:13", True),
+    (_P, 11): Recipe((1, 10), "packing:11", 12, "decomposition:13", True),
+    (_C, 2): Recipe((8,), "covering:8", 6, "decomposition:6", False),
+    (_C, 8): Recipe((8,), "covering:8", 6, "decomposition:6", False),
+    (_C, 5): Recipe((1, 4, 12), "covering:17", 12, "decomposition:13", True),
+    (_C, 11): Recipe((1, 4, 6), "covering:11", 12, "decomposition:13", True),
+}
 
 
 @dataclass(frozen=True)
 class Part:
-    kind: PartKind
+    size: int
     start: int
-
-    @property
-    def size(self) -> int:
-        return self.kind.value
 
     @property
     def vertices(self) -> tuple[int, ...]:
@@ -81,66 +107,33 @@ class JoinLayout:
         return tuple((i, j) for i in range(k) for j in range(i + 1, k))
 
 
-def _layout(n: int, kinds) -> JoinLayout:
-    parts = []
-    at = 0
-    for kind in kinds:
-        parts.append(Part(kind, at))
-        at += kind.value
-    return JoinLayout(n, tuple(parts))
-
-
 def join_layout(n: int, kind: Kind) -> JoinLayout:
     """The deterministic part sequence used to build the given kind at
     order n.  Orders handled monolithically (and orders where the kind does
     not apply) have no layout and raise with the feasibility report."""
     report = classify(n)
-    K = PartKind
     if kind is Kind.DECOMPOSITION:
         if not report.decomposition_exists:
             raise InfeasibleOrderError(
                 report, f"no decomposition of order {n}: {nonexistence_reason(n)}"
             )
-        r = n % 6
-        if r == 0:
-            return _layout(n, [K.K6] * (n // 6))
-        if r == 1:
-            x = (n - 1) // 6
-            if x % 2 == 0:
-                return _layout(n, [K.K1] + [K.K12] * (x // 2))
-            return _layout(n, [K.K1, K.K6] + [K.K12] * ((x - 1) // 2))
-        if r == 3:
-            x = (n - 3) // 6
-            if x % 2 == 0:
-                return _layout(n, [K.K1, K.K14] + [K.K12] * (x // 2 - 1))
-            return _layout(n, [K.K1, K.K8] + [K.K12] * ((x - 1) // 2))
-        return _layout(n, [K.K10] + [K.K6] * ((n - 4) // 6 - 1))
-
-    if report.decomposition_exists:
+    elif report.decomposition_exists:
         raise InfeasibleOrderError(
             report,
             f"order {n} admits a decomposition; {kind.value}s of it have no join layout",
         )
-    if n in (7, 9, 10):
+    elif n in (7, 9, 10):
         raise InfeasibleOrderError(
             report, f"order {n} is handled monolithically and has no join layout"
         )
-    r = n % 6
-    if kind is Kind.PACKING:
-        if r == 2:
-            return _layout(n, [K.K2] + [K.K6] * ((n - 2) // 6))
-        x = (n - 5) // 6
-        if x % 2 == 0:
-            return _layout(n, [K.K1, K.K16] + [K.K12] * (x // 2 - 1))
-        return _layout(n, [K.K1, K.K10] + [K.K12] * ((x - 1) // 2))
-    if kind is Kind.COVERING:
-        if r == 2:
-            return _layout(n, [K.K8] + [K.K6] * ((n - 2) // 6 - 1))
-        x = (n - 5) // 6
-        if x % 2 == 0:
-            return _layout(n, [K.K1, K.K4] + [K.K12] * (x // 2))
-        return _layout(n, [K.K1, K.K4, K.K6] + [K.K12] * ((x - 1) // 2))
-    raise ValueError(f"unsupported kind {kind}")
+    recipe = RECIPES[kind, n % 12]
+    sizes = recipe.head + (recipe.tail,) * ((n - sum(recipe.head)) // recipe.tail)
+    parts = []
+    at = 0
+    for size in sizes:
+        parts.append(Part(size, at))
+        at += size
+    return JoinLayout(n, tuple(parts))
 
 
 # ---------------------------------------------------------------------------
@@ -202,90 +195,43 @@ def _embed(design: Design, targets) -> tuple[tuple, frozenset, tuple]:
     return blocks, leave, padding
 
 
-def _k8_packing_on_join_edge() -> Design:
-    """The bundled 8-vertex packing relabeled so its leave is edge {0, 1}."""
-    base = catalog_get(CatalogKey(CatalogKind.PACKING, 8))
-    (u, v), = base.leave
-    mapping = {u: 0, v: 1}
-    rest = [w for w in range(8) if w not in (u, v)]
-    for i, w in enumerate(rest):
-        mapping[w] = i + 2
-    blocks = tuple(relabel_block(b, mapping) for b in base.blocks)
-    return Design(host=Complete(8), kind=Kind.PACKING, blocks=blocks, leave=frozenset({(0, 1)}))
+def _leave_first(design: Design) -> Design:
+    """The design relabeled so its leave lies on its lowest labels, which a
+    placement joined with part 0 maps onto part 0."""
+    front = sorted({v for e in design.leave for v in e})
+    labels = range(design.host.n)
+    order = front + [v for v in labels if v not in front]
+    blocks, leave, padding = _embed(design, [order.index(v) for v in labels])
+    return Design(design.host, design.kind, blocks, leave, padding)
 
 
-def _span(layout: JoinLayout, indices) -> tuple[int, ...]:
-    out = []
-    for i in indices:
-        out.extend(layout.parts[i].vertices)
-    return tuple(out)
-
-
-def _assemble(layout: JoinLayout, kind: Kind) -> Design:
-    """Place base designs over the layout and fill the remaining cross pairs
-    with bipartite hexagons."""
-    kinds = tuple(p.kind for p in layout.parts)
-    K = PartKind
+def _assemble(n: int, kind: Kind) -> Design:
+    """Place the recipe's catalog entries over the layout and fill the
+    remaining cross pairs with bipartite hexagons."""
+    layout = join_layout(n, kind)
+    recipe = RECIPES[kind, n % 12]
     blocks: list = []
     leave: frozenset = frozenset()
     padding: tuple = ()
     consumed: set = set()
-    others = range(1, len(layout.parts))
 
     def place(design: Design, indices) -> None:
         nonlocal leave, padding
-        got_blocks, got_leave, got_padding = _embed(design, _span(layout, indices))
+        span = [v for i in indices for v in layout.parts[i].vertices]
+        got_blocks, got_leave, got_padding = _embed(design, span)
         blocks.extend(got_blocks)
         leave |= got_leave
         padding += got_padding
-        consumed.update(
-            (i, j) for i in indices for j in indices if i < j
-        )
+        consumed.update((i, j) for i in indices for j in indices if i < j)
 
-    if kind is Kind.DECOMPOSITION:
-        if set(kinds) == {K.K6}:
-            for i in range(len(layout.parts)):
-                place(catalog_get(CatalogKey(CatalogKind.DECOMPOSITION, 6)), [i])
-        elif kinds[0] is K.K10:
-            place(load_base("k10_prisms"), [0])
-            for i in others:
-                place(catalog_get(CatalogKey(CatalogKind.DECOMPOSITION, 6)), [i])
-        else:
-            # a K1 part followed by clique parts; twelves pair with the K1
-            if kinds[1] is K.K6:
-                place(catalog_get(CatalogKey(CatalogKind.DECOMPOSITION, 19)), [0, 1, 2])
-            elif kinds[1] is K.K14:
-                place(catalog_get(CatalogKey(CatalogKind.DECOMPOSITION, 15)), [0, 1])
-            elif kinds[1] is K.K8:
-                place(load_base("k9_hexagons"), [0, 1])
-            for i in others:
-                if layout.parts[i].kind is K.K12 and (0, i) not in consumed:
-                    place(catalog_get(CatalogKey(CatalogKind.DECOMPOSITION, 13)), [0, i])
-    elif kind is Kind.PACKING:
-        if kinds[0] is K.K2:
-            block8 = _k8_packing_on_join_edge()
-            for i in others:
-                got, got_leave, _ = _embed(block8, (0, 1) + layout.parts[i].vertices)
-                blocks.extend(got)
-                consumed.add((0, i))
-                leave = got_leave
-        else:
-            base_n = 17 if kinds[1] is K.K16 else 11
-            place(catalog_get(CatalogKey(CatalogKind.PACKING, base_n)), [0, 1])
-            for i in others:
-                if layout.parts[i].kind is K.K12:
-                    place(catalog_get(CatalogKey(CatalogKind.DECOMPOSITION, 13)), [0, i])
-    else:
-        if kinds[0] is K.K8:
-            place(catalog_get(CatalogKey(CatalogKind.COVERING, 8)), [0])
-            for i in others:
-                place(catalog_get(CatalogKey(CatalogKind.DECOMPOSITION, 6)), [i])
-        else:
-            base_n = 11 if kinds[2] is K.K6 else 17
-            place(catalog_get(CatalogKey(CatalogKind.COVERING, base_n)), [0, 1, 2])
-            for i in others:
-                if layout.parts[i].kind is K.K12 and (0, i) not in consumed:
-                    place(catalog_get(CatalogKey(CatalogKind.DECOMPOSITION, 13)), [0, i])
+    heads = range(len(recipe.head))
+    if recipe.head_entry is not None:
+        place(catalog_get(recipe.head_entry), heads)
+    tail = catalog_get(recipe.tail_entry)
+    if recipe.joined:
+        tail = _leave_first(tail)
+    for i in range(len(heads), len(layout.parts)):
+        place(tail, [0, i] if recipe.joined else [i])
 
     for i, j in layout.cross_pairs():
         if (i, j) in consumed:
@@ -293,7 +239,7 @@ def _assemble(layout: JoinLayout, kind: Kind) -> Design:
         if layout.parts[i].size == 1 or layout.parts[j].size == 1:
             continue
         fill = c6_decompose_bipartite(
-            BipartiteSpec(
+            CompleteBipartite(
                 frozenset(layout.parts[i].vertices),
                 frozenset(layout.parts[j].vertices),
             )
@@ -301,7 +247,7 @@ def _assemble(layout: JoinLayout, kind: Kind) -> Design:
         blocks.extend(fill.blocks)
 
     return Design(
-        host=Complete(layout.n),
+        host=Complete(n),
         kind=kind,
         blocks=tuple(blocks),
         leave=leave,
@@ -314,7 +260,7 @@ def _assemble(layout: JoinLayout, kind: Kind) -> Design:
 
 
 def _pack_ten() -> Design:
-    base = load_base("k10_prisms")
+    base = load_base("prisms:10")
     hexagon, matching = prism_minus_matching(base.blocks[0])
     return Design(
         host=Complete(10),
@@ -325,7 +271,7 @@ def _pack_ten() -> Design:
 
 
 def _cover_nine() -> Design:
-    base = load_base("k9_hexagons")
+    base = load_base("hexagons:9")
     prism, matching = hexagon_plus_factor(base.blocks[0])
     return Design(
         host=Complete(9),
@@ -336,7 +282,7 @@ def _cover_nine() -> Design:
 
 
 def _cover_ten() -> Design:
-    base = load_base("k10_prisms")
+    base = load_base("prisms:10")
     first, second, doubled = prism_to_two_hexagons(base.blocks[0])
     return Design(
         host=Complete(10),
@@ -354,39 +300,30 @@ def multidecompose(n: int) -> Design:
     """A decomposition of the order-n complete graph into hexagons and
     prisms, at least one of each.  Orders without one raise with the
     feasibility report attached."""
-    report = classify(n)
-    if not report.decomposition_exists:
-        raise InfeasibleOrderError(
-            report, f"no decomposition of order {n}: {nonexistence_reason(n)}"
-        )
-    return _assemble(join_layout(n, Kind.DECOMPOSITION), Kind.DECOMPOSITION)
+    return _assemble(n, Kind.DECOMPOSITION)
 
 
 def max_multipack(n: int) -> Design:
     """A maximum packing: the decomposition itself when one exists,
     otherwise a packing whose leave meets the minimum cardinality."""
-    report = classify(n)
-    if report.decomposition_exists:
+    if classify(n).decomposition_exists:
         return multidecompose(n)
-    if n == 7:
-        return catalog_get(CatalogKey(CatalogKind.PACKING, 7))
-    if n == 9:
-        return catalog_get(CatalogKey(CatalogKind.PACKING, 9))
+    if n in (7, 9):
+        return catalog_get(f"packing:{n}")
     if n == 10:
         return _pack_ten()
-    return _assemble(join_layout(n, Kind.PACKING), Kind.PACKING)
+    return _assemble(n, Kind.PACKING)
 
 
 def min_multicover(n: int) -> Design:
     """A minimum covering: the decomposition itself when one exists,
     otherwise a covering whose padding meets the minimum cardinality."""
-    report = classify(n)
-    if report.decomposition_exists:
+    if classify(n).decomposition_exists:
         return multidecompose(n)
     if n == 7:
-        return catalog_get(CatalogKey(CatalogKind.COVERING, 7))
+        return catalog_get("covering:7")
     if n == 9:
         return _cover_nine()
     if n == 10:
         return _cover_ten()
-    return _assemble(join_layout(n, Kind.COVERING), Kind.COVERING)
+    return _assemble(n, Kind.COVERING)

@@ -26,6 +26,18 @@ class DesignFileError(ValueError):
     """A design file that does not conform to the format."""
 
 
+def _int(value) -> int:
+    """A plain JSON integer; floats, strings and booleans are rejected
+    rather than coerced."""
+    if type(value) is not int:
+        raise DesignFileError(f"expected an integer, got {value!r}")
+    return value
+
+
+def _ints(values) -> tuple[int, ...]:
+    return tuple(map(_int, values))
+
+
 def _host_to_obj(host: Host) -> dict:
     if isinstance(host, Complete):
         return {"type": "complete", "n": host.n}
@@ -44,14 +56,13 @@ def _host_from_obj(obj) -> Host:
     kind = obj["type"]
     try:
         if kind == "complete":
-            return Complete(int(obj["n"]))
+            return Complete(_int(obj["n"]))
         if kind == "bipartite":
             return CompleteBipartite(
-                frozenset(int(v) for v in obj["left"]),
-                frozenset(int(v) for v in obj["right"]),
+                frozenset(_ints(obj["left"])), frozenset(_ints(obj["right"]))
             )
         if kind == "explicit":
-            return Explicit(tuple((int(u), int(v)) for u, v in obj["edges"]))
+            return Explicit(tuple((u, v) for u, v in map(_ints, obj["edges"])))
     except DesignFileError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
@@ -71,12 +82,10 @@ def _block_from_obj(obj) -> Block:
     kind = obj["type"]
     try:
         if kind == "hexagon":
-            return Hexagon(tuple(int(v) for v in obj["vertices"]))
+            return Hexagon(_ints(obj["vertices"]))
         if kind == "prism":
             first, second = obj["triangles"]
-            return Prism(
-                tuple(int(v) for v in first), tuple(int(v) for v in second)
-            )
+            return Prism(_ints(first), _ints(second))
     except DesignFileError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
@@ -107,10 +116,8 @@ def design_from_obj(obj) -> Design:
     host = _host_from_obj(obj["host"])
     blocks = tuple(_block_from_obj(b) for b in obj["blocks"])
     try:
-        leave = frozenset(
-            (int(u), int(v)) for u, v in obj.get("leave", [])
-        )
-        padding = tuple((int(u), int(v)) for u, v in obj.get("padding", []))
+        leave = frozenset((u, v) for u, v in map(_ints, obj.get("leave", [])))
+        padding = tuple((u, v) for u, v in map(_ints, obj.get("padding", [])))
     except (TypeError, ValueError) as exc:
         raise DesignFileError(f"malformed leave or padding: {exc}") from exc
     try:

@@ -79,21 +79,27 @@ def _raw_block_edges(block) -> list:
     ]
 
 
-def _block_shape_ok(block) -> bool:
+def _block_fault(block) -> tuple[str, str] | None:
+    """Finding code and text for a block that cannot be checked edge by
+    edge, or None for a well-formed one."""
     if isinstance(block, Hexagon):
         vs = block.vertices
     elif isinstance(block, Prism):
         vs = block.first + block.second
     else:
-        return False
-    return len(vs) == 6 and len(set(vs)) == 6
+        return "bad-block", "is not a hexagon or prism"
+    if not all(type(v) is int for v in vs):
+        return "non-integer-vertex", f"has a vertex that is not an integer: {block}"
+    if len(vs) != 6 or len(set(vs)) != 6:
+        return "repeated-vertex", f"does not have 6 distinct vertices: {block}"
+    return None
 
 
 def incidence_table(design: Design) -> dict:
     """Per-vertex (p, q): how many hexagons and prisms meet each vertex."""
     table = {v: (0, 0) for v in _host_vertex_set(design.host)}
     for block in design.blocks:
-        if not _block_shape_ok(block):
+        if _block_fault(block) is not None:
             continue
         vs = block.vertices if isinstance(block, Hexagon) else block.first + block.second
         for v in vs:
@@ -120,19 +126,10 @@ def verify_design(design: Design, require_both_types: bool = True) -> Verificati
     hexagons = prisms = 0
     coverage: Counter = Counter()
     for i, block in enumerate(design.blocks):
-        if not isinstance(block, (Hexagon, Prism)):
-            failures.append(
-                Finding("bad-block", f"block {i} is not a hexagon or prism", blocks=(i,))
-            )
-            continue
-        if not _block_shape_ok(block):
-            failures.append(
-                Finding(
-                    "repeated-vertex",
-                    f"block {i} does not have 6 distinct vertices: {block}",
-                    blocks=(i,),
-                )
-            )
+        fault = _block_fault(block)
+        if fault is not None:
+            code, text = fault
+            failures.append(Finding(code, f"block {i} {text}", blocks=(i,)))
             continue
         if isinstance(block, Hexagon):
             hexagons += 1

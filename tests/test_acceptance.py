@@ -14,11 +14,12 @@ from collections import Counter
 from contextlib import contextmanager
 
 from hexprism.bases import load_base
-from hexprism.bipartite import BipartiteSpec, c6_decompose_bipartite
-from hexprism.catalog import CatalogKey, CatalogKind, get as catalog_get
+from hexprism.bipartite import c6_decompose_bipartite
+from hexprism.catalog import get as catalog_get
 from hexprism.constructions import max_multipack, min_multicover, multidecompose
 from hexprism.core import (
     Complete,
+    CompleteBipartite,
     Hexagon,
     Kind,
     Prism,
@@ -161,7 +162,7 @@ def test_criterion_6_bundled_examples():
         def shift_edges(pairs):
             return {tuple(sorted((u - 1, v - 1))) for u, v in pairs}
 
-        k6 = catalog_get(CatalogKey(CatalogKind.DECOMPOSITION, 6))
+        k6 = catalog_get("decomposition:6")
         assert verify_design(k6).valid
         assert Counter(map(canonical_form, k6.blocks)) == Counter(
             [
@@ -178,7 +179,7 @@ def test_criterion_6_bundled_examples():
 
         counts = {13: (7, 4), 15: (10, 5), 19: (15, 9)}
         for n, entry in source.DECOMPOSITIONS.items():
-            design = catalog_get(CatalogKey(CatalogKind.DECOMPOSITION, n))
+            design = catalog_get(f"decomposition:{n}")
             report = verify_design(design)
             assert report.valid, n
             assert (report.hexagon_count, report.prism_count) == counts[n]
@@ -186,14 +187,14 @@ def test_criterion_6_bundled_examples():
             checked += 1
 
         for n, entry in source.PACKINGS.items():
-            design = catalog_get(CatalogKey(CatalogKind.PACKING, n))
+            design = catalog_get(f"packing:{n}")
             assert verify_design(design).valid, n
             assert design.leave == frozenset(shift_edges(entry["leave"])), n
             assert Counter(map(canonical_form, design.blocks)) == shift_blocks(entry)
             checked += 1
 
         for n, entry in source.COVERINGS.items():
-            design = catalog_get(CatalogKey(CatalogKind.COVERING, n))
+            design = catalog_get(f"covering:{n}")
             assert verify_design(design).valid, n
             assert Counter(design.padding) == Counter(
                 sorted(shift_edges(entry["padding"]))
@@ -219,13 +220,13 @@ def test_criterion_7_bipartite_ingredient_suite():
                 pairs.add((fixed, other))
                 pairs.add((other, fixed))
         for m, n in sorted(pairs):
-            spec = BipartiteSpec(frozenset(range(m)), frozenset(range(m, m + n)))
-            design = c6_decompose_bipartite(spec)
+            host = CompleteBipartite(frozenset(range(m)), frozenset(range(m, m + n)))
+            design = c6_decompose_bipartite(host)
             assert len(design.blocks) == m * n // 6, (m, n)
             report = verify_design(design, require_both_types=False)
             assert report.valid, (m, n)
             for block in design.blocks:
-                inside = [v in spec.left for v in block.vertices]
+                inside = [v in host.left for v in block.vertices]
                 assert inside in ([True, False] * 3, [False, True] * 3), (m, n)
         elapsed = time.perf_counter() - start
         assert elapsed < 1.0, f"suite took {elapsed:.2f}s"
@@ -247,10 +248,10 @@ def test_criterion_8_property_suites():
 
         rng = random.Random(97)
         sample = [
-            catalog_get(CatalogKey(CatalogKind.DECOMPOSITION, 6)),
-            catalog_get(CatalogKey(CatalogKind.DECOMPOSITION, 13)),
-            catalog_get(CatalogKey(CatalogKind.PACKING, 9)),
-            catalog_get(CatalogKey(CatalogKind.COVERING, 8)),
+            catalog_get("decomposition:6"),
+            catalog_get("decomposition:13"),
+            catalog_get("packing:9"),
+            catalog_get("covering:8"),
             _packings()[10],
             _coverings()[10],
         ]
@@ -292,7 +293,7 @@ def test_criterion_9_search_oracle_agreement():
         )
         assert outcome.status is Status.FOUND
         assert verify_design(outcome.design).valid
-        bundled = catalog_get(CatalogKey(CatalogKind.DECOMPOSITION, 6))
+        bundled = catalog_get("decomposition:6")
         assert canon(outcome.design.blocks) == canon(bundled.blocks)
 
         outcome = search_multidecomposition(
@@ -313,14 +314,14 @@ def test_criterion_9_search_oracle_agreement():
             Complete(9), SearchConfig(prisms=False, symmetry_breaking=True)
         )
         assert outcome.status is Status.FOUND
-        assert canon(outcome.design.blocks) == canon(load_base("k9_hexagons").blocks)
+        assert canon(outcome.design.blocks) == canon(load_base("hexagons:9").blocks)
         assert verify_design(outcome.design, require_both_types=False).valid
 
         outcome = search_multidecomposition(
             Complete(10), SearchConfig(hexagons=False, symmetry_breaking=True)
         )
         assert outcome.status is Status.FOUND
-        assert canon(outcome.design.blocks) == canon(load_base("k10_prisms").blocks)
+        assert canon(outcome.design.blocks) == canon(load_base("prisms:10").blocks)
         assert verify_design(outcome.design, require_both_types=False).valid
 
         elapsed = time.perf_counter() - start

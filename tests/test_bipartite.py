@@ -5,7 +5,6 @@ import random
 import pytest
 
 from hexprism.bipartite import (
-    BipartiteSpec,
     InfeasibleParametersError,
     c6_decompose_bipartite,
     side_partition,
@@ -34,13 +33,13 @@ def test_side_partition_rejects_bad_sizes():
 
 def test_spec_validation():
     with pytest.raises(ValueError):
-        BipartiteSpec(frozenset(), frozenset({1}))
+        CompleteBipartite(frozenset(), frozenset({1}))
     with pytest.raises(ValueError):
-        BipartiteSpec(frozenset({1, 2}), frozenset({2, 3}))
+        CompleteBipartite(frozenset({1, 2}), frozenset({2, 3}))
 
 
 def _sides(m, n):
-    return BipartiteSpec(frozenset(range(m)), frozenset(range(m, m + n)))
+    return CompleteBipartite(frozenset(range(m)), frozenset(range(m, m + n)))
 
 
 def test_infeasible_parameters():
@@ -63,11 +62,11 @@ def test_decomposes_seed_shapes():
 
 
 def test_blocks_alternate_sides():
-    spec = _sides(8, 12)
-    design = c6_decompose_bipartite(spec)
+    host = _sides(8, 12)
+    design = c6_decompose_bipartite(host)
     for block in design.blocks:
         assert isinstance(block, Hexagon)
-        pattern = ["L" if v in spec.left else "R" for v in block.vertices]
+        pattern = ["L" if v in host.left else "R" for v in block.vertices]
         assert pattern in (["L", "R"] * 3, ["R", "L"] * 3)
 
 
@@ -88,7 +87,7 @@ def test_arbitrary_vertex_labels():
     labels = rng.sample(range(1000), 18)
     left = frozenset(labels[:6])
     right = frozenset(labels[6:])
-    design = c6_decompose_bipartite(BipartiteSpec(left, right))
+    design = c6_decompose_bipartite(CompleteBipartite(left, right))
     assert design.host == CompleteBipartite(left, right)
     report = verify_design(design, require_both_types=False)
     assert report.valid

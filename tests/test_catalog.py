@@ -1,18 +1,13 @@
 from __future__ import annotations
 
+import sys
+import threading
 from collections import Counter
 
 import pytest
 
-from hexprism.bases import DERIVED_NAMES, load_base
-from hexprism.catalog import (
-    CatalogKey,
-    CatalogKind,
-    derived_base,
-    get,
-    k6_multidecomposition,
-    keys,
-)
+from hexprism import bases
+from hexprism.catalog import get, keys
 from hexprism.core import (
     Hexagon,
     Prism,
@@ -49,19 +44,18 @@ def _source_multiset(entry):
 
 
 def test_k6_matches_source():
-    design = k6_multidecomposition()
+    design = get("decomposition:6")
     assert _canonical_multiset(design.blocks) == Counter(
         [
             canonical_form(_shift_hexagon(source.K6_HEXAGON)),
             canonical_form(_shift_prism(source.K6_PRISM)),
         ]
     )
-    assert get(CatalogKey(CatalogKind.DECOMPOSITION, 6)) == design
 
 
 @pytest.mark.parametrize("n", sorted(source.DECOMPOSITIONS))
 def test_decompositions_match_source(n):
-    design = get(CatalogKey(CatalogKind.DECOMPOSITION, n))
+    design = get(f"decomposition:{n}")
     assert _canonical_multiset(design.blocks) == _source_multiset(
         source.DECOMPOSITIONS[n]
     )
@@ -70,7 +64,7 @@ def test_decompositions_match_source(n):
 
 @pytest.mark.parametrize("n", sorted(source.PACKINGS))
 def test_packings_match_source(n):
-    design = get(CatalogKey(CatalogKind.PACKING, n))
+    design = get(f"packing:{n}")
     entry = source.PACKINGS[n]
     assert _canonical_multiset(design.blocks) == _source_multiset(entry)
     assert design.leave == frozenset(_shift_edges(entry["leave"]))
@@ -78,14 +72,14 @@ def test_packings_match_source(n):
 
 @pytest.mark.parametrize("n", [7, 8, 11])
 def test_coverings_match_source(n):
-    design = get(CatalogKey(CatalogKind.COVERING, n))
+    design = get(f"covering:{n}")
     entry = source.COVERINGS[n]
     assert _canonical_multiset(design.blocks) == _source_multiset(entry)
     assert Counter(design.padding) == Counter(sorted(_shift_edges(entry["padding"])))
 
 
 def test_covering_17_assembles_listed_and_fills():
-    design = get(CatalogKey(CatalogKind.COVERING, 17))
+    design = get("covering:17")
     entry = source.COVERINGS[17]
     got = _canonical_multiset(design.blocks)
 
@@ -94,7 +88,7 @@ def test_covering_17_assembles_listed_and_fills():
 
     # the nine-vertex fill is the bundled hexagon decomposition, shifted
     offset = entry["fill_nine_vertices"][0] - 1
-    nine = load_base("k9_hexagons")
+    nine = get("hexagons:9")
     fill9 = Counter(
         canonical_form(relabel_block(b, {v: v + offset for v in range(9)}))
         for b in nine.blocks
@@ -115,11 +109,7 @@ def test_covering_17_assembles_listed_and_fills():
     assert design.hexagon_count == 20 and design.prism_count == 2
 
 
-_SINGLE_SHAPE = {
-    CatalogKind.PURE_HEXAGONS,
-    CatalogKind.PURE_PRISMS,
-    CatalogKind.BIPARTITE_HEXAGONS,
-}
+_SINGLE_SHAPE = {"hexagons", "prisms", "bipartite"}
 
 
 def test_every_entry_verifies():
@@ -127,57 +117,70 @@ def test_every_entry_verifies():
     assert len(listing) == 17
 
     def order_key(key):
-        order = key.order if isinstance(key.order, tuple) else (key.order,)
-        return (key.kind.value, order)
+        kind, _, order = key.partition(":")
+        return (kind, tuple(int(x) for x in order.split("x")))
 
     assert list(listing) == sorted(listing, key=order_key)
     for key in listing:
         design = get(key)
-        report = verify_design(design, require_both_types=key.kind not in _SINGLE_SHAPE)
+        kind = key.partition(":")[0]
+        report = verify_design(design, require_both_types=kind not in _SINGLE_SHAPE)
         assert report.valid, (key, [f.code for f in report.failures])
 
 
 def test_block_counts_of_bundled_decompositions():
     for n, (hx, pr) in {6: (1, 1), 13: (7, 4), 15: (10, 5), 19: (15, 9)}.items():
-        design = get(CatalogKey(CatalogKind.DECOMPOSITION, n))
+        design = get(f"decomposition:{n}")
         assert (design.hexagon_count, design.prism_count) == (hx, pr), n
 
 
 def test_get_caches():
-    key = CatalogKey(CatalogKind.PACKING, 9)
-    assert get(key) is get(key)
+    assert get("packing:9") is get("packing:9")
+    assert get("covering:17") is get("covering:17")
+
+
+def test_concurrent_first_access_builds_each_entry_once():
+    bases._cache.clear()
+    seen = [[] for _ in range(8)]
+
+    def fetch(out):
+        for key in keys():
+            out.append(get(key))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=fetch, args=(out,)) for out in seen]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for column in zip(*seen):
+        assert all(design is column[0] for design in column)
+    assert all(len(out) == len(keys()) for out in seen)
 
 
 def test_unknown_key_rejected():
-    with pytest.raises(KeyError):
-        get(CatalogKey(CatalogKind.DECOMPOSITION, 99))
-    with pytest.raises(ValueError):
-        CatalogKey(CatalogKind.DECOMPOSITION, (4, 6))
-    with pytest.raises(ValueError):
-        CatalogKey(CatalogKind.BIPARTITE_HEXAGONS, 6)
+    for key in ("decomposition:99", "decomposition:4x6", "bipartite:6", "junk"):
+        with pytest.raises(KeyError):
+            get(key)
 
 
 def test_derived_bases_load():
-    assert set(DERIVED_NAMES) == {
-        "k9_hexagons",
-        "k10_prisms",
-        "b46_hexagons",
-        "b66_hexagons",
-    }
-    nine = derived_base(CatalogKey(CatalogKind.PURE_HEXAGONS, 9))
+    nine = get("hexagons:9")
     assert nine.hexagon_count == 6 and nine.prism_count == 0
     assert incidence_table(nine) == {v: (4, 0) for v in range(9)}
 
-    ten = derived_base(CatalogKey(CatalogKind.PURE_PRISMS, 10))
+    ten = get("prisms:10")
     assert ten.prism_count == 5 and ten.hexagon_count == 0
     assert incidence_table(ten) == {v: (0, 3) for v in range(10)}
 
-    with pytest.raises(KeyError):
-        derived_base(CatalogKey(CatalogKind.DECOMPOSITION, 13))
-
 
 def test_bipartite_seeds():
-    b46 = derived_base(CatalogKey(CatalogKind.BIPARTITE_HEXAGONS, (4, 6)))
+    b46 = get("bipartite:4x6")
     assert b46.hexagon_count == 4
-    b66 = derived_base(CatalogKey(CatalogKind.BIPARTITE_HEXAGONS, (6, 6)))
+    b66 = get("bipartite:6x6")
     assert b66.hexagon_count == 6

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import hashlib
 from collections import Counter
 
 import pytest
 
+from hexprism import catalog
 from hexprism.constructions import (
     InfeasibleOrderError,
     hexagon_plus_factor,
@@ -23,6 +25,7 @@ from hexprism.core import (
     edge_set,
     recognize,
 )
+from hexprism.designfile import dumps_design
 from hexprism.feasibility import UnsupportedOrderError
 from hexprism.verifier import incidence_table, verify_design
 
@@ -247,3 +250,25 @@ def test_constructions_are_deterministic():
     assert multidecompose(25) == multidecompose(25)
     assert max_multipack(26) == max_multipack(26)
     assert min_multicover(23) == min_multicover(23)
+
+
+# sha256 of every construct output for orders 6..100 plus every catalog
+# export; any change to a byte of construction output changes it
+GOLDEN_DIGEST = "21bdbe8d156c214537249d4b218c6c9c9b6121d87e322fd5cb23513bb0422e99"
+
+
+def test_construct_and_catalog_json_are_byte_identical():
+    digest = hashlib.sha256()
+    built = 0
+    for n in range(6, 101):
+        for build in (multidecompose, max_multipack, min_multicover):
+            try:
+                text = dumps_design(build(n))
+                built += 1
+            except InfeasibleOrderError:
+                text = "infeasible\n"
+            digest.update(text.encode())
+    for key in catalog.keys():
+        digest.update(dumps_design(catalog.get(key)).encode())
+    assert built == 251
+    assert digest.hexdigest() == GOLDEN_DIGEST

@@ -5,7 +5,7 @@ from collections import Counter
 import pytest
 
 from hexprism.bases import load_base
-from hexprism.catalog import CatalogKey, CatalogKind, get as catalog_get
+from hexprism.catalog import get as catalog_get
 from hexprism.core import (
     Complete,
     CompleteBipartite,
@@ -71,7 +71,7 @@ def test_search_k6_matches_bundled_design():
     assert outcome.status is Status.FOUND
     report = verify_design(outcome.design)
     assert report.valid
-    bundled = catalog_get(CatalogKey(CatalogKind.DECOMPOSITION, 6))
+    bundled = catalog_get("decomposition:6")
     assert Counter(map(canonical_form, outcome.design.blocks)) == Counter(
         map(canonical_form, bundled.blocks)
     )
@@ -105,7 +105,7 @@ def test_search_k9_hexagons_matches_frozen():
         SearchConfig(prisms=False, symmetry_breaking=True),
     )
     assert outcome.status is Status.FOUND
-    frozen = load_base("k9_hexagons")
+    frozen = load_base("hexagons:9")
     assert Counter(map(canonical_form, outcome.design.blocks)) == Counter(
         map(canonical_form, frozen.blocks)
     )
@@ -117,7 +117,7 @@ def test_search_k10_prisms_matches_frozen():
         SearchConfig(hexagons=False, symmetry_breaking=True),
     )
     assert outcome.status is Status.FOUND
-    frozen = load_base("k10_prisms")
+    frozen = load_base("prisms:10")
     assert Counter(map(canonical_form, outcome.design.blocks)) == Counter(
         map(canonical_form, frozen.blocks)
     )

@@ -3,9 +3,10 @@ from __future__ import annotations
 import dataclasses
 import random
 
-from hexprism.catalog import CatalogKey, CatalogKind, get as catalog_get, k6_multidecomposition
+from hexprism.catalog import get as catalog_get
 from hexprism.core import (
     Complete,
+    CompleteBipartite,
     Design,
     Explicit,
     Hexagon,
@@ -23,7 +24,7 @@ def _codes(report):
 
 
 def _k6_pair():
-    return k6_multidecomposition()
+    return catalog_get("decomposition:6")
 
 
 def test_k6_pair_is_valid():
@@ -34,7 +35,7 @@ def test_k6_pair_is_valid():
 
 
 def test_deleting_a_block_reports_its_edges():
-    base = catalog_get(CatalogKey(CatalogKind.DECOMPOSITION, 13))
+    base = catalog_get("decomposition:13")
     hex_index = next(i for i, b in enumerate(base.blocks) if isinstance(b, Hexagon))
     damaged = dataclasses.replace(
         base, blocks=base.blocks[:hex_index] + base.blocks[hex_index + 1 :]
@@ -46,7 +47,7 @@ def test_deleting_a_block_reports_its_edges():
 
 
 def test_mutated_vertex_breaks_partition():
-    base = catalog_get(CatalogKey(CatalogKind.DECOMPOSITION, 13))
+    base = catalog_get("decomposition:13")
     blocks = list(base.blocks)
     blk = blocks[0]
     if isinstance(blk, Hexagon):
@@ -110,6 +111,16 @@ def test_missing_shape_findings():
     assert _codes(verify_design(only_prism)) == {"missing-hexagon"}
 
 
+def test_non_integer_vertex_is_a_finding():
+    base = _k6_pair()
+    bad = Hexagon((0, 1, 2, 3, 4, "x"))
+    report = verify_design(dataclasses.replace(base, blocks=(bad,) + base.blocks[1:]))
+    assert not report.valid
+    finding = next(f for f in report.failures if f.code == "non-integer-vertex")
+    assert finding.blocks == (0,)
+    assert "x" not in report.incidence
+
+
 def test_unexpected_leave_and_padding():
     base = _k6_pair()
     with_leave = dataclasses.replace(base, leave=frozenset({(0, 1)}))
@@ -119,7 +130,7 @@ def test_unexpected_leave_and_padding():
 
 
 def test_leave_overlap_and_outside_host():
-    packing = catalog_get(CatalogKey(CatalogKind.PACKING, 8))
+    packing = catalog_get("packing:8")
     covered = min(block_edges(packing.blocks[0]))
     overlapping = dataclasses.replace(packing, leave=packing.leave | {covered})
     assert "leave-overlap" in _codes(verify_design(overlapping))
@@ -129,20 +140,20 @@ def test_leave_overlap_and_outside_host():
 
 
 def test_padding_outside_host():
-    covering = catalog_get(CatalogKey(CatalogKind.COVERING, 8))
+    covering = catalog_get("covering:8")
     damaged = dataclasses.replace(covering, padding=covering.padding + ((3, 88),))
     assert "padding-outside-host" in _codes(verify_design(damaged))
 
 
 def test_packing_missing_leave_edge_detected():
-    packing = catalog_get(CatalogKey(CatalogKind.PACKING, 8))
+    packing = catalog_get("packing:8")
     report = verify_design(dataclasses.replace(packing, leave=frozenset()))
     assert not report.valid
     assert "uncovered-edges" in _codes(report)
 
 
 def test_covering_with_wrong_padding_detected():
-    covering = catalog_get(CatalogKey(CatalogKind.COVERING, 8))
+    covering = catalog_get("covering:8")
     report = verify_design(dataclasses.replace(covering, padding=()))
     assert not report.valid
     assert "overcovered-edges" in _codes(report)
@@ -154,7 +165,7 @@ def test_incidence_table_k6():
 
 
 def test_incidence_satisfies_degree_identity():
-    design = catalog_get(CatalogKey(CatalogKind.DECOMPOSITION, 19))
+    design = catalog_get("decomposition:19")
     for v, (p, q) in incidence_table(design).items():
         assert 2 * p + 3 * q == 18, v
 
@@ -163,9 +174,9 @@ def test_verification_invariant_under_relabeling():
     rng = random.Random(5)
     designs = [
         _k6_pair(),
-        catalog_get(CatalogKey(CatalogKind.DECOMPOSITION, 13)),
-        catalog_get(CatalogKey(CatalogKind.PACKING, 9)),
-        catalog_get(CatalogKey(CatalogKind.COVERING, 8)),
+        catalog_get("decomposition:13"),
+        catalog_get("packing:9"),
+        catalog_get("covering:8"),
     ]
     for design in designs:
         vs = list(host_vertices(design.host))
@@ -197,9 +208,9 @@ def test_verification_invariant_under_block_reexpression():
 def test_bipartite_host_verification():
     left = frozenset(range(4))
     right = frozenset(range(4, 10))
-    from hexprism.bipartite import BipartiteSpec, c6_decompose_bipartite
+    from hexprism.bipartite import c6_decompose_bipartite
 
-    design = c6_decompose_bipartite(BipartiteSpec(left, right))
+    design = c6_decompose_bipartite(CompleteBipartite(left, right))
     report = verify_design(design, require_both_types=False)
     assert report.valid
     assert report.hexagon_count == 4
