@@ -15,11 +15,8 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-
-import networkx as nx
-import numpy as np
 
 from .core import (
     Block,
@@ -32,6 +29,7 @@ from .core import (
     Kind,
     Prism,
     block_edges,
+    block_vertices,
     host_edges,
     host_vertices,
 )
@@ -206,7 +204,12 @@ class _Engine:
 
     # -- state updates
 
-    def _place(self, edges) -> None:
+    def _place(self, block, edges) -> None:
+        self.placed.append(block)
+        if isinstance(block, Hexagon):
+            self.hex_placed += 1
+        else:
+            self.prism_placed += 1
         for e in edges:
             i = self.pos[e]
             if self.usage[i] >= self.mult[i]:
@@ -223,7 +226,12 @@ class _Engine:
                     self.adj[b].discard(a)
             self.usage[i] += 1
 
-    def _unplace(self, edges) -> None:
+    def _unplace(self, block, edges) -> None:
+        self.placed.pop()
+        if isinstance(block, Hexagon):
+            self.hex_placed -= 1
+        else:
+            self.prism_placed -= 1
         for e in edges:
             i = self.pos[e]
             self.usage[i] -= 1
@@ -370,19 +378,9 @@ class _Engine:
             if self.exceeded:
                 return False
             self.stats.placements += 1
-            self._place(edges)
-            self.placed.append(block)
-            if isinstance(block, Hexagon):
-                self.hex_placed += 1
-            else:
-                self.prism_placed += 1
+            self._place(block, edges)
             done = self._node(depth + 1)
-            if isinstance(block, Hexagon):
-                self.hex_placed -= 1
-            else:
-                self.prism_placed -= 1
-            self.placed.pop()
-            self._unplace(edges)
+            self._unplace(block, edges)
             if done:
                 return True
         return False
@@ -430,15 +428,9 @@ class _Engine:
         found = False
         root = self._root_block(host) if self.cfg.symmetry_breaking else None
         if root is not None:
-            edges = block_edges(root)
             self.stats.nodes += 1
             self.stats.placements += 1
-            self._place(edges)
-            self.placed.append(root)
-            if isinstance(root, Hexagon):
-                self.hex_placed += 1
-            else:
-                self.prism_placed += 1
+            self._place(root, block_edges(root))
             found = self._node(1)
         else:
             found = self._node(0)
@@ -478,12 +470,40 @@ def search_multidecomposition(host: Host, cfg: SearchConfig = SearchConfig()) ->
 # extremal search
 
 
+def _isomorphic(g: dict, labels: dict, h: dict, h_labels: dict) -> bool:
+    """Backtracking search for a label-keeping bijection of g onto h that
+    maps edges to edges and non-edges to non-edges."""
+    order = sorted(g, key=labels.__getitem__)
+    image: dict = {}
+    taken: set = set()
+
+    def extend(i: int) -> bool:
+        if i == len(order):
+            return True
+        v = order[i]
+        placed_nbrs = {image[u] for u in g[v] if u in image}
+        for w in h:
+            if w in taken or h_labels[w] != labels[v] or h[w] & taken != placed_nbrs:
+                continue
+            image[v] = w
+            taken.add(w)
+            if extend(i + 1):
+                return True
+            taken.discard(w)
+            del image[v]
+        return False
+
+    return extend(0)
+
+
 def _leave_candidates(host: Host, bound: int):
     """Candidate leave edge sets of the given size, one per equivalence class.
 
     On a complete host any single edge is equivalent to any other, and larger
     subsets are grouped by graph isomorphism, which matches the host's full
-    symmetry.  Other hosts get the raw subsets.
+    symmetry; a subset is tested only against the class representatives with
+    the same (degree, neighbour degrees) vertex labels.  Other hosts get the
+    raw subsets.
     """
     edges = sorted(host_edges(host))
     if bound == 0:
@@ -499,11 +519,14 @@ def _leave_candidates(host: Host, bound: int):
     classes = []
     buckets: dict = {}
     for subset in itertools.combinations(edges, bound):
-        g = nx.Graph(subset)
-        key = tuple(sorted(d for _, d in g.degree()))
-        reps = buckets.setdefault(key, [])
-        if not any(nx.is_isomorphic(g, rep) for rep in reps):
-            reps.append(g)
+        g: dict = {}
+        for u, v in subset:
+            g.setdefault(u, set()).add(v)
+            g.setdefault(v, set()).add(u)
+        labels = {v: (len(ns), tuple(sorted(len(g[w]) for w in ns))) for v, ns in g.items()}
+        reps = buckets.setdefault(tuple(sorted(labels.values())), [])
+        if not any(_isomorphic(h, h_labels, g, labels) for h, h_labels in reps):
+            reps.append((g, labels))
             classes.append(subset)
     return classes
 
@@ -635,32 +658,31 @@ def _analytic_case(n: int, x: int, y: int) -> str | None:
     return None
 
 
+# S_n is transitive on labeled prisms, so every decomposition relabels onto
+# one that contains this prism; each scan fixes it as its first prism.
+_ROOT_PRISM = Prism((0, 1, 2), (3, 4, 5))
+_ROOTED = (
+    "every decomposition relabels onto one whose prisms include the root "
+    "prism [0, 1, 2; 3, 4, 5]"
+)
+
+
 def _all_prisms(n: int):
-    """Every labeled prism on subsets of 0..n-1, with edge and vertex bitmasks."""
-    eidx = {}
-    for i, e in enumerate(itertools.combinations(range(n), 2)):
-        eidx[e] = i
-    prisms = []
-    emasks = []
-    vmasks = []
+    """Every labeled prism on subsets of 0..n-1, with int edge and vertex
+    bitmasks, as three parallel lists; index 0 is the root prism."""
+    eidx = {e: i for i, e in enumerate(itertools.combinations(range(n), 2))}
+    prisms, emasks, vmasks = [], [], []
     for combo in itertools.combinations(range(n), 6):
-        head = combo[0]
-        rest = combo[1:]
+        head, rest = combo[0], combo[1:]
+        vm = sum(1 << v for v in combo)
         for pair in itertools.combinations(rest, 2):
-            t1 = (head,) + pair
             others = tuple(v for v in rest if v not in pair)
             for perm in itertools.permutations(others):
-                p = Prism(t1, perm)
-                em = 0
-                for e in block_edges(p):
-                    em |= 1 << eidx[e]
-                vm = 0
-                for v in combo:
-                    vm |= 1 << v
+                p = Prism((head,) + pair, perm)
                 prisms.append(p)
-                emasks.append(em)
+                emasks.append(sum(1 << eidx[e] for e in block_edges(p)))
                 vmasks.append(vm)
-    return prisms, np.array(emasks, dtype=np.int64), np.array(vmasks, dtype=np.int64)
+    return prisms, emasks, vmasks
 
 
 def _hexagon_completion(n: int, used_blocks) -> SearchOutcome:
@@ -674,107 +696,73 @@ def _hexagon_completion(n: int, used_blocks) -> SearchOutcome:
 
 
 def _scan_k9_prism_pairs():
-    """Enumerate edge-disjoint prism pairs on K_9 and try hexagon completions.
+    """Pair the root prism with every edge-disjoint prism on K_9 and try
+    hexagon completions.
 
-    Any decomposition could be relabeled so one prism contains vertex 0, so
-    scanning first prisms through vertex 0 against all second prisms is
-    exhaustive.  A completable remainder needs every vertex degree even,
-    which forces the two prisms onto one 6-vertex support.
+    Any decomposition relabels so that one of its two prisms is the root
+    prism, so pairing the root against all second prisms is exhaustive.  A
+    completable remainder needs every vertex degree even, which forces the
+    two prisms onto one 6-vertex support.
     """
     prisms, em, vm = _all_prisms(9)
-    firsts = np.nonzero(vm & 1)[0]
-    stats = {
-        "first_prisms": int(len(firsts)),
-        "pairs_edge_disjoint": 0,
-        "pairs_parity_rejected": 0,
-        "completion_searches": 0,
-    }
+    stats = dict.fromkeys(("pairs_edge_disjoint", "pairs_parity_rejected",
+                           "completion_searches", "completion_nodes"), 0)
     witness = None
-    search_nodes = 0
-    for i in firsts:
-        disjoint = (em & em[i]) == 0
-        same_support = vm == vm[i]
-        stats["pairs_edge_disjoint"] += int(disjoint.sum())
-        stats["pairs_parity_rejected"] += int((disjoint & ~same_support).sum())
-        for j in np.nonzero(disjoint & same_support)[0]:
-            stats["completion_searches"] += 1
-            outcome = _hexagon_completion(9, [prisms[i], prisms[j]])
-            search_nodes += outcome.stats.nodes
-            if outcome.status is Status.FOUND:
-                witness = (prisms[i], prisms[j], outcome.design)
-    stats["completion_nodes"] = search_nodes
+    for p, e, v in zip(prisms, em, vm):
+        if e & em[0]:
+            continue
+        stats["pairs_edge_disjoint"] += 1
+        if v != vm[0]:
+            stats["pairs_parity_rejected"] += 1
+            continue
+        stats["completion_searches"] += 1
+        outcome = _hexagon_completion(9, [_ROOT_PRISM, p])
+        stats["completion_nodes"] += outcome.stats.nodes
+        if outcome.status is Status.FOUND:
+            witness = (_ROOT_PRISM, p, outcome.design)
     return stats, witness
 
 
 def _scan_k10_single_prism():
-    """The (6, 1) case on K_10: one prism leaves four vertices of odd degree."""
-    prisms, em, vm = _all_prisms(10)
-    firsts = np.nonzero(vm & 1)[0]
-    stats = {
-        "single_prisms": int(len(firsts)),
-        "parity_rejected": 0,
-        "completion_searches": 0,
-    }
-    witness = None
-    for i in firsts:
-        # vertices outside the prism keep remaining degree 9, an odd number
-        outside = 10 - bin(int(vm[i])).count("1")
-        if outside:
-            stats["parity_rejected"] += 1
-            continue
-        stats["completion_searches"] += 1
-        outcome = _hexagon_completion(10, [prisms[i]])
-        if outcome.status is Status.FOUND:
-            witness = (prisms[i], outcome.design)
-    return stats, witness
+    """The (6, 1) case on K_10, with the one prism relabeled onto the root
+    prism: the vertices outside it keep remaining degree 9, an odd number,
+    so no hexagon completion exists and none is searched for."""
+    outside = 10 - len(block_vertices(_ROOT_PRISM))
+    return {"single_prisms": 1, "parity_rejected": int(outside > 0)}
 
 
 def _scan_k10_prism_triples():
-    """Enumerate edge-disjoint prism triples on K_10 for the (3, 3) case.
+    """Extend the root prism to edge-disjoint prism triples on K_10 for the
+    (3, 3) case.
 
     For a hexagon-completable remainder every vertex needs an odd prism
     count, which forces exactly four vertices into all three prisms; hence
     any two prisms share exactly 4 vertices and the third prism's support is
-    forced.  The scan roots the first prism at vertex 0, which is harmless
-    since every vertex lies in some prism.
+    forced.  Any decomposition relabels so that one of its prisms is the
+    root prism, so scanning second prisms against it is exhaustive.
     """
     prisms, em, vm = _all_prisms(10)
-    popcount = np.array([bin(i).count("1") for i in range(1 << 10)], dtype=np.int64)
     by_support: dict = {}
-    for idx, mask in enumerate(vm):
-        by_support.setdefault(int(mask), []).append(idx)
-    by_support = {m: np.array(ix) for m, ix in by_support.items()}
-    full = (1 << 10) - 1
-    firsts = np.nonzero(vm & 1)[0]
-    stats = {
-        "first_prisms": int(len(firsts)),
-        "pairs_support_compatible": 0,
-        "third_candidates": 0,
-        "triples_completed": 0,
-        "completion_searches": 0,
-    }
+    for p, e, v in zip(prisms, em, vm):
+        by_support.setdefault(v, []).append((p, e))
+    stats = dict.fromkeys(("pairs_support_compatible", "third_candidates",
+                           "completion_searches", "completion_nodes"), 0)
     witness = None
-    search_nodes = 0
-    for i in firsts:
-        shared = popcount[vm & vm[i]]
-        pair_ok = np.nonzero(((em & em[i]) == 0) & (shared == 4))[0]
-        stats["pairs_support_compatible"] += int(len(pair_ok))
-        for j in pair_ok:
-            used = em[i] | em[j]
-            support = int((vm[i] & vm[j]) | (full & ~(vm[i] | vm[j])))
-            idxs = by_support.get(support)
-            if idxs is None:
+    for p, e, v in zip(prisms, em, vm):
+        if e & em[0] or (v & vm[0]).bit_count() != 4:
+            continue
+        stats["pairs_support_compatible"] += 1
+        # the third support: the four shared vertices and the two neither prism touches
+        thirds = by_support[(v & vm[0]) | (0x3FF ^ (v | vm[0]))]
+        stats["third_candidates"] += len(thirds)
+        for third, third_e in thirds:
+            if third_e & (e | em[0]):
                 continue
-            third = idxs[(em[idxs] & used) == 0]
-            stats["third_candidates"] += int(len(idxs))
-            for k in third:
-                stats["triples_completed"] += 1
-                stats["completion_searches"] += 1
-                outcome = _hexagon_completion(10, [prisms[i], prisms[j], prisms[k]])
-                search_nodes += outcome.stats.nodes
-                if outcome.status is Status.FOUND:
-                    witness = (prisms[i], prisms[j], prisms[k], outcome.design)
-    stats["completion_nodes"] = search_nodes
+            stats["completion_searches"] += 1
+            outcome = _hexagon_completion(10, [_ROOT_PRISM, p, third])
+            stats["completion_nodes"] += outcome.stats.nodes
+            if outcome.status is Status.FOUND:
+                witness = (_ROOT_PRISM, p, third, outcome.design)
     return stats, witness
 
 
@@ -783,7 +771,10 @@ def confirm_nonexistence(n: int) -> NonexistenceReport:
 
     Every block-count case is attacked twice: by incidence arithmetic and by
     exhaustive enumeration.  For n = 10 the (3, 3) case is analytic only in
-    its support constraints; its elimination rests on the triple scan.
+    its support constraints; its elimination rests on the triple scan.  The
+    n = 9 and n = 10 scans fix the root prism [0, 1, 2; 3, 4, 5] as their
+    first prism, which loses nothing since S_n is transitive on labeled
+    prisms.
     """
     if n not in (7, 9, 10):
         raise ValueError("only the exceptional orders 7, 9 and 10 are certified here")
@@ -814,28 +805,24 @@ def confirm_nonexistence(n: int) -> NonexistenceReport:
         stats.update(scan_stats)
         if witness is None:
             enumerative[(3, 2)] = (
-                "no edge-disjoint prism pair admits a hexagon completion "
-                f"({scan_stats['pairs_edge_disjoint']} pairs examined)"
+                f"{_ROOTED}, and none of the {scan_stats['pairs_edge_disjoint']} "
+                "prisms edge-disjoint from it leaves a hexagon-completable remainder"
             )
         else:
             witnesses.append(witness)
     else:
-        single_stats, single_witness = _scan_k10_single_prism()
+        single_stats = _scan_k10_single_prism()
         stats.update({f"case61_{k}": v for k, v in single_stats.items()})
-        if single_witness is None:
-            enumerative[(6, 1)] = (
-                "every single-prism placement leaves odd vertex degrees "
-                f"({single_stats['single_prisms']} placements examined)"
-            )
-        else:
-            witnesses.append(single_witness)
+        if single_stats["parity_rejected"]:
+            enumerative[(6, 1)] = f"{_ROOTED}, and the root prism alone leaves odd vertex degrees"
         triple_stats, triple_witness = _scan_k10_prism_triples()
         stats.update({f"case33_{k}": v for k, v in triple_stats.items()})
         if triple_witness is None:
             enumerative[(3, 3)] = (
-                "no edge-disjoint prism triple admits a hexagon completion "
-                f"({triple_stats['pairs_support_compatible']} support-compatible "
-                "pairs examined)"
+                f"{_ROOTED}, and no edge-disjoint triple through it admits a hexagon "
+                f"completion ({triple_stats['pairs_support_compatible']} support-"
+                f"compatible second prisms, {triple_stats['third_candidates']} third "
+                "candidates examined)"
             )
         else:
             witnesses.append(triple_witness)

@@ -65,6 +65,13 @@ def _host_vertex_set(host) -> set:
     return {v for e in host.edges for v in e}
 
 
+def _integral_host(host) -> bool:
+    """Whether the host's order, or else each of its vertices, is a plain int."""
+    if isinstance(host, Complete):
+        return type(host.n) is int
+    return all(type(v) is int for v in _host_vertex_set(host))
+
+
 def _raw_block_edges(block) -> list:
     """Edge list straight from the tuples, with no shape validation."""
     if isinstance(block, Hexagon):
@@ -119,6 +126,11 @@ def verify_design(design: Design, require_both_types: bool = True) -> Verificati
     With require_both_types the design must use at least one hexagon and one
     prism; pass False for single-shape ingredient designs.
     """
+    if not _integral_host(design.host):
+        # no edge can be checked against a host that cannot be enumerated
+        text = f"host has an order or vertex that is not an integer: {design.host}"
+        failures = (Finding("non-integer-host", text),)
+        return VerificationReport(False, failures, 0, 0, design.leave, design.padding, {})
     failures: list[Finding] = []
     host_multiset = _host_edge_multiset(design.host)
     host_vs = _host_vertex_set(design.host)

@@ -180,3 +180,13 @@ def test_construct_verify_pipeline(tmp_path, n, kind):
     built = run_cli("construct", "--n", str(n), "--kind", kind, "--output", str(path))
     assert built.returncode == 0, built.stderr
     assert run_cli("verify", str(path)).returncode == 0
+
+
+def test_import_loads_no_numeric_or_graph_library():
+    code = (
+        "import sys, hexprism, hexprism.cli; "
+        "print(sorted({'numpy', 'networkx'} & set(sys.modules)))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 from collections import Counter
 
 import pytest
@@ -22,6 +23,7 @@ from hexprism.search import (
     MultigraphHostError,
     SearchConfig,
     Status,
+    _leave_candidates,
     confirm_nonexistence,
     find_extremal,
     hexagons_through,
@@ -219,6 +221,55 @@ def test_nonexistence_order_ten():
     assert (6, 1) in report.analytic_eliminated
     assert (3, 3) not in report.analytic_eliminated
     assert report.enumerative_complete
+
+
+def test_certificate_scan_counters_are_pinned():
+    # each scan fixes the root prism [0, 1, 2; 3, 4, 5] as its first prism
+    nine = confirm_nonexistence(9).stats
+    assert nine["pairs_edge_disjoint"] == 252
+    assert nine["pairs_parity_rejected"] == 252
+    assert nine["completion_searches"] == 0
+    ten = confirm_nonexistence(10).stats
+    assert ten["case61_single_prisms"] == 1
+    assert ten["case61_parity_rejected"] == 1
+    assert ten["case33_pairs_support_compatible"] == 72
+    assert ten["case33_third_candidates"] == 4320
+    assert ten["case33_completion_searches"] == 0
+    for stats in (nine, ten):
+        assert all(type(v) is int for v in stats.values())
+
+
+def test_certificate_reasons_name_the_root_prism():
+    for n in (9, 10):
+        for reason in confirm_nonexistence(n).enumerative_eliminated.values():
+            assert "root prism [0, 1, 2; 3, 4, 5]" in reason
+            assert "relabels" in reason
+
+
+@pytest.mark.parametrize(
+    "n,bound,classes",
+    [(7, 1, 1), (7, 2, 2), (7, 3, 5), (7, 4, 10), (7, 5, 21), (7, 6, 41),
+     (8, 2, 2), (8, 3, 5), (8, 4, 11)],
+)
+def test_leave_class_counts(n, bound, classes):
+    reps = _leave_candidates(Complete(n), bound)
+    assert len(reps) == classes
+    assert reps == sorted(reps)
+    assert all(len(set(leave)) == bound for leave in reps)
+
+
+@pytest.mark.parametrize("n,bound", [(7, b) for b in range(1, 7)] + [(8, b) for b in range(1, 5)])
+def test_leave_classes_match_networkx(n, bound):
+    nx = pytest.importorskip("networkx")
+    expected = []
+    reps: dict = {}
+    for subset in itertools.combinations(sorted(host_edges(Complete(n))), bound):
+        g = nx.Graph(subset)
+        bucket = reps.setdefault(tuple(sorted(d for _, d in g.degree())), [])
+        if not any(nx.is_isomorphic(g, h) for h in bucket):
+            bucket.append(g)
+            expected.append(subset)
+    assert _leave_candidates(Complete(n), bound) == expected
 
 
 def test_nonexistence_rejects_other_orders():

@@ -121,6 +121,15 @@ def test_non_integer_vertex_is_a_finding():
     assert "x" not in report.incidence
 
 
+def test_non_integer_host_is_a_finding():
+    for host in (Complete(7.0), Complete(True), CompleteBipartite({0, 1.5}, {2, 3})):
+        design = Design(host=host, kind=Kind.DECOMPOSITION, blocks=_k6_pair().blocks)
+        report = verify_design(design)
+        assert not report.valid
+        assert _codes(report) == {"non-integer-host"}
+        assert report.incidence == {}
+
+
 def test_unexpected_leave_and_padding():
     base = _k6_pair()
     with_leave = dataclasses.replace(base, leave=frozenset({(0, 1)}))
