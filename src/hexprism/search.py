@@ -8,15 +8,22 @@ exhausted run is a complete-enumeration certificate.  Runs are
 deterministic: identical inputs give identical statistics and designs, and
 the reported design is the one on the first branch, in generation order,
 that completes.
+
+The engine state is plain ints and lists, as in a bitset exact cover
+(Knuth, Dancing Links, arXiv cs/0011047): an int mask of unmet edges and an
+int neighbour mask per vertex, over dense indices in sorted-label order, so
+walking mask bits upwards visits labels in ascending order.  In covering
+mode the candidates through each branch edge are generated once per run.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
+from functools import lru_cache
+from time import perf_counter
 
 from .core import (
     Block,
@@ -77,9 +84,19 @@ class SearchConfig:
 
 @dataclass
 class SearchStats:
+    """pruned_* count nodes cut by the block-count equation, the odd-degree
+    bound and the per-vertex degree bound; skipped_padding_budget counts
+    covering candidates that would overspend the padding budget.  elapsed_s
+    is time in the engine, without leave-class enumeration."""
+
     nodes: int = 0
     placements: int = 0
     max_depth: int = 0
+    pruned_block_count: int = 0
+    pruned_odd_degree: int = 0
+    pruned_vertex_degree: int = 0
+    skipped_padding_budget: int = 0
+    elapsed_s: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -90,16 +107,98 @@ class SearchOutcome:
 
 
 def merge_stats(parts) -> SearchStats:
+    """Sum the counters and times of several runs; max_depth is the deepest."""
     total = SearchStats()
     for s in parts:
-        total.nodes += s.nodes
-        total.placements += s.placements
-        total.max_depth = max(total.max_depth, s.max_depth)
+        for f in fields(SearchStats):
+            a, b = getattr(total, f.name), getattr(s, f.name)
+            setattr(total, f.name, max(a, b) if f.name == "max_depth" else a + b)
     return total
 
 
 # ---------------------------------------------------------------------------
 # candidate enumeration
+
+# the edges of each shape, as position pairs in its vertex tuple
+_PAIRS = {
+    Hexagon: ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5)),
+    Prism: ((0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)),
+}
+
+
+@lru_cache(maxsize=1 << 14)
+def _bits(m: int) -> tuple[int, ...]:
+    """Indices of the set bits of a vertex mask, ascending."""
+    return tuple(i for i in range(m.bit_length()) if m >> i & 1)
+
+
+def _index(edges):
+    """Vertex labels in sorted order, their dense indices, a neighbour mask
+    per index and an edge-id table (-1 off the edges) for a sorted simple
+    edge list."""
+    labels = sorted({x for e in edges for x in e})
+    idx = {x: i for i, x in enumerate(labels)}
+    nbr = [0] * len(labels)
+    eid = [[-1] * len(labels) for _ in labels]
+    for i, (a, b) in enumerate(edges):
+        a, b = idx[a], idx[b]
+        nbr[a] |= 1 << b
+        nbr[b] |= 1 << a
+        eid[a][b] = eid[b][a] = i
+    return labels, idx, nbr, eid
+
+
+_BIT = (1).__lshift__  # i -> 1 << i
+_ODD = (1).__and__  # d -> d & 1
+
+
+def _candidate(shape, vs, eid):
+    ids = tuple([eid[vs[i]][vs[j]] for i, j in _PAIRS[shape]])
+    return shape, vs, ids, sum(map(_BIT, ids))
+
+
+def _block(shape, vs, labels) -> Block:
+    vs = tuple(labels[v] for v in vs)
+    return Hexagon(vs) if shape is Hexagon else Prism(vs[:3], vs[3:])
+
+
+def _through(shape, nbr: list, eid: list, u: int, v: int) -> list:
+    """Every block of the shape through edge (u, v) inside the neighbour
+    masks, exactly once, as (shape, vertex indices, edge ids, edge mask).
+
+    Hexagons are rooted as (u, v, a, b, c, d), which fixes an orientation.
+    A prism either has (u, v) in a triangle, giving [u, v, c; d, e2, f] with
+    the rung partners in matching order, or has it as a rung, giving
+    [u, b, c; v, e2, f] with b < c.  Every vertex is walked in ascending
+    order, triangle prisms before rung prisms.
+    """
+    out = []
+    bu, bv = 1 << u, 1 << v
+    if shape is Hexagon:
+        for a in _bits(nbr[v] & ~bu):
+            for b in _bits(nbr[a] & ~(bu | bv)):
+                for c in _bits(nbr[b] & ~(bu | bv | 1 << a)):
+                    for d in _bits(nbr[c] & nbr[u] & ~(bv | 1 << a | 1 << b)):
+                        out.append(_candidate(Hexagon, (u, v, a, b, c, d), eid))
+        return out
+    for c in _bits(nbr[u] & nbr[v]):
+        for d in _bits(nbr[u] & ~(bv | 1 << c)):
+            for e2 in _bits(nbr[v] & nbr[d] & ~(bu | 1 << c)):
+                for f in _bits(nbr[c] & nbr[d] & nbr[e2] & ~(bu | bv)):
+                    out.append(_candidate(Prism, (u, v, c, d, e2, f), eid))
+    for b in _bits(nbr[u] & ~bv):
+        for c in _bits(nbr[u] & nbr[b] & ~((2 << b) - 1 | bv)):
+            for e2 in _bits(nbr[v] & nbr[b] & ~(bu | 1 << c)):
+                for f in _bits(nbr[v] & nbr[c] & nbr[e2] & ~(bu | 1 << b)):
+                    out.append(_candidate(Prism, (u, b, c, v, e2, f), eid))
+    return out
+
+
+def _blocks_through(shape, adj: dict, e) -> list[Block]:
+    edges = sorted({(x, y) for x in adj for y in adj[x] if x < y})
+    labels, idx, nbr, eid = _index(edges)
+    return [_block(shape, vs, labels)
+            for shape, vs, _, _ in _through(shape, nbr, eid, idx[e[0]], idx[e[1]])]
 
 
 def hexagons_through(adj: dict, e) -> list[Hexagon]:
@@ -108,22 +207,7 @@ def hexagons_through(adj: dict, e) -> list[Hexagon]:
     Cycles are rooted as (u, v, a, b, c, d) with u < v the given edge, which
     fixes an orientation, so no cycle appears twice.
     """
-    u, v = e
-    found = []
-    for a in sorted(adj[v]):
-        if a == u:
-            continue
-        for b in sorted(adj[a]):
-            if b == u or b == v:
-                continue
-            for c in sorted(adj[b]):
-                if c == u or c == v or c == a:
-                    continue
-                for d in sorted(adj[c] & adj[u]):
-                    if d == v or d == a or d == b:
-                        continue
-                    found.append(Hexagon((u, v, a, b, c, d)))
-    return found
+    return _blocks_through(Hexagon, adj, e)
 
 
 def prisms_through(adj: dict, e) -> list[Prism]:
@@ -133,194 +217,152 @@ def prisms_through(adj: dict, e) -> list[Prism]:
     partners in matching order, or e is a rung, giving [u, b, c; v, e2, f]
     with b < c to fix the representation.
     """
-    u, v = e
-    found = []
-    for c in sorted(adj[u] & adj[v]):
-        for d in sorted(adj[u]):
-            if d == v or d == c:
-                continue
-            for e2 in sorted(adj[v] & adj[d]):
-                if e2 == u or e2 == c or e2 == d:
-                    continue
-                for f in sorted(adj[c] & adj[d] & adj[e2]):
-                    if f == u or f == v or f == d or f == e2:
-                        continue
-                    found.append(Prism((u, v, c), (d, e2, f)))
-    for b in sorted(adj[u]):
-        if b == v:
-            continue
-        for c in sorted(adj[u] & adj[b]):
-            if c <= b or c == v:
-                continue
-            for e2 in sorted(adj[v] & adj[b]):
-                if e2 == u or e2 == b or e2 == c:
-                    continue
-                for f in sorted(adj[v] & adj[c] & adj[e2]):
-                    if f == u or f == b or f == c or f == e2:
-                        continue
-                    found.append(Prism((u, b, c), (v, e2, f)))
-    return found
+    return _blocks_through(Prism, adj, e)
 
 
 # ---------------------------------------------------------------------------
 # the engine
 
 
+def _degree_ok(rd: int, a_max: int, b_max: int, slack: int) -> bool:
+    """Can rd unmet edges at a vertex be met by at most a_max hexagons
+    (2 each) and b_max prisms (3 each), overshooting by at most slack?"""
+    for q in range(min(b_max, (rd + slack) // 3) + 1):
+        hi = rd + slack - 3 * q
+        if hi < 0:
+            break
+        p_min = max(0, (rd - 3 * q + 1) // 2)
+        if 2 * p_min <= hi and p_min <= a_max:
+            return True
+    return False
+
+
 class _Engine:
-    """One backtracking run over an edge multiset.
+    """One backtracking run over a simple edge set, in plain ints and lists.
+
+    Bit i of avail is set while edge i is unmet, and nbr[v] has bit w set
+    while edge vw is unmet, so the remaining degree of v is
+    nbr[v].bit_count(); flips[i] holds the endpoints of edge i and their
+    bits.  pad[i] counts the reuses of edge i.  placed is a stack of
+    (candidate, newly met edge mask); Hexagon and Prism objects are built
+    only for the solution.
 
     padding_budget > 0 switches to covering mode: blocks may reuse edges
-    whose requirement is already met, spending one unit of budget per reuse.
+    whose requirement is already met, (mask & ~avail).bit_count() of them,
+    spending one unit of budget per reuse.  Candidates are then walked in
+    the host's full adjacency, which never changes, so the candidates
+    through each branch edge are generated once and kept in memo.
     """
 
-    def __init__(self, edge_multiset: Counter, cfg: SearchConfig, padding_budget: int = 0):
+    def __init__(self, edges, cfg: SearchConfig, padding_budget: int = 0):
         self.cfg = cfg
         self.pad_budget = padding_budget
-        self.order = sorted(edge_multiset)
-        self.pos = {e: i for i, e in enumerate(self.order)}
-        self.mult = [edge_multiset[e] for e in self.order]
-        self.usage = [0] * len(self.order)
-        self.unmet = sum(self.mult)
-        self.rem_deg = Counter()
-        for (a, b), m in edge_multiset.items():
-            self.rem_deg[a] += m
-            self.rem_deg[b] += m
-        self.odd_count = sum(1 for d in self.rem_deg.values() if d % 2)
-        self.adj = {v: set() for v in self.rem_deg}
-        for a, b in self.order:
-            self.adj[a].add(b)
-            self.adj[b].add(a)
-        # covering mode keeps the full adjacency: met edges stay reusable
-        self.dynamic_adj = padding_budget == 0
+        self.order = sorted(edges)
+        self.labels, self.idx, self.nbr, self.eid = _index(self.order)
+        self.host_nbr = list(self.nbr)
+        idx = self.idx
+        self.flips = [(idx[a], 1 << idx[b], idx[b], 1 << idx[a]) for a, b in self.order]
+        self.avail = (1 << len(self.order)) - 1
+        self.unmet = len(self.order)
+        self.pad = [0] * len(self.order)
+        self.memo: dict = {}
         self.hex_placed = 0
         self.prism_placed = 0
         self.pad_used = 0
-        self.placed: list[Block] = []
+        self.placed: list = []
         self.stats = SearchStats()
         self.exceeded = False
         self.solution: tuple[Block, ...] | None = None
         self.solution_padding: tuple | None = None
-        self._deg_cache: dict = {}
+        self._cuts: dict = {}
 
     # -- state updates
 
-    def _place(self, block, edges) -> None:
-        self.placed.append(block)
-        if isinstance(block, Hexagon):
-            self.hex_placed += 1
+    def _toggle(self, cand, new: int, sign: int) -> None:
+        """Meet (sign 1) or unmeet (sign -1) the edges in new; the rest of
+        the candidate's edges are reuses."""
+        shape, _, ids, mask = cand
+        if shape is Hexagon:
+            self.hex_placed += sign
         else:
-            self.prism_placed += 1
-        for e in edges:
-            i = self.pos[e]
-            if self.usage[i] >= self.mult[i]:
-                self.pad_used += 1
-            else:
-                self.unmet -= 1
-                for v in e:
-                    d = self.rem_deg[v]
-                    self.rem_deg[v] = d - 1
-                    self.odd_count += 1 if d % 2 == 0 else -1
-                if self.dynamic_adj and self.usage[i] + 1 == self.mult[i]:
-                    a, b = e
-                    self.adj[a].discard(b)
-                    self.adj[b].discard(a)
-            self.usage[i] += 1
+            self.prism_placed += sign
+        self.avail ^= new
+        self.unmet -= sign * new.bit_count()
+        if new != mask:
+            for i in ids:
+                if not new >> i & 1:
+                    self.pad[i] += sign
+                    self.pad_used += sign
+            ids = [i for i in ids if new >> i & 1]
+        nbr, flips = self.nbr, self.flips
+        for i in ids:
+            x, by, y, bx = flips[i]
+            nbr[x] ^= by
+            nbr[y] ^= bx
 
-    def _unplace(self, block, edges) -> None:
-        self.placed.pop()
-        if isinstance(block, Hexagon):
-            self.hex_placed -= 1
-        else:
-            self.prism_placed -= 1
-        for e in edges:
-            i = self.pos[e]
-            self.usage[i] -= 1
-            if self.usage[i] >= self.mult[i]:
-                self.pad_used -= 1
-            else:
-                self.unmet += 1
-                for v in e:
-                    d = self.rem_deg[v]
-                    self.rem_deg[v] = d + 1
-                    self.odd_count += 1 if d % 2 == 0 else -1
-                if self.dynamic_adj and self.usage[i] + 1 == self.mult[i]:
-                    a, b = e
-                    self.adj[a].add(b)
-                    self.adj[b].add(a)
+    def _place(self, cand) -> None:
+        new = cand[3] & self.avail
+        self.placed.append((cand, new))
+        self._toggle(cand, new, 1)
+
+    def _unplace(self) -> None:
+        self._toggle(*self.placed.pop(), -1)
 
     # -- pruning
 
     def _future_pairs(self):
-        """Feasible (hexagons, prisms) still to be placed, or None if pinned."""
+        """Feasible (hexagons, prisms) still to be placed."""
         cfg = self.cfg
+        slack = self.pad_budget - self.pad_used
         if cfg.target_counts is not None:
             a = cfg.target_counts[0] - self.hex_placed
             b = cfg.target_counts[1] - self.prism_placed
-            if a < 0 or b < 0:
-                return []
-            slack = self.pad_budget - self.pad_used
-            if any(6 * a + 9 * b == self.unmet + extra for extra in range(slack + 1)):
-                return [(a, b)]
-            return []
+            feasible = a >= 0 and b >= 0 and 0 <= 6 * a + 9 * b - self.unmet <= slack
+            return [(a, b)] if feasible else []
         need_h = max(0, cfg.min_hexagons - self.hex_placed)
         need_p = max(0, cfg.min_prisms - self.prism_placed)
-        if not cfg.hexagons and need_h:
-            return []
-        if not cfg.prisms and need_p:
-            return []
-        slack = self.pad_budget - self.pad_used
-        pairs = []
-        for total in range(self.unmet, self.unmet + slack + 1):
-            for b in range(need_p, total // 9 + 1):
-                rest = total - 9 * b
-                if rest % 6 == 0 and rest // 6 >= need_h:
-                    if not cfg.hexagons and rest:
-                        continue
-                    if not cfg.prisms and b:
-                        continue
-                    pairs.append((rest // 6, b))
-        return pairs
+        return [
+            (rest // 6, b)
+            for total in range(self.unmet, self.unmet + slack + 1)
+            for b in range(need_p, total // 9 + 1)
+            if (rest := total - 9 * b) % 6 == 0 and rest // 6 >= need_h
+            and (cfg.hexagons or not rest) and (cfg.prisms or not b)
+        ]
 
-    def _degree_ok(self, rd, a_max, b_max, slack) -> bool:
-        key = (rd, a_max, b_max, slack)
-        hit = self._deg_cache.get(key)
-        if hit is not None:
-            return hit
-        ok = False
-        for q in range(min(b_max, (rd + slack) // 3) + 1):
-            lo = rd - 3 * q
-            hi = rd + slack - 3 * q
-            if hi < 0:
-                break
-            p_min = max(0, (lo + 1) // 2)
-            if 2 * p_min <= hi and p_min <= a_max:
-                ok = True
-                break
-        self._deg_cache[key] = ok
-        return ok
-
-    def _prune(self) -> bool:
-        pairs = self._future_pairs()
-        if not pairs:
+    def _prune(self, rd: list) -> bool:
+        """Whether the node survives the cuts.  Each block-count state caches
+        None when the block-count equation has no solution left, else b_max
+        and the remaining degrees _degree_ok rejects at (a_max, b_max, slack)."""
+        key = (self.unmet, self.hex_placed, self.prism_placed, self.pad_used)
+        if key not in self._cuts:
+            pairs = self._future_pairs()
+            if pairs:
+                a_max = max(a for a, _ in pairs)
+                b_max = max(b for _, b in pairs)
+                slack = self.pad_budget - self.pad_used
+                self._cuts[key] = b_max, frozenset(
+                    d for d in range(1, len(self.labels)) if not _degree_ok(d, a_max, b_max, slack)
+                )
+            else:
+                self._cuts[key] = None
+        cut, stats = self._cuts[key], self.stats
+        if cut is None:
+            stats.pruned_block_count += 1
             return False
         if not self.cfg.degree_prunes:
             return True
-        a_max = max(a for a, _ in pairs)
-        b_max = max(b for _, b in pairs)
-        if self.pad_budget == 0 and self.odd_count > 6 * b_max:
+        b_max, bad = cut
+        if self.pad_budget == 0 and sum(map(_ODD, rd)) > 6 * b_max:
+            stats.pruned_odd_degree += 1
             return False
-        slack = self.pad_budget - self.pad_used
-        for v, rd in self.rem_deg.items():
-            if rd and not self._degree_ok(rd, a_max, b_max, slack):
-                return False
+        if not bad.isdisjoint(rd):
+            stats.pruned_vertex_degree += 1
+            return False
         return True
 
     # -- candidates
 
-    def _reuse_count(self, edges) -> int:
-        return sum(1 for e in edges if self.usage[self.pos[e]] >= self.mult[self.pos[e]])
-
-    def _candidates(self, e):
+    def _candidates(self, u: int, v: int):
         cfg = self.cfg
         want_hex = cfg.hexagons
         want_prism = cfg.prisms
@@ -330,57 +372,55 @@ class _Engine:
         prisms_due = want_prism and self.prism_placed < max(
             cfg.min_prisms, cfg.target_counts[1] if cfg.target_counts else 0
         )
-        groups = [
-            hexagons_through(self.adj, e) if want_hex else (),
-            prisms_through(self.adj, e) if want_prism else (),
-        ]
+        wants = (want_hex, want_prism)
+        if self.pad_budget:
+            if (u, v) not in self.memo:
+                self.memo[u, v] = [_through(s, self.host_nbr, self.eid, u, v) for s in _PAIRS]
+            groups = [g if w else () for g, w in zip(self.memo[u, v], wants)]
+        else:
+            groups = [_through(s, self.nbr, self.eid, u, v) if w else () for s, w in zip(_PAIRS, wants)]
         if prisms_due:
             # place the scarcer shape first while it is still owed
             groups.reverse()
-        out = []
-        for group in groups:
-            for block in group:
-                edges = block_edges(block)
-                if self.pad_budget:
-                    reuse = self._reuse_count(edges)
-                    if self.pad_used + reuse > self.pad_budget:
-                        continue
-                out.append((block, edges))
+        out = [c for group in groups for c in group]
+        if self.pad_budget:
+            met, left = ~self.avail, self.pad_budget - self.pad_used
+            kept = [c for c in out if (c[3] & met).bit_count() <= left]
+            self.stats.skipped_padding_budget += len(out) - len(kept)
+            return kept
         return out
 
     # -- the search proper
 
-    def _branch_edge(self):
-        """The unmet edge at the least-degree endpoints, or None when done."""
-        best = None
-        best_key = None
-        order, usage, mult, rd = self.order, self.usage, self.mult, self.rem_deg
-        for i, e in enumerate(order):
-            if usage[i] >= mult[i]:
-                continue
-            key = rd[e[0]] + rd[e[1]]
-            if best_key is None or key < best_key:
-                best, best_key = e, key
+    def _branch_edge(self, rd: list) -> tuple[int, int]:
+        """The unmet edge at the least-degree endpoints; ties go to the first."""
+        best, best_key = None, None
+        for u, nu in enumerate(self.nbr):
+            for v in _bits(nu >> u + 1 << u + 1):
+                key = rd[u] + rd[v]
+                if best_key is None or key < best_key:
+                    best, best_key = (u, v), key
         return best
 
     def _node(self, depth: int) -> bool:
         self.stats.nodes += 1
-        self.stats.max_depth = max(self.stats.max_depth, depth)
+        if depth > self.stats.max_depth:
+            self.stats.max_depth = depth
         if self.cfg.node_budget is not None and self.stats.nodes > self.cfg.node_budget:
             self.exceeded = True
             return False
         if self.unmet == 0:
             return self._complete()
-        if not self._prune():
+        rd = list(map(int.bit_count, self.nbr))
+        if not self._prune(rd):
             return False
-        e = self._branch_edge()
-        for block, edges in self._candidates(e):
+        for cand in self._candidates(*self._branch_edge(rd)):
             if self.exceeded:
                 return False
             self.stats.placements += 1
-            self._place(block, edges)
+            self._place(cand)
             done = self._node(depth + 1)
-            self._unplace(block, edges)
+            self._unplace()
             if done:
                 return True
         return False
@@ -392,11 +432,10 @@ class _Engine:
                 return False
         if self.hex_placed < cfg.min_hexagons or self.prism_placed < cfg.min_prisms:
             return False
-        self.solution = tuple(self.placed)
-        padding = []
-        for i, e in enumerate(self.order):
-            padding.extend([e] * (self.usage[i] - self.mult[i]))
-        self.solution_padding = tuple(padding)
+        self.solution = tuple(_block(c[0], c[1], self.labels) for c, _ in self.placed)
+        self.solution_padding = tuple(
+            e for e, reuses in zip(self.order, self.pad) for _ in range(reuses)
+        )
         return True
 
     def _root_block(self, host) -> Block | None:
@@ -425,15 +464,17 @@ class _Engine:
         return None
 
     def run(self, host) -> tuple[Status, tuple[Block, ...] | None, tuple]:
-        found = False
+        start = perf_counter()
         root = self._root_block(host) if self.cfg.symmetry_breaking else None
         if root is not None:
             self.stats.nodes += 1
             self.stats.placements += 1
-            self._place(root, block_edges(root))
+            vs = tuple(self.idx[x] for x in block_vertices(root))
+            self._place(_candidate(type(root), vs, self.eid))
             found = self._node(1)
         else:
             found = self._node(0)
+        self.stats.elapsed_s = perf_counter() - start
         if found:
             return Status.FOUND, self.solution, self.solution_padding
         if self.exceeded:
@@ -565,10 +606,9 @@ def find_extremal(
         )
         runs = []
         for leave in _leave_candidates(host, bound):
-            rest = multiset - Counter(leave)
-            reduced = Explicit(tuple(rest.elements()))
+            reduced = Explicit(tuple(set(multiset) - set(leave)))
             _check_budget_rule(reduced, cfg)
-            engine = _Engine(host_edges(reduced), cfg)
+            engine = _Engine(reduced.edges, cfg)
             status, blocks, _ = engine.run(reduced)
             runs.append(engine.stats)
             if status is Status.FOUND:
@@ -687,11 +727,10 @@ def _all_prisms(n: int):
 
 def _hexagon_completion(n: int, used_blocks) -> SearchOutcome:
     """Can the edges of K_n left by the given prisms be split into hexagons?"""
-    remaining = Counter(itertools.combinations(range(n), 2))
+    remaining = set(itertools.combinations(range(n), 2))
     for block in used_blocks:
-        for e in block_edges(block):
-            del remaining[e]
-    host = Explicit(tuple(remaining.elements()))
+        remaining -= block_edges(block)
+    host = Explicit(tuple(remaining))
     return search_multidecomposition(host, SearchConfig(hexagons=True, prisms=False))
 
 
