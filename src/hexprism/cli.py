@@ -51,6 +51,17 @@ _CONSTRUCTORS = {
 }
 
 
+def _positive_int(text: str) -> int:
+    """argparse type: a positive integer, else a usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
 def _fail(message: str, code: int) -> int:
     print(message, file=sys.stderr)
     return code
@@ -309,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--budget",
-        type=int,
+        type=_positive_int,
         help=f"node budget; hosts over 10 vertices default to {DEFAULT_BUDGET}",
     )
     add_format(p)

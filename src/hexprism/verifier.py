@@ -49,6 +49,15 @@ def _norm(u, v):
     return (u, v) if u < v else (v, u)
 
 
+def _host_edge_count(host) -> int:
+    """The number of host edges, by arithmetic, without building any."""
+    if isinstance(host, Complete):
+        return host.n * (host.n - 1) // 2
+    if isinstance(host, CompleteBipartite):
+        return len(host.left) * len(host.right)
+    return len(host.edges)
+
+
 def _host_edge_multiset(host) -> Counter:
     if isinstance(host, Complete):
         return Counter(itertools.combinations(range(host.n), 2))
@@ -118,19 +127,32 @@ def incidence_table(design: Design) -> dict:
     return table
 
 
+def _rejected(design: Design, finding: Finding) -> VerificationReport:
+    """A report with one finding that stopped the check before any edge."""
+    return VerificationReport(False, (finding,), 0, 0, design.leave, design.padding, {})
+
+
 def verify_design(design: Design, require_both_types: bool = True) -> VerificationReport:
     """Check a design against its host and kind.
 
     Decompositions must cover every host edge exactly once; packings exactly
     once outside the leave; coverings exactly once plus the padding multiset.
     With require_both_types the design must use at least one hexagon and one
-    prism; pass False for single-shape ingredient designs.
+    prism; pass False for single-shape ingredient designs.  A host with more
+    edges than the blocks and leave can meet gets one uncovered-edges finding
+    that lists no edges, and no incidence table.
     """
     if not _integral_host(design.host):
         # no edge can be checked against a host that cannot be enumerated
         text = f"host has an order or vertex that is not an integer: {design.host}"
-        failures = (Finding("non-integer-host", text),)
-        return VerificationReport(False, failures, 0, 0, design.leave, design.padding, {})
+        return _rejected(design, Finding("non-integer-host", text))
+    host_size = _host_edge_count(design.host)
+    reach = 9 * len(design.blocks) + len(design.leave)
+    if host_size > reach:
+        # the host is never built, so memory grows with the file, not the host
+        text = (f"{host_size} host edges, but the blocks and leave meet at most {reach}: "
+                f"at least {host_size - reach} host edge uses not covered")
+        return _rejected(design, Finding("uncovered-edges", text))
     failures: list[Finding] = []
     host_multiset = _host_edge_multiset(design.host)
     host_vs = _host_vertex_set(design.host)

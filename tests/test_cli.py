@@ -131,6 +131,13 @@ def test_search_budget_exit_code():
     assert json.loads(proc.stdout)["status"] == "budget"
 
 
+@pytest.mark.parametrize("budget", ["-5", "0", "x"])
+def test_search_budget_must_be_positive(budget):
+    proc = run_cli("search", "--n", "9", "--budget", budget)
+    assert proc.returncode == 2
+    assert "--budget: must be a positive integer" in proc.stderr
+
+
 def test_search_usage_errors():
     assert run_cli("search").returncode == 2
     assert run_cli("search", "--host", "triangle:5").returncode == 2

@@ -354,27 +354,43 @@ def test_nonexistence_order_ten():
     assert report.enumerative_complete
 
 
-def test_certificate_scan_counters_are_pinned():
-    # each scan fixes the root prism [0, 1, 2; 3, 4, 5] as its first prism
+def test_certificate_case_counters_are_pinned():
+    # one engine run per (x, y) case, from the root hexagon (0, 1, 2, 3, 4, 5)
     nine = confirm_nonexistence(9).stats
-    assert nine["pairs_edge_disjoint"] == 252
-    assert nine["pairs_parity_rejected"] == 252
-    assert nine["completion_searches"] == 0
+    assert nine == {"case32_nodes": 479, "case32_placements": 478}
     ten = confirm_nonexistence(10).stats
-    assert ten["case61_single_prisms"] == 1
-    assert ten["case61_parity_rejected"] == 1
-    assert ten["case33_pairs_support_compatible"] == 72
-    assert ten["case33_third_candidates"] == 4320
-    assert ten["case33_completion_searches"] == 0
-    for stats in (nine, ten):
+    assert ten == {"case33_nodes": 11565, "case33_placements": 11564,
+                   "case61_nodes": 2, "case61_placements": 1}
+    for stats in (nine, ten, confirm_nonexistence(7).stats):
         assert all(type(v) is int for v in stats.values())
 
 
-def test_certificate_reasons_name_the_root_prism():
+def test_certificate_reasons_name_the_root_hexagon():
     for n in (9, 10):
-        for reason in confirm_nonexistence(n).enumerative_eliminated.values():
-            assert "root prism [0, 1, 2; 3, 4, 5]" in reason
+        report = confirm_nonexistence(n)
+        for (x, y), reason in report.enumerative_eliminated.items():
+            assert "root hexagon (0, 1, 2, 3, 4, 5)" in reason
             assert "relabels" in reason
+            assert f"exactly {x} hexagons and {y} prisms" in reason
+            assert f"exhausted in {report.stats[f'case{x}{y}_nodes']} nodes" in reason
+
+
+def test_target_counts_find_exact_block_counts():
+    outcome = search_multidecomposition(
+        Complete(12), SearchConfig(target_counts=(8, 2), symmetry_breaking=True,
+                                   node_budget=100_000))
+    assert outcome.status is Status.FOUND
+    assert outcome.stats.nodes == 1728
+    report = verify_design(outcome.design)
+    assert report.valid
+    assert (report.hexagon_count, report.prism_count) == (8, 2)
+
+
+def test_target_counts_exhaust_an_impossible_split():
+    # two hexagons have 12 edges, not the 15 of K_6, so the root node is cut
+    outcome = search_multidecomposition(Complete(6), SearchConfig(target_counts=(2, 0)))
+    assert outcome.status is Status.EXHAUSTED
+    assert (outcome.stats.nodes, outcome.stats.pruned_block_count) == (1, 1)
 
 
 @pytest.mark.parametrize(

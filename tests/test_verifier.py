@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import random
+import time
 
 from hexprism.catalog import get as catalog_get
 from hexprism.core import (
@@ -16,6 +18,7 @@ from hexprism.core import (
     host_vertices,
     relabel_design,
 )
+from hexprism.designfile import loads_design
 from hexprism.verifier import incidence_table, verify_design
 
 
@@ -237,3 +240,29 @@ def test_multigraph_host_padding_semantics():
     )
     report = verify_design(design, require_both_types=False)
     assert report.valid
+
+
+def test_huge_host_is_rejected_without_building_it():
+    text = '{"host":{"type":"complete","n":1000000},"kind":"decomposition","blocks":[]}'
+    assert len(text) < 100
+    start = time.perf_counter()
+    report = verify_design(loads_design(text))
+    assert time.perf_counter() - start < 0.5
+    (finding,) = report.failures
+    assert finding.code == "uncovered-edges"
+    assert finding.edges == ()
+    assert "499999500000 host edges" in finding.message
+    assert "at most 0" in finding.message
+    assert report.incidence == {}
+
+
+def test_host_beyond_the_blocks_reach_counts_blocks_and_leave():
+    # K_7 has 21 edges; one prism and the other 12 edges as leave reach them all
+    prism = Prism((0, 1, 2), (3, 4, 5))
+    rest = sorted(set(itertools.combinations(range(7), 2)) - block_edges(prism))
+    full = Design(host=Complete(7), kind=Kind.PACKING, blocks=(prism,), leave=frozenset(rest))
+    assert "uncovered-edges" not in _codes(verify_design(full))
+    short = dataclasses.replace(full, leave=frozenset(rest[1:]))
+    (finding,) = verify_design(short).failures
+    assert finding.code == "uncovered-edges"
+    assert "21 host edges" in finding.message and "at most 20" in finding.message
