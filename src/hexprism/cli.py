@@ -71,8 +71,6 @@ def _emit_design(design: Design, fmt: str, output: str | None) -> None:
     text = dumps_design(design) if fmt == "json" else render_text(design)
     if output is None:
         sys.stdout.write(text)
-    elif fmt == "json":
-        save_design(design, output)
     else:
         with open(output, "w", encoding="utf-8") as fh:
             fh.write(text)

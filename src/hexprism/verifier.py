@@ -1,14 +1,23 @@
 """Independent design checking.
 
 The verifier shares no construction code with the rest of the package: it
-recomputes host and block edge multisets from the raw tuples and compares
-them directly.  Malformed input yields findings, never exceptions, so it can
-be pointed at untrusted design files.
+recomputes every block edge from the raw tuples and counts its uses in one
+pass over the blocks.  A complete or complete bipartite host numbers its
+edges, and the counts sit in a flat integer array indexed by that rank;
+edges without a rank (an endpoint outside the host or not an int, or any
+edge of an explicit host, which may repeat edges) go to a small Counter.
+The claimed counts are compared with the expected ones as whole arrays, and
+only a mismatch is scanned edge by edge to list what is missing or doubled.
+A host with more edges than the blocks and leave can meet is rejected by
+arithmetic first, so the arrays are never longer than the input is large.
+Malformed input yields findings, never exceptions, so the verifier can be
+pointed at untrusted design files.
 """
 
 from __future__ import annotations
 
-import itertools
+import math
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -58,14 +67,6 @@ def _host_edge_count(host) -> int:
     return len(host.edges)
 
 
-def _host_edge_multiset(host) -> Counter:
-    if isinstance(host, Complete):
-        return Counter(itertools.combinations(range(host.n), 2))
-    if isinstance(host, CompleteBipartite):
-        return Counter(_norm(u, v) for u in host.left for v in host.right)
-    return Counter(_norm(u, v) for u, v in host.edges)
-
-
 def _host_vertex_set(host) -> set:
     if isinstance(host, Complete):
         return set(range(host.n))
@@ -81,18 +82,62 @@ def _integral_host(host) -> bool:
     return all(type(v) is int for v in _host_vertex_set(host))
 
 
-def _raw_block_edges(block) -> list:
-    """Edge list straight from the tuples, with no shape validation."""
+def _edge_ranks(host):
+    """How a host numbers its edges: (rank, edge_at).
+
+    rank(u, v) maps an edge of a complete or complete bipartite host, its
+    endpoints in either order, to 0 .. edges - 1, and any other pair to
+    None: one whose endpoint lies outside the host or is not an int, or, on
+    a bipartite host, one within a side.  edge_at(r) is the normalized edge
+    of rank r.  An explicit host may repeat an edge, so it ranks none.
+    """
+    if isinstance(host, Complete):
+        n = host.n
+        before = [v * (v - 1) // 2 for v in range(n)]  # edges (u, w) with u < w < v
+
+        def rank(u, v):
+            if type(u) is int and type(v) is int:
+                if u > v:
+                    u, v = v, u
+                if 0 <= u < v < n:
+                    return before[v] + u
+            return None
+
+        def edge_at(r):
+            v = (1 + math.isqrt(1 + 8 * r)) // 2
+            return (r - before[v], v)
+
+        return rank, edge_at
+    if isinstance(host, CompleteBipartite):
+        left, right = sorted(host.left), sorted(host.right)
+        # side and offset: left index times |R|, or right index
+        place = {v: (0, i * len(right)) for i, v in enumerate(left)}
+        place.update((v, (1, j)) for j, v in enumerate(right))
+
+        def rank(u, v):
+            if type(u) is int and type(v) is int:
+                a, b = place.get(u), place.get(v)
+                if a and b and a[0] != b[0]:
+                    return a[1] + b[1]
+            return None
+
+        def edge_at(r):
+            i, j = divmod(r, len(right))
+            return _norm(left[i], right[j])
+
+        return rank, edge_at
+    return (lambda u, v: None), None
+
+
+def _block_pairs(block):
+    """The vertex pairs of a block's edges, straight from the tuples, with
+    no shape validation and in no particular orientation."""
     if isinstance(block, Hexagon):
         t = block.vertices
-        return [_norm(t[i], t[(i + 1) % 6]) for i in range(6)]
+        return zip(t, t[1:] + t[:1])
     a, b, c = block.first
     d, e, f = block.second
-    return [
-        _norm(a, b), _norm(b, c), _norm(a, c),
-        _norm(d, e), _norm(e, f), _norm(d, f),
-        _norm(a, d), _norm(b, e), _norm(c, f),
-    ]
+    return ((a, b), (b, c), (a, c), (d, e), (e, f), (d, f), (a, d), (b, e), (c, f))
 
 
 def _block_fault(block) -> tuple[str, str] | None:
@@ -104,7 +149,7 @@ def _block_fault(block) -> tuple[str, str] | None:
         vs = block.first + block.second
     else:
         return "bad-block", "is not a hexagon or prism"
-    if not all(type(v) is int for v in vs):
+    if not set(map(type, vs)) <= {int}:
         return "non-integer-vertex", f"has a vertex that is not an integer: {block}"
     if len(vs) != 6 or len(set(vs)) != 6:
         return "repeated-vertex", f"does not have 6 distinct vertices: {block}"
@@ -112,24 +157,33 @@ def _block_fault(block) -> tuple[str, str] | None:
 
 
 def incidence_table(design: Design) -> dict:
-    """Per-vertex (p, q): how many hexagons and prisms meet each vertex."""
-    table = {v: (0, 0) for v in _host_vertex_set(design.host)}
-    for block in design.blocks:
-        if _block_fault(block) is not None:
-            continue
-        vs = block.vertices if isinstance(block, Hexagon) else block.first + block.second
-        for v in vs:
-            p, q = table.get(v, (0, 0))
-            if isinstance(block, Hexagon):
-                table[v] = (p + 1, q)
-            else:
-                table[v] = (p, q + 1)
-    return table
+    """Per-vertex (p, q): how many hexagons and prisms meet each vertex.
+
+    This is the table verify_design reports: every host vertex, plus any
+    vertex outside the host that a well-formed block uses.  A host the
+    verifier rejects before counting any edge gets an empty table.
+    """
+    return verify_design(design, require_both_types=False).incidence
 
 
 def _rejected(design: Design, finding: Finding) -> VerificationReport:
     """A report with one finding that stopped the check before any edge."""
     return VerificationReport(False, (finding,), 0, 0, design.leave, design.padding, {})
+
+
+def _differences(claimed, expected, edge_at, stray, expected_stray):
+    """(uncovered, extra): sorted edge tuples listing each edge once per use
+    that the claimed counts miss, or exceed, against the expected ones."""
+    uncovered: list = []
+    extra: list = []
+    for r, (c, x) in enumerate(zip(claimed, expected)):
+        if c != x:
+            (uncovered if c < x else extra).extend([edge_at(r)] * abs(x - c))
+    for e in stray.keys() | expected_stray.keys():
+        c, x = stray[e], expected_stray[e]
+        if c != x:
+            (uncovered if c < x else extra).extend([e] * abs(x - c))
+    return tuple(sorted(uncovered)), tuple(sorted(extra))
 
 
 def verify_design(design: Design, require_both_types: bool = True) -> VerificationReport:
@@ -149,16 +203,22 @@ def verify_design(design: Design, require_both_types: bool = True) -> Verificati
     host_size = _host_edge_count(design.host)
     reach = 9 * len(design.blocks) + len(design.leave)
     if host_size > reach:
-        # the host is never built, so memory grows with the file, not the host
+        # past this check the count arrays are at most as long as the file
         text = (f"{host_size} host edges, but the blocks and leave meet at most {reach}: "
                 f"at least {host_size - reach} host edge uses not covered")
         return _rejected(design, Finding("uncovered-edges", text))
     failures: list[Finding] = []
-    host_multiset = _host_edge_multiset(design.host)
     host_vs = _host_vertex_set(design.host)
+    rank, edge_at = _edge_ranks(design.host)
+    explicit = isinstance(design.host, Explicit)
+    # uses per host edge: by rank, and in Counters for edges without one
+    claimed = array("q", bytes(8 * (0 if explicit else host_size)))
+    stray: Counter = Counter()
+    expected_stray = Counter(_norm(u, v) for u, v in design.host.edges) if explicit else Counter()
 
     hexagons = prisms = 0
-    coverage: Counter = Counter()
+    hexagon_vs: list = []
+    prism_vs: list = []
     for i, block in enumerate(design.blocks):
         fault = _block_fault(block)
         if fault is not None:
@@ -168,11 +228,13 @@ def verify_design(design: Design, require_both_types: bool = True) -> Verificati
         if isinstance(block, Hexagon):
             hexagons += 1
             vs = block.vertices
+            hexagon_vs += vs
         else:
             prisms += 1
             vs = block.first + block.second
-        outside = sorted(set(vs) - host_vs)
-        if outside:
+            prism_vs += vs
+        if not host_vs.issuperset(vs):
+            outside = sorted(set(vs) - host_vs)
             failures.append(
                 Finding(
                     "vertex-outside-host",
@@ -180,9 +242,14 @@ def verify_design(design: Design, require_both_types: bool = True) -> Verificati
                     blocks=(i,),
                 )
             )
-        coverage.update(_raw_block_edges(block))
+        for u, v in _block_pairs(block):
+            r = rank(u, v)
+            if r is None:
+                stray[_norm(u, v)] += 1
+            else:
+                claimed[r] += 1
 
-    leave = Counter(_norm(u, v) for u, v in design.leave)
+    leave = [_norm(u, v) for u, v in design.leave]
     padding = Counter(_norm(u, v) for u, v in design.padding)
 
     if design.kind is not Kind.PACKING and design.leave:
@@ -193,7 +260,7 @@ def verify_design(design: Design, require_both_types: bool = True) -> Verificati
                 edges=tuple(sorted(design.leave)),
             )
         )
-        leave = Counter()
+        leave = []
     if design.kind is not Kind.COVERING and design.padding:
         failures.append(
             Finding(
@@ -204,7 +271,14 @@ def verify_design(design: Design, require_both_types: bool = True) -> Verificati
         )
         padding = Counter()
 
-    overlap = sorted(e for e in leave if coverage[e] > 0)
+    def uses(e):
+        r = rank(*e)
+        return stray[e] if r is None else claimed[r]
+
+    def in_host(e):
+        return rank(*e) is not None or e in expected_stray
+
+    overlap = sorted(e for e in leave if uses(e) > 0)
     if overlap:
         failures.append(
             Finding(
@@ -213,7 +287,7 @@ def verify_design(design: Design, require_both_types: bool = True) -> Verificati
                 edges=tuple(overlap),
             )
         )
-    bad_leave = sorted(e for e in leave if e not in host_multiset)
+    bad_leave = sorted(e for e in leave if not in_host(e))
     if bad_leave:
         failures.append(
             Finding(
@@ -222,7 +296,7 @@ def verify_design(design: Design, require_both_types: bool = True) -> Verificati
                 edges=tuple(bad_leave),
             )
         )
-    bad_padding = sorted(e for e in padding if e not in host_multiset)
+    bad_padding = sorted(e for e in padding if not in_host(e))
     if bad_padding:
         failures.append(
             Finding(
@@ -233,28 +307,37 @@ def verify_design(design: Design, require_both_types: bool = True) -> Verificati
         )
 
     # the partition equation: blocks (+ leave) must equal host (+ padding)
-    expected = host_multiset + padding
-    claimed = coverage + leave
-    uncovered = expected - claimed
-    extra = claimed - expected
-    if uncovered:
-        edges = tuple(sorted(uncovered.elements()))
-        failures.append(
-            Finding(
-                "uncovered-edges",
-                f"{sum(uncovered.values())} host edge uses not covered: {edges}",
-                edges=edges,
+    expected = array("q", [1]) * len(claimed)
+    for e, m in padding.items():
+        r = rank(*e)
+        if r is None:
+            expected_stray[e] += m
+        else:
+            expected[r] += m
+    for e in leave:
+        r = rank(*e)
+        if r is None:
+            stray[e] += 1
+        else:
+            claimed[r] += 1
+    if claimed != expected or stray != expected_stray:
+        uncovered, extra = _differences(claimed, expected, edge_at, stray, expected_stray)
+        if uncovered:
+            failures.append(
+                Finding(
+                    "uncovered-edges",
+                    f"{len(uncovered)} host edge uses not covered: {uncovered}",
+                    edges=uncovered,
+                )
             )
-        )
-    if extra:
-        edges = tuple(sorted(extra.elements()))
-        failures.append(
-            Finding(
-                "overcovered-edges",
-                f"{sum(extra.values())} edge uses beyond the host: {edges}",
-                edges=edges,
+        if extra:
+            failures.append(
+                Finding(
+                    "overcovered-edges",
+                    f"{len(extra)} edge uses beyond the host: {extra}",
+                    edges=extra,
+                )
             )
-        )
 
     if require_both_types:
         if hexagons == 0:
@@ -262,6 +345,10 @@ def verify_design(design: Design, require_both_types: bool = True) -> Verificati
         if prisms == 0:
             failures.append(Finding("missing-prism", "no prism block present"))
 
+    incidence = dict.fromkeys(host_vs, (0, 0))
+    hexagon_uses, prism_uses = Counter(hexagon_vs), Counter(prism_vs)
+    for v in hexagon_uses.keys() | prism_uses.keys():
+        incidence[v] = (hexagon_uses[v], prism_uses[v])
     return VerificationReport(
         valid=not failures,
         failures=tuple(failures),
@@ -269,5 +356,5 @@ def verify_design(design: Design, require_both_types: bool = True) -> Verificati
         prism_count=prisms,
         leave=design.leave,
         padding=design.padding,
-        incidence=incidence_table(design),
+        incidence=incidence,
     )

@@ -177,6 +177,16 @@ def test_file_round_trip_is_bit_exact(tmp_path):
     assert dumps_design(design) == first.read_text()
 
 
+def test_construct_output_file_is_the_stdout_form(tmp_path):
+    path = tmp_path / "c20.json"
+    argv = [sys.executable, "-m", "hexprism.cli", "construct", "--n", "20", "--kind", "covering"]
+    printed = subprocess.run(argv, capture_output=True)
+    written = subprocess.run(argv + ["--output", str(path)], capture_output=True)
+    assert printed.returncode == written.returncode == 0
+    assert written.stdout == b""
+    assert path.read_bytes() == printed.stdout
+
+
 @pytest.mark.parametrize(
     "n,kind",
     [(6, "decomposition"), (16, "decomposition"), (14, "packing"), (23, "covering"),

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import itertools
 import random
 import time
@@ -15,6 +16,7 @@ from hexprism.core import (
     Kind,
     Prism,
     block_edges,
+    block_vertices,
     host_vertices,
     relabel_design,
 )
@@ -266,3 +268,127 @@ def test_host_beyond_the_blocks_reach_counts_blocks_and_leave():
     (finding,) = verify_design(short).failures
     assert finding.code == "uncovered-edges"
     assert "21 host edges" in finding.message and "at most 20" in finding.message
+
+
+def test_non_integer_leave_edge_is_outside_the_host():
+    packing = catalog_get("packing:8")
+    report = verify_design(dataclasses.replace(packing, leave=packing.leave | {(0, 1.5)}))
+    assert [(f.code, f.message, f.edges) for f in report.failures] == [
+        ("leave-outside-host", "leave edges not in the host: [(0, 1.5)]", ((0, 1.5),)),
+        ("overcovered-edges", "1 edge uses beyond the host: ((0, 1.5),)", ((0, 1.5),)),
+    ]
+
+
+def test_non_integer_padding_edge_is_outside_the_host():
+    covering = catalog_get("covering:8")
+    report = verify_design(dataclasses.replace(covering, padding=covering.padding + ((0, 2.5),)))
+    assert [(f.code, f.message, f.edges) for f in report.failures] == [
+        ("padding-outside-host", "padding edges not in the host: [(0, 2.5)]", ((0, 2.5),)),
+        ("uncovered-edges", "1 host edge uses not covered: ((0, 2.5),)", ((0, 2.5),)),
+    ]
+
+
+# ---------------------------------------------------------------------------
+# seeded fuzzing: every mutation of a valid design must be flagged, and the
+# findings over the whole seeded set are pinned by one digest
+
+
+def _fuzz_bases():
+    from hexprism.constructions import max_multipack, min_multicover, multidecompose
+
+    prism = Prism((0, 1, 2), (3, 4, 5))
+    multigraph = Design(
+        host=Explicit(tuple(sorted(block_edges(prism))) * 2),
+        kind=Kind.DECOMPOSITION,
+        blocks=(prism, prism),
+    )
+    return (
+        [(multidecompose(n), True) for n in (6, 12, 13, 22)]
+        + [(max_multipack(n), True) for n in (7, 8, 9, 14)]
+        + [(min_multicover(n), True) for n in (8, 10, 11, 17)]
+        + [(catalog_get("bipartite:4x6"), False), (catalog_get("hexagons:9"), False),
+           (multigraph, False)]
+    )
+
+
+def _rebuild(block, vs):
+    return Hexagon(tuple(vs)) if isinstance(block, Hexagon) else Prism(tuple(vs[:3]), tuple(vs[3:]))
+
+
+def _replace_block(design, i, block):
+    return dataclasses.replace(design, blocks=design.blocks[:i] + (block,) + design.blocks[i + 1 :])
+
+
+def _mutations(rng, design):
+    """(name, mutated design) pairs; each breaks the design it starts from."""
+    blocks = design.blocks
+    vs_host = list(host_vertices(design.host))
+    top = max(vs_host)
+    host_pairs = sorted(
+        (u, v) for u, v in itertools.combinations(vs_host, 2)
+        if (u, v) not in design.leave
+    )
+    i = rng.randrange(len(blocks))
+    block = blocks[i]
+    vs = list(block_vertices(block))
+    j, k = rng.sample(range(6), 2)
+    yield "drop", dataclasses.replace(design, blocks=blocks[:i] + blocks[i + 1 :])
+    yield "duplicate", dataclasses.replace(design, blocks=blocks[:i] + (block,) + blocks[i:])
+    others = [v for v in vs_host if v not in vs]
+    if others:
+        moved = vs[:]
+        moved[j] = rng.choice(others)
+        yield "retarget", _replace_block(design, i, _rebuild(block, moved))
+    if isinstance(block, Hexagon):
+        swapped = Prism(tuple(vs[:3]), tuple(vs[3:]))
+    else:
+        swapped = Hexagon(tuple(vs))
+    yield "swap", _replace_block(design, i, swapped)
+    for name, outside in (("outside-n", top + 1), ("outside-n+5", top + 6), ("outside--1", -1)):
+        moved = vs[:]
+        moved[j] = outside
+        yield name, _replace_block(design, i, _rebuild(block, moved))
+    repeated = vs[:]
+    repeated[j] = repeated[k]
+    yield "repeat", _replace_block(design, i, _rebuild(block, repeated))
+    stray = rng.choice(host_pairs)
+    yield "leave", dataclasses.replace(design, leave=design.leave | {stray})
+    yield "padding", dataclasses.replace(design, padding=design.padding + (stray,))
+    yield "leave-non-int", dataclasses.replace(design, leave=design.leave | {(vs[0], 0.5)})
+    yield "padding-non-int", dataclasses.replace(design, padding=design.padding + ((vs[0], 1.5),))
+    copies = rng.randrange(256, 300)
+    yield "copies", dataclasses.replace(design, blocks=blocks + (block,) * copies)
+    yield "huge-host", dataclasses.replace(design, host=Complete(10**6))
+    yield "larger-host", dataclasses.replace(design, host=Complete(top + 3))
+
+
+def _fingerprint(report) -> str:
+    return repr((
+        report.valid,
+        report.hexagon_count,
+        report.prism_count,
+        [(f.code, f.message, f.blocks, f.edges) for f in report.failures],
+        sorted(report.incidence.items()),
+    ))
+
+
+# a new value means some finding, count or incidence moved
+FUZZ_DIGEST = "7e1dd3a16a7a3656c1cbe18b623ab5f64e316a1eabda9f72762b3b194db20994"
+
+
+def test_seeded_mutations_are_all_flagged():
+    rng = random.Random(20171)
+    digest = hashlib.sha256()
+    mutated = 0
+    for design, both in _fuzz_bases():
+        report = verify_design(design, require_both_types=both)
+        assert report.valid
+        digest.update(_fingerprint(report).encode())
+        for _ in range(3):
+            for name, bad in _mutations(rng, design):
+                report = verify_design(bad, require_both_types=both)
+                assert not report.valid, name
+                digest.update(f"{name}:{_fingerprint(report)}".encode())
+                mutated += 1
+    assert mutated > 600
+    assert digest.hexdigest() == FUZZ_DIGEST
