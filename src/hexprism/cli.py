@@ -26,6 +26,7 @@ from .constructions import (
 from .core import Complete, CompleteBipartite, Design, host_vertices
 from .designfile import (
     DesignFileError,
+    design_to_obj,
     dumps_design,
     load_design,
     render_text,
@@ -206,16 +207,13 @@ def _parse_host(args):
 
 
 def _outcome_obj(outcome: SearchOutcome) -> dict:
-    obj = {
+    return {
         "status": outcome.status.value,
         "nodes": outcome.stats.nodes,
         "placements": outcome.stats.placements,
         "max_depth": outcome.stats.max_depth,
-        "design": None,
+        "design": None if outcome.design is None else design_to_obj(outcome.design),
     }
-    if outcome.design is not None:
-        obj["design"] = json.loads(dumps_design(outcome.design))
-    return obj
 
 
 def cmd_search(args) -> int:

@@ -3,8 +3,9 @@
 A complete graph is split into an ordered join of cliques.  Bundled base
 designs land on single parts or on small groups of parts, every remaining
 cross pair gets a bipartite hexagon fill, and the concatenation in layout
-order is the output.  The three exceptional orders have no layout and are
-built monolithically from a bundled design plus one block transformation.
+order is the output.  The exceptional orders have no layout: the MONOLITHIC
+table builds each of their packings and coverings from a bundled design,
+transforming its first block where needed.
 """
 
 from __future__ import annotations
@@ -56,8 +57,8 @@ _D, _P, _C = Kind.DECOMPOSITION, Kind.PACKING, Kind.COVERING
 _SIXES = Recipe((), None, 6, "decomposition:6", False)
 _TENS = Recipe((10,), "prisms:10", 6, "decomposition:6", False)
 
-# keyed by (kind, n % 12); the decomposition orders 7, 9 and 10 do not exist
-# and their packings and coverings are built without a layout
+# keyed by (kind, n % 12); the exceptional orders have no decomposition, and
+# MONOLITHIC builds their packings and coverings without a layout
 RECIPES = {
     (_D, 0): _SIXES,
     (_D, 6): _SIXES,
@@ -122,7 +123,7 @@ def join_layout(n: int, kind: Kind) -> JoinLayout:
             report,
             f"order {n} admits a decomposition; {kind.value}s of it have no join layout",
         )
-    elif n in (7, 9, 10):
+    elif (kind, n) in MONOLITHIC:
         raise InfeasibleOrderError(
             report, f"order {n} is handled monolithically and has no join layout"
         )
@@ -179,6 +180,19 @@ def prism_to_two_hexagons(p: Prism) -> tuple[Hexagon, Hexagon, frozenset]:
     second = Hexagon((a, c, b, e, f, d))
     padding = frozenset({edge(b, c), edge(e, f), edge(a, d)})
     return first, second, padding
+
+
+# the packings and coverings of the orders without a decomposition or a join
+# layout: a bundled design, and the transformation applied to its first block
+# (None keeps the design as it is), whose last item is the leave or padding
+MONOLITHIC = {
+    (_P, 7): ("packing:7", None),
+    (_P, 9): ("packing:9", None),
+    (_P, 10): ("prisms:10", prism_minus_matching),
+    (_C, 7): ("covering:7", None),
+    (_C, 9): ("hexagons:9", hexagon_plus_factor),
+    (_C, 10): ("prisms:10", prism_to_two_hexagons),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -255,41 +269,22 @@ def _assemble(n: int, kind: Kind) -> Design:
     )
 
 
-# ---------------------------------------------------------------------------
-# monolithic builds for the exceptional orders
-
-
-def _pack_ten() -> Design:
-    base = load_base("prisms:10")
-    hexagon, matching = prism_minus_matching(base.blocks[0])
-    return Design(
-        host=Complete(10),
-        kind=Kind.PACKING,
-        blocks=(hexagon,) + base.blocks[1:],
-        leave=matching,
-    )
-
-
-def _cover_nine() -> Design:
-    base = load_base("hexagons:9")
-    prism, matching = hexagon_plus_factor(base.blocks[0])
-    return Design(
-        host=Complete(9),
-        kind=Kind.COVERING,
-        blocks=(prism,) + base.blocks[1:],
-        padding=tuple(sorted(matching)),
-    )
-
-
-def _cover_ten() -> Design:
-    base = load_base("prisms:10")
-    first, second, doubled = prism_to_two_hexagons(base.blocks[0])
-    return Design(
-        host=Complete(10),
-        kind=Kind.COVERING,
-        blocks=(first, second) + base.blocks[1:],
-        padding=tuple(sorted(doubled)),
-    )
+def _extremal(n: int, kind: Kind) -> Design:
+    """The decomposition when one exists, else the packing or covering of
+    the given kind: monolithic at the orders in MONOLITHIC, else assembled."""
+    if classify(n).decomposition_exists:
+        return multidecompose(n)
+    if (kind, n) not in MONOLITHIC:
+        return _assemble(n, kind)
+    key, transform = MONOLITHIC[kind, n]
+    base = load_base(key)
+    if transform is None:
+        return base
+    *blocks, extra = transform(base.blocks[0])
+    blocks = tuple(blocks) + base.blocks[1:]
+    if kind is Kind.PACKING:
+        return Design(Complete(n), kind, blocks, leave=extra)
+    return Design(Complete(n), kind, blocks, padding=extra)
 
 
 # ---------------------------------------------------------------------------
@@ -306,24 +301,10 @@ def multidecompose(n: int) -> Design:
 def max_multipack(n: int) -> Design:
     """A maximum packing: the decomposition itself when one exists,
     otherwise a packing whose leave meets the minimum cardinality."""
-    if classify(n).decomposition_exists:
-        return multidecompose(n)
-    if n in (7, 9):
-        return catalog_get(f"packing:{n}")
-    if n == 10:
-        return _pack_ten()
-    return _assemble(n, Kind.PACKING)
+    return _extremal(n, Kind.PACKING)
 
 
 def min_multicover(n: int) -> Design:
     """A minimum covering: the decomposition itself when one exists,
     otherwise a covering whose padding meets the minimum cardinality."""
-    if classify(n).decomposition_exists:
-        return multidecompose(n)
-    if n == 7:
-        return catalog_get("covering:7")
-    if n == 9:
-        return _cover_nine()
-    if n == 10:
-        return _cover_ten()
-    return _assemble(n, Kind.COVERING)
+    return _extremal(n, Kind.COVERING)

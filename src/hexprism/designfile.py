@@ -130,10 +130,12 @@ def dumps_design(design: Design) -> str:
     return json.dumps(design_to_obj(design), indent=2) + "\n"
 
 
-def loads_design(text: str) -> Design:
+def loads_design(text: str | bytes) -> Design:
+    """The design in JSON text, given as str or as UTF-encoded bytes."""
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    # ValueError covers undecodable bytes; too deep a nesting exhausts the stack
+    except (ValueError, RecursionError) as exc:
         raise DesignFileError(f"not valid JSON: {exc}") from exc
     return design_from_obj(obj)
 
@@ -145,7 +147,11 @@ def save_design(design: Design, path) -> None:
 
 def load_design(path) -> Design:
     with open(path, encoding="utf-8") as fp:
-        return loads_design(fp.read())
+        try:
+            text = fp.read()
+        except UnicodeDecodeError as exc:
+            raise DesignFileError(f"not UTF-8 text: {exc}") from exc
+    return loads_design(text)
 
 
 def _host_text(host: Host) -> str:

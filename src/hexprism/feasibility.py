@@ -94,25 +94,21 @@ def classify(n: int) -> FeasibilityReport:
     )
 
 
+def _least_change(n: int, sign: int) -> int:
+    """Least r, nonzero unless K_n has a decomposition, for which
+    n(n-1)/2 + sign * r edges admit block counts with both shapes."""
+    edge_count = n * (n - 1) // 2
+    r = 0 if classify(n).decomposition_exists else 1
+    while not block_count_solutions(edge_count + sign * r, True):
+        r += 1
+    return r
+
+
 def leave_lower_bound(n: int) -> int:
     """Least leave size consistent with the block-count equation for K_n."""
-    report = classify(n)
-    edge_count = n * (n - 1) // 2
-    for ell in range(edge_count + 1):
-        if ell == 0 and not report.decomposition_exists:
-            continue
-        if block_count_solutions(edge_count - ell, True):
-            return ell
-    raise AssertionError("unreachable for n >= 6")
+    return _least_change(n, -1)
 
 
 def padding_lower_bound(n: int) -> int:
     """Least padding size consistent with the block-count equation for K_n."""
-    report = classify(n)
-    edge_count = n * (n - 1) // 2
-    rho = 0
-    while True:
-        if rho > 0 or report.decomposition_exists:
-            if block_count_solutions(edge_count + rho, True):
-                return rho
-        rho += 1
+    return _least_change(n, 1)

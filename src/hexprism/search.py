@@ -39,7 +39,7 @@ from .core import (
     host_edges,
     host_vertices,
 )
-from .feasibility import block_count_solutions, degree_solutions
+from .feasibility import EXCEPTIONAL_ORDERS, block_count_solutions, degree_solutions
 
 
 class MultigraphHostError(ValueError):
@@ -61,9 +61,11 @@ class SearchConfig:
     """Knobs for one search run.
 
     target_counts pins the exact (hexagons, prisms) block counts; the minima
-    only set lower bounds.  node_budget limits expanded nodes and defaults to
-    unbounded, which is only permitted on hosts with at most 10 vertices.
-    symmetry_breaking fixes the block covering the smallest edge to one
+    only set lower bounds.  A disabled shape caps its count at 0, even under
+    target_counts, so a target that asks for a disabled shape, like one
+    below a minimum, exhausts at the root.  node_budget limits expanded
+    nodes and defaults to unbounded, which is only permitted on hosts with
+    at most 10 vertices.  symmetry_breaking fixes the block covering the smallest edge to one
     canonical placement; on complete and complete bipartite hosts every
     design can be relabeled onto such a placement, so the reduction keeps
     existence answers intact.  degree_prunes turns the per-vertex incidence
@@ -226,14 +228,11 @@ def prisms_through(adj: dict, e) -> list[Prism]:
 def _degree_ok(rd: int, a_max: int, b_max: int, slack: int) -> bool:
     """Can rd unmet edges at a vertex be met by at most a_max hexagons
     (2 each) and b_max prisms (3 each), overshooting by at most slack?"""
-    for q in range(min(b_max, (rd + slack) // 3) + 1):
-        hi = rd + slack - 3 * q
-        if hi < 0:
-            break
-        p_min = max(0, (rd - 3 * q + 1) // 2)
-        if 2 * p_min <= hi and p_min <= a_max:
-            return True
-    return False
+    return any(
+        p <= a_max and q <= b_max
+        for d in range(rd, rd + slack + 1)
+        for p, q in degree_solutions(d)
+    )
 
 
 class _Engine:
@@ -251,12 +250,20 @@ class _Engine:
     spending one unit of budget per reuse.  Candidates are then walked in
     the host's full adjacency, which never changes, so the candidates
     through each branch edge are generated once and kept in memo.
+
+    The config's counts become one range, lo <= (hexagons, prisms) <= hi:
+    a target sets hi and raises lo to itself, a disabled shape gets hi = 0,
+    and otherwise hi is the edge-use total, which no count can reach.
     """
 
     def __init__(self, edges, cfg: SearchConfig, padding_budget: int = 0):
         self.cfg = cfg
         self.pad_budget = padding_budget
         self.order = sorted(edges)
+        cap = len(self.order) + padding_budget
+        hi = cfg.target_counts or (cap, cap)
+        self.lo = tuple(map(max, (cfg.min_hexagons, cfg.min_prisms), cfg.target_counts or (0, 0)))
+        self.hi = tuple(h if on else 0 for h, on in zip(hi, (cfg.hexagons, cfg.prisms)))
         self.labels, self.idx, self.nbr, self.eid = _index(self.order)
         self.host_nbr = list(self.nbr)
         idx = self.idx
@@ -309,41 +316,33 @@ class _Engine:
 
     # -- pruning
 
-    def _future_pairs(self):
-        """Feasible (hexagons, prisms) still to be placed."""
-        cfg = self.cfg
+    def _cut(self):
+        """None when no (hexagons, prisms) still to be placed solves the
+        block-count equation inside the range, else the largest prism count
+        among those that do and the remaining degrees _degree_ok rejects."""
+        placed = (self.hex_placed, self.prism_placed)
+        lo, hi = ([b - p for b, p in zip(bounds, placed)] for bounds in (self.lo, self.hi))
         slack = self.pad_budget - self.pad_used
-        if cfg.target_counts is not None:
-            a = cfg.target_counts[0] - self.hex_placed
-            b = cfg.target_counts[1] - self.prism_placed
-            feasible = a >= 0 and b >= 0 and 0 <= 6 * a + 9 * b - self.unmet <= slack
-            return [(a, b)] if feasible else []
-        need_h = max(0, cfg.min_hexagons - self.hex_placed)
-        need_p = max(0, cfg.min_prisms - self.prism_placed)
-        return [
-            (rest // 6, b)
+        pairs = [
+            (a, b)
             for total in range(self.unmet, self.unmet + slack + 1)
-            for b in range(need_p, total // 9 + 1)
-            if (rest := total - 9 * b) % 6 == 0 and rest // 6 >= need_h
-            and (cfg.hexagons or not rest) and (cfg.prisms or not b)
+            for a, b in block_count_solutions(total, False)
+            if lo[0] <= a <= hi[0] and lo[1] <= b <= hi[1]
         ]
+        if not pairs:
+            return None
+        a_max = max(a for a, _ in pairs)
+        b_max = max(b for _, b in pairs)
+        return b_max, frozenset(
+            d for d in range(1, len(self.labels)) if not _degree_ok(d, a_max, b_max, slack)
+        )
 
     def _prune(self, rd: list) -> bool:
-        """Whether the node survives the cuts.  Each block-count state caches
-        None when the block-count equation has no solution left, else b_max
-        and the remaining degrees _degree_ok rejects at (a_max, b_max, slack)."""
+        """Whether the node survives the cuts, which are cached per
+        block-count state."""
         key = (self.unmet, self.hex_placed, self.prism_placed, self.pad_used)
         if key not in self._cuts:
-            pairs = self._future_pairs()
-            if pairs:
-                a_max = max(a for a, _ in pairs)
-                b_max = max(b for _, b in pairs)
-                slack = self.pad_budget - self.pad_used
-                self._cuts[key] = b_max, frozenset(
-                    d for d in range(1, len(self.labels)) if not _degree_ok(d, a_max, b_max, slack)
-                )
-            else:
-                self._cuts[key] = None
+            self._cuts[key] = self._cut()
         cut, stats = self._cuts[key], self.stats
         if cut is None:
             stats.pruned_block_count += 1
@@ -362,23 +361,14 @@ class _Engine:
     # -- candidates
 
     def _candidates(self, u: int, v: int):
-        cfg = self.cfg
-        want_hex = cfg.hexagons
-        want_prism = cfg.prisms
-        if cfg.target_counts is not None:
-            want_hex = want_hex and self.hex_placed < cfg.target_counts[0]
-            want_prism = want_prism and self.prism_placed < cfg.target_counts[1]
-        prisms_due = want_prism and self.prism_placed < max(
-            cfg.min_prisms, cfg.target_counts[1] if cfg.target_counts else 0
-        )
-        wants = (want_hex, want_prism)
+        wants = (self.hex_placed < self.hi[0], self.prism_placed < self.hi[1])
         if self.pad_budget:
             if (u, v) not in self.memo:
                 self.memo[u, v] = [_through(s, self.host_nbr, self.eid, u, v) for s in _PAIRS]
             groups = [g if w else () for g, w in zip(self.memo[u, v], wants)]
         else:
             groups = [_through(s, self.nbr, self.eid, u, v) if w else () for s, w in zip(_PAIRS, wants)]
-        if prisms_due:
+        if wants[1] and self.prism_placed < self.lo[1]:
             # place the scarcer shape first while it is still owed
             groups.reverse()
         out = [c for group in groups for c in group]
@@ -425,11 +415,8 @@ class _Engine:
         return False
 
     def _complete(self) -> bool:
-        cfg = self.cfg
-        if cfg.target_counts is not None:
-            if (self.hex_placed, self.prism_placed) != cfg.target_counts:
-                return False
-        if self.hex_placed < cfg.min_hexagons or self.prism_placed < cfg.min_prisms:
+        counts = (self.hex_placed, self.prism_placed)
+        if not all(lo <= c <= hi for lo, c, hi in zip(self.lo, counts, self.hi)):
             return False
         self.solution = tuple(_block(c[0], c[1], self.labels) for c, _ in self.placed)
         self.solution_padding = tuple(
@@ -439,27 +426,18 @@ class _Engine:
 
     def _root_block(self, host) -> Block | None:
         """The fixed first placement used by symmetry breaking, if valid here."""
-        cfg = self.cfg
-        if isinstance(host, Complete):
-            if host.n < 6:
-                return None
-            hex_forced = cfg.min_hexagons >= 1 or not cfg.prisms or (
-                cfg.target_counts is not None and cfg.target_counts[0] >= 1
-            )
-            if cfg.hexagons and hex_forced:
+        (lo_hex, _), (hi_hex, hi_prism) = self.lo, self.hi
+        if isinstance(host, Complete) and host.n >= 6:
+            # every design then has a hexagon, or only prisms, to relabel onto the root
+            if hi_hex and (lo_hex or not hi_prism):
                 return Hexagon((0, 1, 2, 3, 4, 5))
-            if cfg.prisms and not cfg.hexagons:
+            if hi_prism and not hi_hex:
                 return Prism((0, 1, 2), (3, 4, 5))
-            return None
-        if isinstance(host, CompleteBipartite) and cfg.hexagons:
+        elif isinstance(host, CompleteBipartite) and hi_hex:
             # any bipartite design is all hexagons; root one on the least labels
-            lo = sorted(host.left)
-            hi = sorted(host.right)
-            if len(lo) < 3 or len(hi) < 3:
-                return None
-            if min(hi) < min(lo):
-                lo, hi = hi, lo
-            return Hexagon((lo[0], hi[0], lo[1], hi[1], lo[2], hi[2]))
+            near, far = sorted((sorted(host.left), sorted(host.right)))
+            if len(near) >= 3 and len(far) >= 3:
+                return Hexagon((near[0], far[0], near[1], far[1], near[2], far[2]))
         return None
 
     def run(self, host) -> tuple[Status, tuple[Block, ...] | None, tuple]:
@@ -691,7 +669,7 @@ def _analytic_case(n: int, x: int, y: int) -> str | None:
 
 
 def confirm_nonexistence(n: int) -> NonexistenceReport:
-    """Certify that K_n has no decomposition, for n in {7, 9, 10}.
+    """Certify that K_n has no decomposition, for each exceptional order n.
 
     Every block-count case is attacked twice: by incidence arithmetic and by
     exhaustive enumeration.  For n = 7 one raw search enumerates placements
@@ -702,8 +680,8 @@ def confirm_nonexistence(n: int) -> NonexistenceReport:
     so this loses nothing.  For n = 10 the (3, 3) case is analytic only in
     its support constraints; its elimination rests on its engine run.
     """
-    if n not in (7, 9, 10):
-        raise ValueError("only the exceptional orders 7, 9 and 10 are certified here")
+    if n not in EXCEPTIONAL_ORDERS:
+        raise ValueError(f"only the exceptional orders {EXCEPTIONAL_ORDERS} are certified here")
     cases = tuple(sorted(block_count_solutions(n * (n - 1) // 2, True)))
     analytic = {}
     for x, y in cases:

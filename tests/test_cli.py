@@ -96,6 +96,21 @@ def test_verify_parse_error_distinct(tmp_path):
     assert run_cli("verify", str(tmp_path / "absent.json")).returncode == 2
 
 
+@pytest.mark.parametrize(
+    "content",
+    [b'{"host": "\xff"}', b"[" * 200_000],
+    ids=["not-utf8", "nested-too-deeply"],
+)
+def test_verify_unreadable_file_is_a_usage_error(tmp_path, content):
+    # exit 1 means the design failed verification, so a file that cannot be
+    # decoded or parsed must exit 2 with a message, not a traceback
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    proc = run_cli("verify", str(path))
+    assert proc.returncode == 2
+    assert "cannot parse" in proc.stderr and "Traceback" not in proc.stderr
+
+
 def test_classify_json_and_text():
     proc = run_cli("classify", "--n", "9")
     report = json.loads(proc.stdout)

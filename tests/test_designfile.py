@@ -31,3 +31,13 @@ def test_non_integers_are_rejected(path, value, tmp_path):
     file = tmp_path / "design.json"
     file.write_text(text)
     assert cli.main(["verify", str(file)]) == cli.EXIT_USAGE
+
+
+@pytest.mark.parametrize(
+    "text",
+    [b'{"host": "\xff"}', "[" * 200_000, b"[" * 200_000],
+    ids=["bytes-not-utf8", "nested-text", "nested-bytes"],
+)
+def test_undecodable_or_deeply_nested_text_is_rejected(text):
+    with pytest.raises(DesignFileError, match="not valid JSON"):
+        loads_design(text)

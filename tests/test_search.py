@@ -27,6 +27,7 @@ from hexprism.search import (
     SearchConfig,
     SearchStats,
     Status,
+    _degree_ok,
     _leave_candidates,
     confirm_nonexistence,
     find_extremal,
@@ -391,6 +392,29 @@ def test_target_counts_exhaust_an_impossible_split():
     outcome = search_multidecomposition(Complete(6), SearchConfig(target_counts=(2, 0)))
     assert outcome.status is Status.EXHAUSTED
     assert (outcome.stats.nodes, outcome.stats.pruned_block_count) == (1, 1)
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [SearchConfig(prisms=False, target_counts=(3, 2), node_budget=2000),
+     SearchConfig(min_prisms=3, target_counts=(3, 2), node_budget=2000)],
+    ids=["disabled-shape", "below-minimum"],
+)
+def test_contradictory_target_counts_exhaust_at_the_root(cfg):
+    # a disabled shape caps its count at 0 and a minimum raises the target's
+    # floor, so either leaves no count range to search
+    outcome = search_multidecomposition(Complete(9), cfg)
+    assert outcome.status is Status.EXHAUSTED
+    assert (outcome.stats.nodes, outcome.stats.pruned_block_count) == (1, 1)
+
+
+def test_degree_cut_matches_brute_force():
+    # rd unmet edges can be met by p <= a_max hexagons and q <= b_max prisms
+    # exactly when rd <= 2p + 3q <= rd + slack for some such p and q
+    for rd, a_max, b_max, slack in itertools.product(range(21), range(7), range(7), range(4)):
+        expected = any(rd <= 2 * p + 3 * q <= rd + slack
+                       for p in range(a_max + 1) for q in range(b_max + 1))
+        assert _degree_ok(rd, a_max, b_max, slack) == expected, (rd, a_max, b_max, slack)
 
 
 @pytest.mark.parametrize(
