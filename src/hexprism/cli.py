@@ -23,7 +23,7 @@ from .constructions import (
     min_multicover,
     multidecompose,
 )
-from .core import Complete, CompleteBipartite, Design, host_vertices
+from .core import Complete, CompleteBipartite, Design
 from .designfile import (
     DesignFileError,
     design_to_obj,
@@ -33,7 +33,14 @@ from .designfile import (
     save_design,
 )
 from .feasibility import FeasibilityReport, UnsupportedOrderError, classify
-from .search import SearchConfig, SearchOutcome, Status, search_multidecomposition
+from .search import (
+    UNBUDGETED_VERTEX_LIMIT,
+    SearchConfig,
+    SearchOutcome,
+    Status,
+    needs_budget,
+    search_multidecomposition,
+)
 from .verifier import VerificationReport, verify_design
 
 EXIT_OK = 0
@@ -230,7 +237,7 @@ def cmd_search(args) -> int:
         node_budget=args.budget,
         symmetry_breaking=True,
     )
-    if config.node_budget is None and len(host_vertices(host)) > 10:
+    if config.node_budget is None and needs_budget(host):
         config = dataclasses.replace(config, node_budget=DEFAULT_BUDGET)
     outcome = search_multidecomposition(host, config)
     if args.format == "json":
@@ -317,7 +324,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--budget",
         type=_positive_int,
-        help=f"node budget; hosts over 10 vertices default to {DEFAULT_BUDGET}",
+        help=(
+            f"node budget; hosts over {UNBUDGETED_VERTEX_LIMIT} vertices"
+            f" default to {DEFAULT_BUDGET}"
+        ),
     )
     add_format(p)
     p.add_argument("--output", help="write the found design file here")

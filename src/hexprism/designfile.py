@@ -3,6 +3,17 @@
 JSON is the canonical interchange: parse(emit(d)) reproduces the design
 exactly, block order included.  The text format is for reading, not
 parsing.
+
+On disk a design file is the text of
+``json.dumps(design_to_obj(design), indent=2) + "\n"``: a 2-space indent,
+one value per line, the keys in the order host, kind, blocks, leave,
+padding, ``[]`` for an empty list and a trailing newline.  A hexagon is
+``{"type": "hexagon", "vertices": [a, b, c, d, e, f]}`` and a prism is
+``{"type": "prism", "triangles": [[a, b, c], [d, e, f]]}``.  The stdlib
+encoder falls back to pure Python whenever ``indent`` is set, so
+``dumps_design`` writes this layout itself: each block is one fixed
+per-shape template filled with its six vertices, and only the small host,
+kind, leave and padding go through ``json``.
 """
 
 from __future__ import annotations
@@ -126,8 +137,42 @@ def design_from_obj(obj) -> Design:
         raise DesignFileError(str(exc)) from exc
 
 
+def _nested(value, depth: int) -> str:
+    """json.dumps(value, indent=2) as it reads nested ``depth`` levels deep."""
+    return json.dumps(value, indent=2).replace("\n", "\n" + "  " * depth)
+
+
+# one block each, nested two levels deep; the six %s take the vertices in order
+_HEXAGON = (
+    '    {\n      "type": "hexagon",\n      "vertices": [\n        '
+    + ",\n        ".join(["%s"] * 6)
+    + "\n      ]\n    }"
+)
+_TRIANGLE = "[\n          " + ",\n          ".join(["%s"] * 3) + "\n        ]"
+_PRISM = (
+    '    {\n      "type": "prism",\n      "triangles": [\n        '
+    + _TRIANGLE + ",\n        " + _TRIANGLE
+    + "\n      ]\n    }"
+)
+_FILE = (
+    '{\n  "host": %s,\n  "kind": %s,\n  "blocks": %s,'
+    '\n  "leave": %s,\n  "padding": %s\n}\n'
+)
+
+
 def dumps_design(design: Design) -> str:
-    return json.dumps(design_to_obj(design), indent=2) + "\n"
+    """The design file text; see the module docstring for the layout."""
+    blocks = [
+        _HEXAGON % b.vertices if isinstance(b, Hexagon) else _PRISM % (b.first + b.second)
+        for b in design.blocks
+    ]
+    return _FILE % (
+        _nested(_host_to_obj(design.host), 1),
+        json.dumps(design.kind.value),
+        ("[\n" + ",\n".join(blocks) + "\n  ]") if blocks else "[]",
+        _nested([list(e) for e in sorted(design.leave)], 1),
+        _nested([list(e) for e in design.padding], 1),
+    )
 
 
 def loads_design(text: str | bytes) -> Design:

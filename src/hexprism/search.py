@@ -42,6 +42,10 @@ from .core import (
 from .feasibility import EXCEPTIONAL_ORDERS, block_count_solutions, degree_solutions
 
 
+# the most host vertices a search may run on without a node_budget
+UNBUDGETED_VERTEX_LIMIT = 10
+
+
 class MultigraphHostError(ValueError):
     """The plain decomposition search only accepts simple hosts."""
 
@@ -65,12 +69,13 @@ class SearchConfig:
     target_counts, so a target that asks for a disabled shape, like one
     below a minimum, exhausts at the root.  node_budget limits expanded
     nodes and defaults to unbounded, which is only permitted on hosts with
-    at most 10 vertices.  symmetry_breaking fixes the block covering the smallest edge to one
-    canonical placement; on complete and complete bipartite hosts every
-    design can be relabeled onto such a placement, so the reduction keeps
-    existence answers intact.  degree_prunes turns the per-vertex incidence
-    feasibility cuts off, leaving only the plain edge-count arithmetic; runs
-    meant to certify exhaustion by raw placement enumeration use that.
+    at most UNBUDGETED_VERTEX_LIMIT vertices.  symmetry_breaking fixes the
+    block covering the smallest edge to one canonical placement; on complete
+    and complete bipartite hosts every design can be relabeled onto such a
+    placement, so the reduction keeps existence answers intact.
+    degree_prunes turns the per-vertex incidence feasibility cuts off,
+    leaving only the plain edge-count arithmetic; runs meant to certify
+    exhaustion by raw placement enumeration use that.
     """
 
     hexagons: bool = True
@@ -459,10 +464,16 @@ class _Engine:
         return Status.EXHAUSTED, None, None
 
 
+def needs_budget(host: Host) -> bool:
+    """Whether a search on the host must carry a node_budget."""
+    return len(host_vertices(host)) > UNBUDGETED_VERTEX_LIMIT
+
+
 def _check_budget_rule(host: Host, cfg: SearchConfig) -> None:
-    if cfg.node_budget is None and len(host_vertices(host)) > 10:
+    if cfg.node_budget is None and needs_budget(host):
         raise ValueError(
-            "an explicit node_budget is required for hosts on more than 10 vertices"
+            "an explicit node_budget is required for hosts on more than "
+            f"{UNBUDGETED_VERTEX_LIMIT} vertices"
         )
 
 

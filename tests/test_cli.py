@@ -6,7 +6,11 @@ import sys
 
 import pytest
 
-from hexprism.designfile import load_design, loads_design
+from hexprism import cli
+from hexprism.catalog import get as catalog_get
+from hexprism.core import Complete
+from hexprism.designfile import design_from_obj, dumps_design, load_design, loads_design
+from hexprism.search import SearchOutcome, SearchStats, Status, needs_budget
 from hexprism.verifier import verify_design
 
 
@@ -146,6 +150,20 @@ def test_search_budget_exit_code():
     assert json.loads(proc.stdout)["status"] == "budget"
 
 
+@pytest.mark.parametrize("n, budget", [(10, None), (11, cli.DEFAULT_BUDGET)])
+def test_search_default_budget_starts_above_the_limit(monkeypatch, capsys, n, budget):
+    seen = []
+
+    def record(host, config):
+        seen.append(config.node_budget)
+        return SearchOutcome(Status.EXHAUSTED, None, SearchStats())
+
+    monkeypatch.setattr(cli, "search_multidecomposition", record)
+    assert cli.main(["search", "--n", str(n)]) == cli.EXIT_FAIL
+    assert seen == [budget]
+    assert needs_budget(Complete(n)) is (budget is not None)
+
+
 @pytest.mark.parametrize("budget", ["-5", "0", "x"])
 def test_search_budget_must_be_positive(budget):
     proc = run_cli("search", "--n", "9", "--budget", budget)
@@ -200,6 +218,22 @@ def test_construct_output_file_is_the_stdout_form(tmp_path):
     assert printed.returncode == written.returncode == 0
     assert written.stdout == b""
     assert path.read_bytes() == printed.stdout
+
+
+def test_search_output_file_is_dumps_of_the_found_design(tmp_path, capsys):
+    path = tmp_path / "b6x6.json"
+    argv = ["search", "--host", "bipartite:6x6", "--blocks", "hexagon", "--output", str(path)]
+    assert cli.main(argv) == cli.EXIT_OK
+    found = design_from_obj(json.loads(capsys.readouterr().out)["design"])
+    assert path.read_bytes() == dumps_design(found).encode()
+
+
+@pytest.mark.parametrize("key", ["packing:9", "covering:11", "bipartite:4x6"])
+def test_catalog_output_file_is_dumps_of_the_entry(tmp_path, capsys, key):
+    path = tmp_path / "entry.json"
+    assert cli.main(["catalog", key, "--output", str(path)]) == cli.EXIT_OK
+    assert capsys.readouterr().out == ""
+    assert path.read_bytes() == dumps_design(catalog_get(key)).encode()
 
 
 @pytest.mark.parametrize(

@@ -4,9 +4,24 @@ import json
 
 import pytest
 
-from hexprism import cli
+from hexprism import catalog, cli
 from hexprism.catalog import get as catalog_get
-from hexprism.designfile import DesignFileError, design_to_obj, loads_design
+from hexprism.constructions import max_multipack, min_multicover, multidecompose
+from hexprism.core import (
+    Complete,
+    CompleteBipartite,
+    Design,
+    Explicit,
+    Hexagon,
+    Kind,
+    Prism,
+)
+from hexprism.designfile import (
+    DesignFileError,
+    design_to_obj,
+    dumps_design,
+    loads_design,
+)
 
 
 @pytest.mark.parametrize(
@@ -41,3 +56,67 @@ def test_non_integers_are_rejected(path, value, tmp_path):
 def test_undecodable_or_deeply_nested_text_is_rejected(text):
     with pytest.raises(DesignFileError, match="not valid JSON"):
         loads_design(text)
+
+
+HEXAGON = Hexagon((0, 1, 2, 3, 4, 5))
+PRISM = Prism((0, 2, 4), (1, 3, 5))
+
+# the codec writes and reads any Design, valid or not
+SMALL_DESIGNS = {
+    "complete-mixed": Design(Complete(6), Kind.DECOMPOSITION, (HEXAGON, PRISM)),
+    "bipartite-hexagons": Design(
+        CompleteBipartite(frozenset({0, 2, 4}), frozenset({1, 3, 5})),
+        Kind.DECOMPOSITION,
+        (HEXAGON, Hexagon((0, 3, 2, 5, 4, 1)), Hexagon((0, 5, 2, 1, 4, 3))),
+    ),
+    "explicit-multigraph": Design(
+        Explicit(((1, 0), (0, 1), (2, 3), (3, 4), (4, 5), (5, 0), (1, 2))),
+        Kind.COVERING,
+        (HEXAGON,),
+        padding=((0, 1),),
+    ),
+    "explicit-prisms-only": Design(
+        Explicit(((0, 2), (2, 4), (0, 4), (1, 3), (3, 5), (1, 5), (0, 1), (2, 3), (4, 5))),
+        Kind.DECOMPOSITION,
+        (PRISM,),
+    ),
+    "no-blocks-with-leave": Design(Complete(3), Kind.PACKING, (), leave={(2, 1), (0, 2), (0, 1)}),
+    "no-blocks-no-edges": Design(Complete(1), Kind.DECOMPOSITION, ()),
+    "leave": Design(Complete(7), Kind.PACKING, (HEXAGON, PRISM), leave={(6, 0), (5, 6)}),
+    "padding": Design(Complete(6), Kind.COVERING, (PRISM, HEXAGON), padding=((5, 4), (0, 1), (0, 1))),
+}
+
+def assert_codec_exact(design):
+    text = dumps_design(design)
+    oracle = json.dumps(design_to_obj(design), indent=2) + "\n"
+    # pytest's own diff of two multi-megabyte strings takes minutes
+    if text != oracle:
+        at = next(i for i, (a, b) in enumerate(zip(text + "\0", oracle + "\0")) if a != b)
+        window = slice(max(at - 40, 0), at + 40)
+        pytest.fail(f"differs at offset {at}: {text[window]!r} vs {oracle[window]!r}")
+    assert loads_design(text) == design
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_DESIGNS))
+def test_dumps_is_the_indented_json_text(name):
+    assert_codec_exact(SMALL_DESIGNS[name])
+
+
+@pytest.mark.parametrize("key", catalog.keys())
+def test_dumps_of_every_catalog_entry(key):
+    assert_codec_exact(catalog_get(key))
+
+
+# one order of at least 450 per kind; the packing has a leave, the covering padding
+@pytest.mark.parametrize(
+    "build, n", [(multidecompose, 601), (max_multipack, 452), (min_multicover, 455)]
+)
+def test_dumps_at_large_orders(build, n):
+    design = build(n)
+    assert len(design.blocks) > 16_000
+    assert design.hexagon_count and design.prism_count
+    if design.kind is Kind.PACKING:
+        assert design.leave
+    if design.kind is Kind.COVERING:
+        assert design.padding
+    assert_codec_exact(design)
