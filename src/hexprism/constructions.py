@@ -27,7 +27,7 @@ from .core import (
     edge,
     relabel_block,
 )
-from .feasibility import FeasibilityReport, classify, nonexistence_reason
+from .feasibility import FeasibilityReport, classify, has_decomposition, nonexistence_reason
 
 
 class InfeasibleOrderError(ValueError):
@@ -112,20 +112,20 @@ def join_layout(n: int, kind: Kind) -> JoinLayout:
     """The deterministic part sequence used to build the given kind at
     order n.  Orders handled monolithically (and orders where the kind does
     not apply) have no layout and raise with the feasibility report."""
-    report = classify(n)
+    exists = has_decomposition(n)
     if kind is Kind.DECOMPOSITION:
-        if not report.decomposition_exists:
+        if not exists:
             raise InfeasibleOrderError(
-                report, f"no decomposition of order {n}: {nonexistence_reason(n)}"
+                classify(n), f"no decomposition of order {n}: {nonexistence_reason(n)}"
             )
-    elif report.decomposition_exists:
+    elif exists:
         raise InfeasibleOrderError(
-            report,
+            classify(n),
             f"order {n} admits a decomposition; {kind.value}s of it have no join layout",
         )
     elif (kind, n) in MONOLITHIC:
         raise InfeasibleOrderError(
-            report, f"order {n} is handled monolithically and has no join layout"
+            classify(n), f"order {n} is handled monolithically and has no join layout"
         )
     recipe = RECIPES[kind, n % 12]
     sizes = recipe.head + (recipe.tail,) * ((n - sum(recipe.head)) // recipe.tail)
@@ -272,7 +272,7 @@ def _assemble(n: int, kind: Kind) -> Design:
 def _extremal(n: int, kind: Kind) -> Design:
     """The decomposition when one exists, else the packing or covering of
     the given kind: monolithic at the orders in MONOLITHIC, else assembled."""
-    if classify(n).decomposition_exists:
+    if has_decomposition(n):
         return multidecompose(n)
     if (kind, n) not in MONOLITHIC:
         return _assemble(n, kind)

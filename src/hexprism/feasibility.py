@@ -70,11 +70,17 @@ def nonexistence_reason(n: int) -> str | None:
     return None
 
 
-def classify(n: int) -> FeasibilityReport:
-    """Existence and extremal leave/padding sizes for K_n, n >= 6."""
+def has_decomposition(n: int) -> bool:
+    """Whether K_n, n >= 6, splits into hexagons and prisms with at least
+    one of each, without building the rest of the report."""
     if n < 6:
         raise UnsupportedOrderError(f"order {n} is below 6")
-    exists = n % 3 in (0, 1) and n not in EXCEPTIONAL_ORDERS
+    return n % 3 in (0, 1) and n not in EXCEPTIONAL_ORDERS
+
+
+def classify(n: int) -> FeasibilityReport:
+    """Existence and extremal leave/padding sizes for K_n, n >= 6."""
+    exists = has_decomposition(n)
     if exists:
         min_leave = min_padding = 0
     elif n == 7:
@@ -98,7 +104,7 @@ def _least_change(n: int, sign: int) -> int:
     """Least r, nonzero unless K_n has a decomposition, for which
     n(n-1)/2 + sign * r edges admit block counts with both shapes."""
     edge_count = n * (n - 1) // 2
-    r = 0 if classify(n).decomposition_exists else 1
+    r = 0 if has_decomposition(n) else 1
     while not block_count_solutions(edge_count + sign * r, True):
         r += 1
     return r

@@ -1,25 +1,34 @@
 """Independent design checking.
 
 The verifier shares no construction code with the rest of the package: it
-recomputes every block edge from the raw tuples and counts its uses in one
-pass over the blocks.  A complete or complete bipartite host numbers its
-edges, and the counts sit in a flat integer array indexed by that rank;
-edges without a rank (an endpoint outside the host or not an int, or any
-edge of an explicit host, which may repeat edges) go to a small Counter.
-The claimed counts are compared with the expected ones as whole arrays, and
-only a mismatch is scanned edge by edge to list what is missing or doubled.
-A host with more edges than the blocks and leave can meet is rejected by
-arithmetic first, so the arrays are never longer than the input is large.
-Malformed input yields findings, never exceptions, so the verifier can be
-pointed at untrusted design files.
+recomputes every block edge from the raw tuples and counts its uses.  A
+complete or complete bipartite host numbers its edges, and the counts sit
+in a flat list indexed by that rank; edges without a rank (an endpoint
+outside the host or not an int, or any edge of an explicit host, which may
+repeat edges) go to a small Counter.
+
+On a complete host K_n, bulk passes over all blocks first test that every
+block is a plain Hexagon or Prism of 6 distinct plain ints in 0 .. n - 1.
+When they all are, no block can yield a finding, and the edges are counted
+in one loop with the triangular rank written out inline.  Otherwise, and on
+every other host, a block-by-block loop counts the edges and reports each
+malformed block or one that leaves the host.  Both give the same report.
+
+The claimed counts are compared with the expected ones as whole lists, and
+only a mismatch is scanned, a slice at a time, to list what is missing or
+doubled.  A host with more edges than the blocks and leave can meet is
+rejected by arithmetic first, so the lists are never longer than the input
+is large.  Malformed input yields findings, never exceptions, so the
+verifier can be pointed at untrusted design files.
 """
 
 from __future__ import annotations
 
 import math
-from array import array
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import add
 
 from .core import (
     Complete,
@@ -52,6 +61,10 @@ class VerificationReport:
     leave: frozenset
     padding: tuple
     incidence: dict = field(compare=False)
+
+
+# ranks per slice when a count mismatch is located
+_SLICE = 1024
 
 
 def _norm(u, v):
@@ -156,70 +169,17 @@ def _block_fault(block) -> tuple[str, str] | None:
     return None
 
 
-def incidence_table(design: Design) -> dict:
-    """Per-vertex (p, q): how many hexagons and prisms meet each vertex.
+def _block_by_block(blocks, host_vs, rank, claimed, stray, failures):
+    """Count any blocks on any host, one block and one edge at a time,
+    appending a finding for each block that is malformed or leaves the host.
 
-    This is the table verify_design reports: every host vertex, plus any
-    vertex outside the host that a well-formed block uses.  A host the
-    verifier rejects before counting any edge gets an empty table.
+    Edges with a rank go to claimed, the rest to stray.  Returns the
+    hexagon and prism counts and the per-vertex hexagon and prism uses.
     """
-    return verify_design(design, require_both_types=False).incidence
-
-
-def _rejected(design: Design, finding: Finding) -> VerificationReport:
-    """A report with one finding that stopped the check before any edge."""
-    return VerificationReport(False, (finding,), 0, 0, design.leave, design.padding, {})
-
-
-def _differences(claimed, expected, edge_at, stray, expected_stray):
-    """(uncovered, extra): sorted edge tuples listing each edge once per use
-    that the claimed counts miss, or exceed, against the expected ones."""
-    uncovered: list = []
-    extra: list = []
-    for r, (c, x) in enumerate(zip(claimed, expected)):
-        if c != x:
-            (uncovered if c < x else extra).extend([edge_at(r)] * abs(x - c))
-    for e in stray.keys() | expected_stray.keys():
-        c, x = stray[e], expected_stray[e]
-        if c != x:
-            (uncovered if c < x else extra).extend([e] * abs(x - c))
-    return tuple(sorted(uncovered)), tuple(sorted(extra))
-
-
-def verify_design(design: Design, require_both_types: bool = True) -> VerificationReport:
-    """Check a design against its host and kind.
-
-    Decompositions must cover every host edge exactly once; packings exactly
-    once outside the leave; coverings exactly once plus the padding multiset.
-    With require_both_types the design must use at least one hexagon and one
-    prism; pass False for single-shape ingredient designs.  A host with more
-    edges than the blocks and leave can meet gets one uncovered-edges finding
-    that lists no edges, and no incidence table.
-    """
-    if not _integral_host(design.host):
-        # no edge can be checked against a host that cannot be enumerated
-        text = f"host has an order or vertex that is not an integer: {design.host}"
-        return _rejected(design, Finding("non-integer-host", text))
-    host_size = _host_edge_count(design.host)
-    reach = 9 * len(design.blocks) + len(design.leave)
-    if host_size > reach:
-        # past this check the count arrays are at most as long as the file
-        text = (f"{host_size} host edges, but the blocks and leave meet at most {reach}: "
-                f"at least {host_size - reach} host edge uses not covered")
-        return _rejected(design, Finding("uncovered-edges", text))
-    failures: list[Finding] = []
-    host_vs = _host_vertex_set(design.host)
-    rank, edge_at = _edge_ranks(design.host)
-    explicit = isinstance(design.host, Explicit)
-    # uses per host edge: by rank, and in Counters for edges without one
-    claimed = array("q", bytes(8 * (0 if explicit else host_size)))
-    stray: Counter = Counter()
-    expected_stray = Counter(_norm(u, v) for u, v in design.host.edges) if explicit else Counter()
-
     hexagons = prisms = 0
     hexagon_vs: list = []
     prism_vs: list = []
-    for i, block in enumerate(design.blocks):
+    for i, block in enumerate(blocks):
         fault = _block_fault(block)
         if fault is not None:
             code, text = fault
@@ -248,6 +208,134 @@ def verify_design(design: Design, require_both_types: bool = True) -> Verificati
                 stray[_norm(u, v)] += 1
             else:
                 claimed[r] += 1
+    return hexagons, prisms, Counter(hexagon_vs), Counter(prism_vs)
+
+
+def _inline_counts(blocks, n, claimed):
+    """Count blocks on K_n with no call per block or edge, or return None.
+
+    Bulk passes first decide that every block is a plain Hexagon or Prism
+    of 6 distinct plain ints in [0, n), so that none could yield a finding.
+    Only then are the edges added to claimed, each ranked inline as
+    before[v] + u for u < v.  Any other blocks leave claimed untouched and
+    return None, for the block-by-block loop to report on.  Returns what
+    that loop returns.
+    """
+    if not set(map(type, blocks)) <= {Hexagon, Prism}:
+        return None
+    hexagons = [b.vertices for b in blocks if type(b) is Hexagon]
+    firsts = [b.first for b in blocks if type(b) is Prism]
+    seconds = [b.second for b in blocks if type(b) is Prism]
+    # types before anything hashes or orders a vertex; a bool is not an int
+    if not set(map(type, chain.from_iterable(chain(hexagons, firsts, seconds)))) <= {int}:
+        return None
+    if not (
+        set(map(len, hexagons)) | set(map(len, map(set, hexagons))) <= {6}
+        and set(map(len, firsts)) | set(map(len, seconds)) <= {3}
+        and set(map(len, map(set, map(add, firsts, seconds)))) <= {6}
+    ):
+        return None
+    hexagon_uses = Counter(chain.from_iterable(hexagons))
+    prism_uses = Counter(chain.from_iterable(firsts))
+    prism_uses.update(chain.from_iterable(seconds))
+    used = hexagon_uses.keys() | prism_uses.keys()
+    if used and (min(used) < 0 or max(used) >= n):
+        return None
+    before = [v * (v - 1) // 2 for v in range(n)]
+    for a, b, c, d, e, f in hexagons:
+        claimed[before[a] + b if b < a else before[b] + a] += 1
+        claimed[before[b] + c if c < b else before[c] + b] += 1
+        claimed[before[c] + d if d < c else before[d] + c] += 1
+        claimed[before[d] + e if e < d else before[e] + d] += 1
+        claimed[before[e] + f if f < e else before[f] + e] += 1
+        claimed[before[f] + a if a < f else before[a] + f] += 1
+    for (a, b, c), (d, e, f) in zip(firsts, seconds):
+        claimed[before[a] + b if b < a else before[b] + a] += 1
+        claimed[before[b] + c if c < b else before[c] + b] += 1
+        claimed[before[a] + c if c < a else before[c] + a] += 1
+        claimed[before[d] + e if e < d else before[e] + d] += 1
+        claimed[before[e] + f if f < e else before[f] + e] += 1
+        claimed[before[d] + f if f < d else before[f] + d] += 1
+        claimed[before[a] + d if d < a else before[d] + a] += 1
+        claimed[before[b] + e if e < b else before[e] + b] += 1
+        claimed[before[c] + f if f < c else before[f] + c] += 1
+    return len(hexagons), len(firsts), hexagon_uses, prism_uses
+
+
+def incidence_table(design: Design) -> dict:
+    """Per-vertex (p, q): how many hexagons and prisms meet each vertex.
+
+    This is the table verify_design reports: every host vertex, plus any
+    vertex outside the host that a well-formed block uses.  A host the
+    verifier rejects before counting any edge gets an empty table.
+    """
+    return verify_design(design, require_both_types=False).incidence
+
+
+def _rejected(design: Design, finding: Finding) -> VerificationReport:
+    """A report with one finding that stopped the check before any edge."""
+    return VerificationReport(False, (finding,), 0, 0, design.leave, design.padding, {})
+
+
+def _differences(claimed, expected, edge_at, stray, expected_stray):
+    """(uncovered, extra): sorted edge tuples listing each edge once per use
+    that the claimed counts miss, or exceed, against the expected ones.
+
+    The lists are compared a slice at a time, and only the slices that
+    differ are walked rank by rank.
+    """
+    uncovered: list = []
+    extra: list = []
+    for lo in range(0, len(claimed), _SLICE):
+        got, want = claimed[lo : lo + _SLICE], expected[lo : lo + _SLICE]
+        if got == want:
+            continue
+        for r, c, x in zip(range(lo, lo + _SLICE), got, want):
+            if c != x:
+                (uncovered if c < x else extra).extend([edge_at(r)] * abs(x - c))
+    for e in stray.keys() | expected_stray.keys():
+        c, x = stray[e], expected_stray[e]
+        if c != x:
+            (uncovered if c < x else extra).extend([e] * abs(x - c))
+    return tuple(sorted(uncovered)), tuple(sorted(extra))
+
+
+def verify_design(design: Design, require_both_types: bool = True) -> VerificationReport:
+    """Check a design against its host and kind.
+
+    Decompositions must cover every host edge exactly once; packings exactly
+    once outside the leave; coverings exactly once plus the padding multiset.
+    With require_both_types the design must use at least one hexagon and one
+    prism; pass False for single-shape ingredient designs.  A host with more
+    edges than the blocks and leave can meet gets one uncovered-edges finding
+    that lists no edges, and no incidence table.
+    """
+    if not _integral_host(design.host):
+        # no edge can be checked against a host that cannot be enumerated
+        text = f"host has an order or vertex that is not an integer: {design.host}"
+        return _rejected(design, Finding("non-integer-host", text))
+    host_size = _host_edge_count(design.host)
+    reach = 9 * len(design.blocks) + len(design.leave)
+    if host_size > reach:
+        # past this check the count lists are at most as long as the file
+        text = (f"{host_size} host edges, but the blocks and leave meet at most {reach}: "
+                f"at least {host_size - reach} host edge uses not covered")
+        return _rejected(design, Finding("uncovered-edges", text))
+    failures: list[Finding] = []
+    host_vs = _host_vertex_set(design.host)
+    rank, edge_at = _edge_ranks(design.host)
+    explicit = isinstance(design.host, Explicit)
+    # uses per host edge: by rank, and in Counters for edges without one
+    claimed = [0] * (0 if explicit else host_size)
+    stray: Counter = Counter()
+    expected_stray = Counter(_norm(u, v) for u, v in design.host.edges) if explicit else Counter()
+
+    counted = None
+    if isinstance(design.host, Complete):
+        counted = _inline_counts(design.blocks, design.host.n, claimed)
+    if counted is None:
+        counted = _block_by_block(design.blocks, host_vs, rank, claimed, stray, failures)
+    hexagons, prisms, hexagon_uses, prism_uses = counted
 
     leave = [_norm(u, v) for u, v in design.leave]
     padding = Counter(_norm(u, v) for u, v in design.padding)
@@ -307,7 +395,7 @@ def verify_design(design: Design, require_both_types: bool = True) -> Verificati
         )
 
     # the partition equation: blocks (+ leave) must equal host (+ padding)
-    expected = array("q", [1]) * len(claimed)
+    expected = [1] * len(claimed)
     for e, m in padding.items():
         r = rank(*e)
         if r is None:
@@ -346,7 +434,6 @@ def verify_design(design: Design, require_both_types: bool = True) -> Verificati
             failures.append(Finding("missing-prism", "no prism block present"))
 
     incidence = dict.fromkeys(host_vs, (0, 0))
-    hexagon_uses, prism_uses = Counter(hexagon_vs), Counter(prism_vs)
     for v in hexagon_uses.keys() | prism_uses.keys():
         incidence[v] = (hexagon_uses[v], prism_uses[v])
     return VerificationReport(

@@ -7,6 +7,7 @@ from hexprism.feasibility import (
     block_count_solutions,
     classify,
     degree_solutions,
+    has_decomposition,
     leave_lower_bound,
     nonexistence_reason,
     padding_lower_bound,
@@ -73,6 +74,14 @@ def test_existence_range():
         report = classify(n)
         expected = n % 3 in (0, 1) and n not in (7, 9, 10)
         assert report.decomposition_exists is expected, n
+
+
+def test_existence_predicate_matches_the_report():
+    for n in range(6, 401):
+        assert has_decomposition(n) is classify(n).decomposition_exists, n
+    for n in (-1, 0, 5):
+        with pytest.raises(UnsupportedOrderError):
+            has_decomposition(n)
 
 
 def test_leave_and_padding_sizes():

@@ -5,7 +5,11 @@ import hashlib
 import itertools
 import random
 import time
+from collections import Counter
 
+import pytest
+
+from hexprism import verifier
 from hexprism.catalog import get as catalog_get
 from hexprism.core import (
     Complete,
@@ -392,3 +396,85 @@ def test_seeded_mutations_are_all_flagged():
                 mutated += 1
     assert mutated > 600
     assert digest.hexdigest() == FUZZ_DIGEST
+
+
+# ---------------------------------------------------------------------------
+# large orders, where the verifier counts on its inline path, against a plain
+# Counter reference; malformed blocks send it down the block-by-block loop
+
+
+def _reference(design, complete_edges):
+    """What a Counter count says of a design on the complete host whose
+    edges are given: (valid, uncovered edge uses, overcovered edge uses,
+    hexagons, prisms, leave, padding)."""
+    host = complete_edges.copy()
+    host.update(tuple(sorted(e)) for e in design.padding)
+    used = Counter(tuple(sorted(e)) for e in design.leave)
+    good = [b for b in design.blocks
+            if {type(v) for v in block_vertices(b)} == {int} and len(set(block_vertices(b))) == 6]
+    used.update(itertools.chain.from_iterable(map(block_edges, good)))
+    shapes = Counter(map(type, good))
+    malformed = len(good) < len(design.blocks)
+    changed = {e for e, _ in host.items() ^ used.items()}
+    uncovered = tuple(sorted(e for e in changed for _ in range(host[e] - used[e])))
+    extra = tuple(sorted(e for e in changed for _ in range(used[e] - host[e])))
+    valid = not (malformed or uncovered or extra) and shapes[Hexagon] > 0 and shapes[Prism] > 0
+    return valid, uncovered, extra, shapes[Hexagon], shapes[Prism], design.leave, design.padding
+
+
+def _observed(report):
+    edges = {f.code: f.edges for f in report.failures}
+    return (report.valid, edges.get("uncovered-edges", ()), edges.get("overcovered-edges", ()),
+            report.hexagon_count, report.prism_count, report.leave, report.padding)
+
+
+def _large_mutations(design, shape):
+    """(name, mutated design, whether the inline path counts it) triples;
+    the vertex mutations change the first block of the given shape."""
+    n = design.host.n
+    blocks = design.blocks
+    yield "valid", design, True
+    yield "drop", dataclasses.replace(design, blocks=blocks[:-1]), True
+    yield "duplicate", dataclasses.replace(design, blocks=blocks + blocks[-1:]), True
+    i = next(i for i, b in enumerate(blocks) if isinstance(b, shape))
+    vs = list(block_vertices(blocks[i]))
+    others = sorted(set(range(n)) - set(vs))
+    for name, v, inline in (("retarget", others[len(others) // 2], True), ("repeat", vs[1], False),
+                            ("n", n, False), ("-1", -1, False), ("True", True, False),
+                            ("1.0", 1.0, False), ("[0]", [0], False)):
+        moved = vs[:]
+        moved[3] = v
+        yield name, _replace_block(design, i, _rebuild(blocks[i], moved)), inline
+
+
+@pytest.mark.parametrize("build, shape", [
+    ("multidecompose:601", Hexagon), ("max_multipack:452", Prism), ("min_multicover:455", Hexagon),
+])
+def test_large_orders_match_a_counter_reference(build, shape, monkeypatch):
+    from hexprism import constructions
+
+    name, n = build.split(":")
+    design = getattr(constructions, name)(int(n))
+    complete_edges = Counter(itertools.combinations(range(int(n)), 2))
+    inline_counts = verifier._inline_counts
+    took_inline = []
+
+    def spy(*args):
+        counted = inline_counts(*args)
+        took_inline.append(counted is not None)
+        return counted
+
+    monkeypatch.setattr(verifier, "_inline_counts", spy)
+    for mutation, bad, inline in _large_mutations(design, shape):
+        took_inline.clear()
+        report = verify_design(bad)
+        assert took_inline == [inline], mutation
+        assert _observed(report) == _reference(bad, complete_edges), mutation
+        assert report.valid is (mutation == "valid"), mutation
+        if mutation in ("True", "1.0", "[0]"):
+            assert report.failures[0].code == "non-integer-vertex", mutation
+        if inline:
+            # the block-by-block loop gives the same report, to the message
+            monkeypatch.setattr(verifier, "_inline_counts", lambda *args: None)
+            assert _fingerprint(verify_design(bad)) == _fingerprint(report), mutation
+            monkeypatch.setattr(verifier, "_inline_counts", spy)
