@@ -5,7 +5,8 @@ from two bundled seeds, a 6-by-6 and a 4-by-6 decomposition, translated
 across a grid of side groups.  Under the admissibility conditions one side
 is always divisible by 6: both sides are even, and 3 divides mn, so 3 (and
 hence 6) divides one of them.  That side is cut into groups of 6; the other
-follows side_partition.
+follows side_partition.  Both seeds are stored 0-based with the 4-or-6 side
+first, so seed label i lands on position i of the part followed by the group.
 """
 
 from __future__ import annotations
@@ -33,21 +34,6 @@ def side_partition(n: int) -> tuple[int, ...]:
     if n % 6 == 2:
         return (4, 4) + (6,) * ((n - 8) // 6)
     return (4,) + (6,) * ((n - 4) // 6)
-
-
-def _seed_maps(part, group):
-    """Vertex mapping from the fitting seed onto (4-or-6 part, 6-group)."""
-    if len(part) == 6:
-        seed = load_base("bipartite:6x6")
-    else:
-        seed = load_base("bipartite:4x6")
-    host = seed.host
-    mapping = {}
-    for src, dst in zip(sorted(host.left), part):
-        mapping[src] = dst
-    for src, dst in zip(sorted(host.right), group):
-        mapping[src] = dst
-    return seed, mapping
 
 
 def c6_decompose_bipartite(host: CompleteBipartite) -> Design:
@@ -81,6 +67,6 @@ def c6_decompose_bipartite(host: CompleteBipartite) -> Design:
     blocks = []
     for group in groups:
         for part in parts:
-            seed, mapping = _seed_maps(part, group)
-            blocks.extend(relabel_block(b, mapping) for b in seed.blocks)
+            seed = load_base("bipartite:6x6" if len(part) == 6 else "bipartite:4x6")
+            blocks.extend(relabel_block(b, part + group) for b in seed.blocks)
     return Design(host=host, kind=Kind.DECOMPOSITION, blocks=tuple(blocks))

@@ -24,8 +24,7 @@ def keys() -> tuple[str, ...]:
 def _assemble_k17_covering() -> Design:
     listed = load_data_design(_ASSEMBLED, verify=False)
     nine = load_base("hexagons:9")
-    shift = {v: v + 8 for v in range(9)}
-    fill_one = tuple(relabel_block(b, shift) for b in nine.blocks)
+    fill_one = tuple(relabel_block(b, range(8, 17)) for b in nine.blocks)
     fill_two = c6_decompose_bipartite(
         CompleteBipartite(frozenset(range(8)), frozenset(range(11, 17)))
     ).blocks

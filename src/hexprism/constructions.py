@@ -202,10 +202,9 @@ MONOLITHIC = {
 def _embed(design: Design, targets) -> tuple[tuple, frozenset, tuple]:
     """Blocks, leave, and padding of a bundled design mapped onto the target
     vertices, position by position from its 0-based labels."""
-    mapping = {i: v for i, v in enumerate(targets)}
-    blocks = tuple(relabel_block(b, mapping) for b in design.blocks)
-    leave = frozenset(edge(mapping[u], mapping[v]) for u, v in design.leave)
-    padding = tuple(edge(mapping[u], mapping[v]) for u, v in design.padding)
+    blocks = tuple(relabel_block(b, targets) for b in design.blocks)
+    leave = frozenset(edge(targets[u], targets[v]) for u, v in design.leave)
+    padding = tuple(edge(targets[u], targets[v]) for u, v in design.padding)
     return blocks, leave, padding
 
 

@@ -12,6 +12,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+from operator import itemgetter
 
 Edge = tuple[int, int]
 
@@ -248,12 +249,11 @@ def recognize(edges) -> Block | None:
 
 
 def relabel_block(block: Block, mapping) -> Block:
+    """The block with each vertex v replaced by mapping[v]: a dict, or a
+    sequence indexed by 0-based label that places a design by position."""
     if isinstance(block, Hexagon):
-        return Hexagon(tuple(mapping[v] for v in block.vertices))
-    return Prism(
-        tuple(mapping[v] for v in block.first),
-        tuple(mapping[v] for v in block.second),
-    )
+        return Hexagon(itemgetter(*block.vertices)(mapping))
+    return Prism(itemgetter(*block.first)(mapping), itemgetter(*block.second)(mapping))
 
 
 # ---------------------------------------------------------------------------

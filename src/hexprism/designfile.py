@@ -125,6 +125,8 @@ def design_from_obj(obj) -> Design:
     except ValueError as exc:
         raise DesignFileError(f"unknown kind {obj['kind']!r}") from exc
     host = _host_from_obj(obj["host"])
+    if type(obj["blocks"]) is not list:
+        raise DesignFileError("blocks must be a list")
     blocks = tuple(_block_from_obj(b) for b in obj["blocks"])
     try:
         leave = frozenset((u, v) for u, v in map(_ints, obj.get("leave", [])))

@@ -200,32 +200,6 @@ def _through(shape, nbr: list, eid: list, u: int, v: int) -> list:
     return out
 
 
-def _blocks_through(shape, adj: dict, e) -> list[Block]:
-    edges = sorted({(x, y) for x in adj for y in adj[x] if x < y})
-    labels, idx, nbr, eid = _index(edges)
-    return [_block(shape, vs, labels)
-            for shape, vs, _, _ in _through(shape, nbr, eid, idx[e[0]], idx[e[1]])]
-
-
-def hexagons_through(adj: dict, e) -> list[Hexagon]:
-    """Every 6-cycle through edge e inside the adjacency, exactly once.
-
-    Cycles are rooted as (u, v, a, b, c, d) with u < v the given edge, which
-    fixes an orientation, so no cycle appears twice.
-    """
-    return _blocks_through(Hexagon, adj, e)
-
-
-def prisms_through(adj: dict, e) -> list[Prism]:
-    """Every prism through edge e inside the adjacency, exactly once.
-
-    Either e lies in a triangle, giving [u, v, c; d, e2, f] with the rung
-    partners in matching order, or e is a rung, giving [u, b, c; v, e2, f]
-    with b < c to fix the representation.
-    """
-    return _blocks_through(Prism, adj, e)
-
-
 # ---------------------------------------------------------------------------
 # the engine
 
@@ -565,7 +539,6 @@ def find_extremal(
     kind: Kind,
     bound: int,
     node_budget: int | None = None,
-    symmetry_breaking: bool = False,
 ) -> SearchOutcome:
     """Search for a packing with the given leave size or a covering with the
     given padding size, both shapes required.
@@ -573,7 +546,8 @@ def find_extremal(
     Bounds that already fail the block-count equation are rejected up front
     with the arithmetic reason.  Packings run one decomposition search per
     leave class; coverings run a single budgeted search whose completions
-    have padding at most the bound.
+    have padding at most the bound.  Neither fixes a root block by symmetry
+    breaking.
     """
     multiset = host_edges(host)
     if any(m > 1 for m in multiset.values()):
@@ -587,12 +561,7 @@ def find_extremal(
             f"{kind.value} bound {bound} rejected: {met} = 6x + 9y has no "
             "solution with x >= 1 and y >= 1"
         )
-    cfg = SearchConfig(
-        min_hexagons=1,
-        min_prisms=1,
-        node_budget=node_budget,
-        symmetry_breaking=symmetry_breaking,
-    )
+    cfg = SearchConfig(min_hexagons=1, min_prisms=1, node_budget=node_budget)
     if kind is Kind.COVERING:
         _check_budget_rule(host, cfg)
         engine = _Engine(multiset, cfg, padding_budget=bound)

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from hexprism.bases import load_base
 from hexprism.bipartite import (
     InfeasibleParametersError,
     c6_decompose_bipartite,
@@ -92,6 +93,44 @@ def test_arbitrary_vertex_labels():
     report = verify_design(design, require_both_types=False)
     assert report.valid
     assert len(design.blocks) == 12
+
+
+def _sorted_side_fill(host):
+    """Reference fill: each seed placed on a (part, group) pair through a
+    dict from the seed's sorted left side onto the part and its sorted right
+    side onto the group, which assumes nothing about the seed's labels."""
+    m = len(host.left)
+    axis, other = sorted(host.left), sorted(host.right)
+    if m % 6:
+        axis, other = other, axis
+    groups = [axis[i : i + 6] for i in range(0, len(axis), 6)]
+    parts, at = [], 0
+    for size in side_partition(len(other)):
+        parts.append(other[at : at + size])
+        at += size
+    blocks = []
+    for group in groups:
+        for part in parts:
+            seed = load_base("bipartite:6x6" if len(part) == 6 else "bipartite:4x6")
+            mapping = dict(zip(sorted(seed.host.left), part))
+            mapping.update(zip(sorted(seed.host.right), group))
+            blocks.extend(Hexagon(tuple(mapping[v] for v in b.vertices)) for b in seed.blocks)
+    return tuple(blocks)
+
+
+def test_fill_matches_sorted_side_reference():
+    # positional placement must give the same blocks in the same order as
+    # the per-side dicts, whatever the labels of the two sides
+    rng = random.Random(29)
+    sides = range(4, 25, 2)
+    for m in sides:
+        for n in sides:
+            if (m * n) % 6:
+                continue
+            shuffled = rng.sample(range(1000), m + n)
+            for labels in (list(range(m + n)), shuffled):
+                host = CompleteBipartite(frozenset(labels[:m]), frozenset(labels[m:]))
+                assert c6_decompose_bipartite(host).blocks == _sorted_side_fill(host), (m, n)
 
 
 def test_deterministic_output():

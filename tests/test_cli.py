@@ -100,14 +100,19 @@ def test_verify_parse_error_distinct(tmp_path):
     assert run_cli("verify", str(tmp_path / "absent.json")).returncode == 2
 
 
+_HOST_AND_KIND = b'{"host": {"type": "complete", "n": 6}, "kind": "decomposition", '
+
+
 @pytest.mark.parametrize(
     "content",
-    [b'{"host": "\xff"}', b"[" * 200_000],
-    ids=["not-utf8", "nested-too-deeply"],
+    [b'{"host": "\xff"}', b"[" * 200_000]
+    + [_HOST_AND_KIND + b'"blocks": ' + blocks + b"}" for blocks in (b"5", b"null", b"true")],
+    ids=["not-utf8", "nested-too-deeply", "blocks-int", "blocks-null", "blocks-bool"],
 )
 def test_verify_unreadable_file_is_a_usage_error(tmp_path, content):
     # exit 1 means the design failed verification, so a file that cannot be
-    # decoded or parsed must exit 2 with a message, not a traceback
+    # decoded or parsed, or whose blocks are not a list, must exit 2 with a
+    # message, not a traceback
     path = tmp_path / "bad.json"
     path.write_bytes(content)
     proc = run_cli("verify", str(path))

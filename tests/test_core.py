@@ -171,6 +171,17 @@ def test_relabel_block():
     assert p == Prism((5, 4, 3), (2, 1, 0))
 
 
+def test_relabel_block_by_position():
+    # a sequence places label i on its i-th entry, as the dict i -> seq[i] does
+    seq = [17, 3, 40, 8, 25, 11, 6]
+    for block in (Hexagon((0, 2, 4, 6, 1, 3)), Prism((6, 0, 1), (2, 5, 3))):
+        assert relabel_block(block, seq) == relabel_block(block, dict(enumerate(seq)))
+    with pytest.raises(IndexError):
+        relabel_block(Hexagon((0, 1, 2, 3, 4, 7)), seq)
+    with pytest.raises(KeyError):
+        relabel_block(Prism((0, 1, 2), (3, 4, 7)), dict(enumerate(seq)))
+
+
 def test_relabel_design_requires_bijection():
     design = Design(
         host=Complete(6),

@@ -27,13 +27,14 @@ from hexprism.search import (
     SearchConfig,
     SearchStats,
     Status,
+    _block,
     _degree_ok,
+    _index,
     _leave_candidates,
+    _through,
     confirm_nonexistence,
     find_extremal,
-    hexagons_through,
     merge_stats,
-    prisms_through,
     search_multidecomposition,
 )
 from hexprism.verifier import verify_design
@@ -43,9 +44,18 @@ def _complete_adjacency(n):
     return {v: set(range(n)) - {v} for v in range(n)}
 
 
+def _blocks_through(shape, adj, e):
+    """The engine's candidates of the shape through edge e of the adjacency,
+    in generation order, as blocks on the adjacency's own labels."""
+    edges = sorted({(x, y) for x in adj for y in adj[x] if x < y})
+    labels, idx, nbr, eid = _index(edges)
+    found = _through(shape, nbr, eid, idx[e[0]], idx[e[1]])
+    return [_block(shape, vs, labels) for _, vs, _, _ in found]
+
+
 def test_hexagons_through_complete_host():
     adj = _complete_adjacency(6)
-    found = hexagons_through(adj, (0, 1))
+    found = _blocks_through(Hexagon, adj, (0, 1))
     # 6-cycles through a fixed edge of K6: choose and order the path 4!
     assert len(found) == 24
     assert len({canonical_form(h) for h in found}) == 24
@@ -58,7 +68,7 @@ def test_hexagons_through_complete_host():
 
 def test_prisms_through_complete_host():
     adj = _complete_adjacency(6)
-    found = prisms_through(adj, (0, 1))
+    found = _blocks_through(Prism, adj, (0, 1))
     canon = {canonical_form(p) for p in found}
     assert len(found) == len(canon)
     # brute force: of the 60 labeled prisms on 6 vertices, those using edge 0-1
@@ -97,8 +107,8 @@ def test_blocks_through_match_brute_force(seed):
     assert shapes[Hexagon] and shapes[Prism]
     edges = sorted((u, v) for u in adj for v in adj[u] if u < v)
     for u, v in edges + [(v, u) for u, v in rng.sample(edges, 3)]:
-        hexes = hexagons_through(adj, (u, v))
-        prisms = prisms_through(adj, (u, v))
+        hexes = _blocks_through(Hexagon, adj, (u, v))
+        prisms = _blocks_through(Prism, adj, (u, v))
         for shape, found in ((Hexagon, hexes), (Prism, prisms)):
             every = {c for _, es, c in shapes[shape] if (min(u, v), max(u, v)) in es}
             assert {canonical_form(b) for b in found} == every
