@@ -202,11 +202,15 @@ def _parse_host(args):
             raise ValueError("search needs --host or --n")
         return Complete(args.n)
     tag, _, rest = args.host.partition(":")
+    texts = rest.partition("x")[::2] if tag == "bipartite" else (rest,)
+    try:
+        sizes = [int(text) for text in texts]
+    except ValueError:
+        raise ValueError(f"bad host {args.host!r}; use complete:N or bipartite:MxN") from None
     if tag == "complete":
-        return Complete(int(rest))
+        return Complete(*sizes)
     if tag == "bipartite":
-        m_str, _, n_str = rest.partition("x")
-        m, n = int(m_str), int(n_str)
+        m, n = sizes
         if m < 1 or n < 1:
             raise ValueError("bipartite sides must be positive")
         return CompleteBipartite(frozenset(range(m)), frozenset(range(m, m + n)))

@@ -7,8 +7,10 @@ from collections import Counter
 import pytest
 
 from hexprism import bases
+from hexprism.bipartite import c6_decompose_bipartite
 from hexprism.catalog import get, keys
 from hexprism.core import (
+    CompleteBipartite,
     Hexagon,
     Prism,
     canonical_form,
@@ -107,6 +109,25 @@ def test_covering_17_assembles_listed_and_fills():
 
     assert Counter(design.padding) == Counter(sorted(_shift_edges(entry["padding"])))
     assert design.hexagon_count == 20 and design.prism_count == 2
+
+
+def test_covering_17_fills_match_the_assembly_block_for_block():
+    # the assembly the frozen file was made from, rebuilt block for block
+    blocks = get("covering:17").blocks
+    assert len(blocks) == 22
+    nine = get("hexagons:9")
+    assert blocks[8:14] == tuple(relabel_block(b, range(8, 17)) for b in nine.blocks)
+    fill = c6_decompose_bipartite(CompleteBipartite(range(8), range(11, 17)))
+    assert blocks[14:] == fill.blocks
+    assert get("covering:17").padding == ((2, 4), (6, 7))
+
+
+def test_load_base_first_gives_the_whole_covering_17():
+    bases._cache.clear()
+    design = bases.load_base("covering:17")
+    assert verify_design(design).valid
+    assert len(design.blocks) == 22
+    assert design is get("covering:17")
 
 
 _SINGLE_SHAPE = {"hexagons", "prisms", "bipartite"}

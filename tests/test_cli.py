@@ -181,6 +181,14 @@ def test_search_usage_errors():
     assert run_cli("search", "--host", "triangle:5").returncode == 2
 
 
+@pytest.mark.parametrize("spec", ["complete:", "bipartite:4x"])
+def test_search_malformed_host_is_named(spec):
+    proc = run_cli("search", "--host", spec)
+    assert proc.returncode == 2
+    assert f"bad host {spec!r}; use complete:N or bipartite:MxN" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_catalog_listing_and_export(tmp_path):
     proc = run_cli("catalog")
     keys = proc.stdout.split()
