@@ -8,8 +8,6 @@ certifies by search that the three exceptional orders admit none.
 from .bipartite import c6_decompose_bipartite, side_partition
 from .constructions import (
     InfeasibleOrderError,
-    JoinLayout,
-    Part,
     hexagon_plus_factor,
     join_layout,
     max_multipack,
@@ -70,11 +68,9 @@ __all__ = [
     "InfeasibleBoundError",
     "InfeasibleOrderError",
     "InvalidBlockError",
-    "JoinLayout",
     "Kind",
     "MultigraphHostError",
     "NonexistenceReport",
-    "Part",
     "Prism",
     "SearchConfig",
     "SearchOutcome",

@@ -64,9 +64,10 @@ def c6_decompose_bipartite(host: CompleteBipartite) -> Design:
     for size in side_partition(len(other)):
         parts.append(other[at : at + size])
         at += size
+    six, four = load_base("bipartite:6x6").blocks, load_base("bipartite:4x6").blocks
     blocks = []
     for group in groups:
         for part in parts:
-            seed = load_base("bipartite:6x6" if len(part) == 6 else "bipartite:4x6")
-            blocks.extend(relabel_block(b, part + group) for b in seed.blocks)
+            seed = six if len(part) == 6 else four
+            blocks.extend(relabel_block(b, part + group) for b in seed)
     return Design(host=host, kind=Kind.DECOMPOSITION, blocks=tuple(blocks))

@@ -10,7 +10,8 @@ transforming its first block where needed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import lru_cache
+from itertools import accumulate, combinations
 from typing import NamedTuple
 
 from .bases import load_base
@@ -79,39 +80,11 @@ RECIPES = {
 }
 
 
-@dataclass(frozen=True)
-class Part:
-    size: int
-    start: int
-
-    @property
-    def vertices(self) -> tuple[int, ...]:
-        return tuple(range(self.start, self.start + self.size))
-
-
-@dataclass(frozen=True)
-class JoinLayout:
-    n: int
-    parts: tuple[Part, ...]
-
-    def __post_init__(self):
-        at = 0
-        for part in self.parts:
-            if part.start != at:
-                raise ValueError("part intervals must be contiguous from 0")
-            at += part.size
-        if at != self.n:
-            raise ValueError(f"part sizes sum to {at}, expected {self.n}")
-
-    def cross_pairs(self) -> tuple[tuple[int, int], ...]:
-        k = len(self.parts)
-        return tuple((i, j) for i in range(k) for j in range(i + 1, k))
-
-
-def join_layout(n: int, kind: Kind) -> JoinLayout:
-    """The deterministic part sequence used to build the given kind at
-    order n.  Orders handled monolithically (and orders where the kind does
-    not apply) have no layout and raise with the feasibility report."""
+def join_layout(n: int, kind: Kind) -> tuple[range, ...]:
+    """The parts used to build the given kind at order n: consecutive vertex
+    ranges that tile 0..n-1.  Orders handled monolithically (and orders where
+    the kind does not apply) have no layout and raise with the feasibility
+    report."""
     exists = has_decomposition(n)
     if kind is Kind.DECOMPOSITION:
         if not exists:
@@ -129,12 +102,8 @@ def join_layout(n: int, kind: Kind) -> JoinLayout:
         )
     recipe = RECIPES[kind, n % 12]
     sizes = recipe.head + (recipe.tail,) * ((n - sum(recipe.head)) // recipe.tail)
-    parts = []
-    at = 0
-    for size in sizes:
-        parts.append(Part(size, at))
-        at += size
-    return JoinLayout(n, tuple(parts))
+    starts = list(accumulate(sizes, initial=0))
+    return tuple(range(a, b) for a, b in zip(starts, starts[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -218,10 +187,17 @@ def _leave_first(design: Design) -> Design:
     return Design(design.host, design.kind, blocks, leave, padding)
 
 
+@lru_cache(maxsize=None)
+def _fill(a: int, b: int) -> Design:
+    """The hexagon fill of K_{a,b} on labels 0..a+b-1, left side first; it
+    depends only on the two sizes, so each size pair is built once."""
+    return c6_decompose_bipartite(CompleteBipartite(range(a), range(a, a + b)))
+
+
 def _assemble(n: int, kind: Kind) -> Design:
     """Place the recipe's catalog entries over the layout and fill the
     remaining cross pairs with bipartite hexagons."""
-    layout = join_layout(n, kind)
+    parts = join_layout(n, kind)
     recipe = RECIPES[kind, n % 12]
     blocks: list = []
     leave: frozenset = frozenset()
@@ -230,12 +206,12 @@ def _assemble(n: int, kind: Kind) -> Design:
 
     def place(design: Design, indices) -> None:
         nonlocal leave, padding
-        span = [v for i in indices for v in layout.parts[i].vertices]
+        span = [v for i in indices for v in parts[i]]
         got_blocks, got_leave, got_padding = _embed(design, span)
         blocks.extend(got_blocks)
         leave |= got_leave
         padding += got_padding
-        consumed.update((i, j) for i in indices for j in indices if i < j)
+        consumed.update(combinations(indices, 2))
 
     heads = range(len(recipe.head))
     if recipe.head_entry is not None:
@@ -243,21 +219,12 @@ def _assemble(n: int, kind: Kind) -> Design:
     tail = catalog_get(recipe.tail_entry)
     if recipe.joined:
         tail = _leave_first(tail)
-    for i in range(len(heads), len(layout.parts)):
+    for i in range(len(heads), len(parts)):
         place(tail, [0, i] if recipe.joined else [i])
 
-    for i, j in layout.cross_pairs():
-        if (i, j) in consumed:
-            continue
-        if layout.parts[i].size == 1 or layout.parts[j].size == 1:
-            continue
-        fill = c6_decompose_bipartite(
-            CompleteBipartite(
-                frozenset(layout.parts[i].vertices),
-                frozenset(layout.parts[j].vertices),
-            )
-        )
-        blocks.extend(fill.blocks)
+    for i, j in combinations(range(len(parts)), 2):
+        if (i, j) not in consumed and len(parts[i]) > 1 and len(parts[j]) > 1:
+            place(_fill(len(parts[i]), len(parts[j])), (i, j))
 
     return Design(
         host=Complete(n),

@@ -19,6 +19,7 @@ kind, leave and padding go through ``json``.
 from __future__ import annotations
 
 import json
+from collections import Counter
 
 from .core import (
     Block,
@@ -30,6 +31,7 @@ from .core import (
     Host,
     Kind,
     Prism,
+    edge,
 )
 
 
@@ -129,10 +131,14 @@ def design_from_obj(obj) -> Design:
         raise DesignFileError("blocks must be a list")
     blocks = tuple(_block_from_obj(b) for b in obj["blocks"])
     try:
-        leave = frozenset((u, v) for u, v in map(_ints, obj.get("leave", [])))
+        leave = [edge(u, v) for u, v in map(_ints, obj.get("leave", []))]
         padding = tuple((u, v) for u, v in map(_ints, obj.get("padding", [])))
     except (TypeError, ValueError) as exc:
         raise DesignFileError(f"malformed leave or padding: {exc}") from exc
+    # the leave is a set, so a repeat would collapse unseen; padding is a multiset
+    if len(set(leave)) < len(leave):
+        repeated = next(e for e, count in Counter(leave).items() if count > 1)
+        raise DesignFileError(f"leave lists edge {list(repeated)} more than once")
     try:
         return Design(host=host, kind=kind, blocks=blocks, leave=leave, padding=padding)
     except ValueError as exc:

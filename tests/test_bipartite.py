@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from hexprism import bipartite
 from hexprism.bases import load_base
 from hexprism.bipartite import (
     InfeasibleParametersError,
@@ -137,3 +138,18 @@ def test_deterministic_output():
     a = c6_decompose_bipartite(_sides(6, 10))
     b = c6_decompose_bipartite(_sides(6, 10))
     assert a == b
+
+
+def test_seeds_are_loaded_once_per_fill(monkeypatch):
+    # K_{24,24} tiles 4 groups by 4 parts; the two seeds are fetched once
+    # each, not once per (group, part) cell
+    loads = []
+
+    def counting_load(key):
+        loads.append(key)
+        return load_base(key)
+
+    monkeypatch.setattr(bipartite, "load_base", counting_load)
+    design = c6_decompose_bipartite(_sides(24, 24))
+    assert len(design.blocks) == 96
+    assert len(loads) <= 2

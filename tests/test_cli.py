@@ -101,18 +101,24 @@ def test_verify_parse_error_distinct(tmp_path):
 
 
 _HOST_AND_KIND = b'{"host": {"type": "complete", "n": 6}, "kind": "decomposition", '
+# packing:8 with its one leave edge listed twice, in both orders
+_P8_LEAVE_TWICE = json.dumps(
+    {**json.loads(dumps_design(catalog_get("packing:8"))), "leave": [[2, 5], [5, 2]]}
+).encode()
 
 
 @pytest.mark.parametrize(
     "content",
     [b'{"host": "\xff"}', b"[" * 200_000]
-    + [_HOST_AND_KIND + b'"blocks": ' + blocks + b"}" for blocks in (b"5", b"null", b"true")],
-    ids=["not-utf8", "nested-too-deeply", "blocks-int", "blocks-null", "blocks-bool"],
+    + [_HOST_AND_KIND + b'"blocks": ' + blocks + b"}" for blocks in (b"5", b"null", b"true")]
+    + [_P8_LEAVE_TWICE],
+    ids=["not-utf8", "nested-too-deeply", "blocks-int", "blocks-null", "blocks-bool",
+         "leave-edge-twice"],
 )
 def test_verify_unreadable_file_is_a_usage_error(tmp_path, content):
     # exit 1 means the design failed verification, so a file that cannot be
-    # decoded or parsed, or whose blocks are not a list, must exit 2 with a
-    # message, not a traceback
+    # decoded or parsed, whose blocks are not a list, or whose leave set lists
+    # an edge twice, must exit 2 with a message, not a traceback
     path = tmp_path / "bad.json"
     path.write_bytes(content)
     proc = run_cli("verify", str(path))

@@ -2,11 +2,14 @@ from __future__ import annotations
 
 import hashlib
 from collections import Counter
+from itertools import combinations
 
 import pytest
 
 from hexprism import catalog
+from hexprism.bipartite import c6_decompose_bipartite
 from hexprism.constructions import (
+    RECIPES,
     InfeasibleOrderError,
     hexagon_plus_factor,
     join_layout,
@@ -17,6 +20,7 @@ from hexprism.constructions import (
     prism_to_two_hexagons,
 )
 from hexprism.core import (
+    CompleteBipartite,
     Hexagon,
     Kind,
     Prism,
@@ -30,8 +34,8 @@ from hexprism.feasibility import UnsupportedOrderError
 from hexprism.verifier import incidence_table, verify_design
 
 
-def _sizes(layout):
-    return [part.size for part in layout.parts]
+def _sizes(parts):
+    return [len(part) for part in parts]
 
 
 def test_layout_shapes_decomposition():
@@ -69,13 +73,14 @@ def test_layout_parts_tile_the_order():
     for n in range(6, 201):
         for kind in (Kind.DECOMPOSITION, Kind.PACKING, Kind.COVERING):
             try:
-                layout = join_layout(n, kind)
+                parts = join_layout(n, kind)
             except InfeasibleOrderError:
                 continue
             at = 0
-            for part in layout.parts:
+            for part in parts:
+                assert type(part) is range and part.step == 1
                 assert part.start == at
-                at += part.size
+                at += len(part)
             assert at == n
 
 
@@ -92,6 +97,33 @@ def test_layout_refusals_carry_report():
         join_layout(12, Kind.PACKING)
     with pytest.raises(InfeasibleOrderError):
         join_layout(13, Kind.COVERING)
+
+
+@pytest.mark.parametrize(
+    "build, n, kind",
+    [
+        (multidecompose, 601, Kind.DECOMPOSITION),
+        (max_multipack, 677, Kind.PACKING),
+        (min_multicover, 677, Kind.COVERING),
+    ],
+)
+def test_fills_match_the_per_pair_bipartite_fill(build, n, kind):
+    # the fills are the design's last blocks; the oracle builds each one on
+    # its own host from the two parts, as a cross pair of the layout
+    parts = join_layout(n, kind)
+    recipe = RECIPES[kind, n % 12]
+    consumed = set(combinations(range(len(recipe.head)), 2)) if recipe.head_entry else set()
+    if recipe.joined:
+        consumed.update((0, i) for i in range(1, len(parts)))
+    expected = []
+    for i, j in combinations(range(len(parts)), 2):
+        if len(parts[i]) == 1 or len(parts[j]) == 1 or (i, j) in consumed:
+            continue
+        host = CompleteBipartite(frozenset(parts[i]), frozenset(parts[j]))
+        expected.extend(c6_decompose_bipartite(host).blocks)
+    blocks = build(n).blocks
+    assert len(expected) > 0
+    assert blocks[len(blocks) - len(expected):] == tuple(expected)
 
 
 def test_prism_minus_matching_pinned():

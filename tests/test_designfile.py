@@ -120,3 +120,13 @@ def test_dumps_at_large_orders(build, n):
     if design.kind is Kind.COVERING:
         assert design.padding
     assert_codec_exact(design)
+
+
+@pytest.mark.parametrize("leave", [[[2, 5], [5, 2]], [[0, 1], [2, 5], [2, 5]]])
+def test_repeated_leave_edge_is_rejected(leave):
+    # a leave is a set: loading it as one would hide the repeat and let the
+    # file verify; padding, a multiset, may repeat (see SMALL_DESIGNS)
+    obj = design_to_obj(max_multipack(8))
+    obj["leave"] = leave
+    with pytest.raises(DesignFileError, match=r"leave lists edge \[2, 5\] more than once"):
+        loads_design(json.dumps(obj))
