@@ -198,8 +198,6 @@ def cmd_classify(args) -> int:
 
 def _parse_host(args):
     if args.host is None:
-        if args.n is None:
-            raise ValueError("search needs --host or --n")
         return Complete(args.n)
     tag, _, rest = args.host.partition(":")
     texts = rest.partition("x")[::2] if tag == "bipartite" else (rest,)
@@ -317,8 +315,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("search", help="exhaustive backtracking search for a decomposition")
-    p.add_argument("--n", type=int, help="shorthand for --host complete:N")
-    p.add_argument("--host", help="complete:N or bipartite:MxN")
+    hosts = p.add_mutually_exclusive_group(required=True)
+    hosts.add_argument("--n", type=int, help="shorthand for --host complete:N")
+    hosts.add_argument("--host", help="complete:N or bipartite:MxN")
     p.add_argument(
         "--blocks",
         choices=["both", "hexagon", "prism"],

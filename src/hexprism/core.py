@@ -140,25 +140,19 @@ def block_vertices(block: Block) -> tuple[int, ...]:
     return block.first + block.second
 
 
+# the edges of each shape, as position pairs in its vertex tuple
+EDGE_POSITIONS = {
+    Hexagon: ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5)),
+    Prism: ((0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)),
+}
+
+
 def block_edges(block: Block) -> frozenset[Edge]:
     """The 6 (hexagon) or 9 (prism) edges of a block."""
     vs = block_vertices(block)
     if len(set(vs)) != 6:
         raise InvalidBlockError(f"block vertices must be distinct: {block}")
-    if isinstance(block, Hexagon):
-        a, b, c, d, e, f = vs
-        return frozenset(
-            {edge(a, b), edge(b, c), edge(c, d), edge(d, e), edge(e, f), edge(a, f)}
-        )
-    a, b, c = block.first
-    d, e, f = block.second
-    return frozenset(
-        {
-            edge(a, b), edge(b, c), edge(a, c),
-            edge(d, e), edge(e, f), edge(d, f),
-            edge(a, d), edge(b, e), edge(c, f),
-        }
-    )
+    return frozenset(edge(vs[i], vs[j]) for i, j in EDGE_POSITIONS[type(block)])
 
 
 def canonical_form(block: Block) -> Block:

@@ -12,8 +12,10 @@ that completes.
 The engine state is plain ints and lists, as in a bitset exact cover
 (Knuth, Dancing Links, arXiv cs/0011047): an int mask of unmet edges and an
 int neighbour mask per vertex, over dense indices in sorted-label order, so
-walking mask bits upwards visits labels in ascending order.  In covering
-mode the candidates through each branch edge are generated once per run.
+walking mask bits upwards visits labels in ascending order.  Candidates
+are generated lazily, so a run builds only those it tries and node_budget
+bounds time as well as nodes; in covering mode the candidates through each
+branch edge are instead listed once per run and replayed.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from functools import lru_cache
 from time import perf_counter
 
 from .core import (
+    EDGE_POSITIONS,
     Block,
     Complete,
     CompleteBipartite,
@@ -125,13 +128,6 @@ def merge_stats(parts) -> SearchStats:
 # ---------------------------------------------------------------------------
 # candidate enumeration
 
-# the edges of each shape, as position pairs in its vertex tuple
-_PAIRS = {
-    Hexagon: ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5)),
-    Prism: ((0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)),
-}
-
-
 @lru_cache(maxsize=1 << 14)
 def _bits(m: int) -> tuple[int, ...]:
     """Indices of the set bits of a vertex mask, ascending."""
@@ -159,7 +155,7 @@ _ODD = (1).__and__  # d -> d & 1
 
 
 def _candidate(shape, vs, eid):
-    ids = tuple([eid[vs[i]][vs[j]] for i, j in _PAIRS[shape]])
+    ids = tuple([eid[vs[i]][vs[j]] for i, j in EDGE_POSITIONS[shape]])
     return shape, vs, ids, sum(map(_BIT, ids))
 
 
@@ -168,9 +164,11 @@ def _block(shape, vs, labels) -> Block:
     return Hexagon(vs) if shape is Hexagon else Prism(vs[:3], vs[3:])
 
 
-def _through(shape, nbr: list, eid: list, u: int, v: int) -> list:
-    """Every block of the shape through edge (u, v) inside the neighbour
-    masks, exactly once, as (shape, vertex indices, edge ids, edge mask).
+def _through(shape, nbr: list, eid: list, u: int, v: int):
+    """Yield every block of the shape through edge (u, v) inside the
+    neighbour masks, exactly once, as (shape, vertex indices, edge ids, edge
+    mask).  The masks are read as the walk goes, so the caller must restore
+    any it changes before resuming.
 
     Hexagons are rooted as (u, v, a, b, c, d), which fixes an orientation.
     A prism either has (u, v) in a triangle, giving [u, v, c; d, e2, f] with
@@ -178,26 +176,24 @@ def _through(shape, nbr: list, eid: list, u: int, v: int) -> list:
     [u, b, c; v, e2, f] with b < c.  Every vertex is walked in ascending
     order, triangle prisms before rung prisms.
     """
-    out = []
     bu, bv = 1 << u, 1 << v
     if shape is Hexagon:
         for a in _bits(nbr[v] & ~bu):
             for b in _bits(nbr[a] & ~(bu | bv)):
                 for c in _bits(nbr[b] & ~(bu | bv | 1 << a)):
                     for d in _bits(nbr[c] & nbr[u] & ~(bv | 1 << a | 1 << b)):
-                        out.append(_candidate(Hexagon, (u, v, a, b, c, d), eid))
-        return out
+                        yield _candidate(Hexagon, (u, v, a, b, c, d), eid)
+        return
     for c in _bits(nbr[u] & nbr[v]):
         for d in _bits(nbr[u] & ~(bv | 1 << c)):
             for e2 in _bits(nbr[v] & nbr[d] & ~(bu | 1 << c)):
                 for f in _bits(nbr[c] & nbr[d] & nbr[e2] & ~(bu | bv)):
-                    out.append(_candidate(Prism, (u, v, c, d, e2, f), eid))
+                    yield _candidate(Prism, (u, v, c, d, e2, f), eid)
     for b in _bits(nbr[u] & ~bv):
         for c in _bits(nbr[u] & nbr[b] & ~((2 << b) - 1 | bv)):
             for e2 in _bits(nbr[v] & nbr[b] & ~(bu | 1 << c)):
                 for f in _bits(nbr[v] & nbr[c] & nbr[e2] & ~(bu | 1 << b)):
-                    out.append(_candidate(Prism, (u, b, c, v, e2, f), eid))
-    return out
+                    yield _candidate(Prism, (u, b, c, v, e2, f), eid)
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +224,9 @@ class _Engine:
     whose requirement is already met, (mask & ~avail).bit_count() of them,
     spending one unit of budget per reuse.  Candidates are then walked in
     the host's full adjacency, which never changes, so the candidates
-    through each branch edge are generated once and kept in memo.
+    through each branch edge are listed once and kept in memo.  In exact
+    mode they are yielded one at a time from the live masks, which every
+    placement restores before the walk resumes.
 
     The config's counts become one range, lo <= (hexagons, prisms) <= hi:
     a target sets hi and raises lo to itself, a disabled shape gets hi = 0,
@@ -341,22 +339,23 @@ class _Engine:
 
     def _candidates(self, u: int, v: int):
         wants = (self.hex_placed < self.hi[0], self.prism_placed < self.hi[1])
+        shapes = (Hexagon, Prism)
         if self.pad_budget:
             if (u, v) not in self.memo:
-                self.memo[u, v] = [_through(s, self.host_nbr, self.eid, u, v) for s in _PAIRS]
+                self.memo[u, v] = [list(_through(s, self.host_nbr, self.eid, u, v)) for s in shapes]
             groups = [g if w else () for g, w in zip(self.memo[u, v], wants)]
         else:
-            groups = [_through(s, self.nbr, self.eid, u, v) if w else () for s, w in zip(_PAIRS, wants)]
+            groups = [_through(s, self.nbr, self.eid, u, v) if w else () for s, w in zip(shapes, wants)]
         if wants[1] and self.prism_placed < self.lo[1]:
             # place the scarcer shape first while it is still owed
             groups.reverse()
-        out = [c for group in groups for c in group]
         if self.pad_budget:
+            out = [c for group in groups for c in group]
             met, left = ~self.avail, self.pad_budget - self.pad_used
             kept = [c for c in out if (c[3] & met).bit_count() <= left]
             self.stats.skipped_padding_budget += len(out) - len(kept)
             return kept
-        return out
+        return itertools.chain.from_iterable(groups)
 
     # -- the search proper
 

@@ -2,10 +2,9 @@
 
 The verifier shares no construction code with the rest of the package: it
 recomputes every block edge from the raw tuples and counts its uses.  A
-complete or complete bipartite host numbers its edges, and the counts sit
-in a flat list indexed by that rank; edges without a rank (an endpoint
-outside the host or not an int, or any edge of an explicit host, which may
-repeat edges) go to a small Counter.
+complete host numbers its edges, and the counts sit in a flat list indexed
+by that rank; edges without a rank (an endpoint outside the host or not an
+int, or any edge of another host) go to a Counter.
 
 On a complete host K_n, bulk passes over all blocks first test that every
 block is a plain Hexagon or Prism of 6 distinct plain ints in 0 .. n - 1.
@@ -35,7 +34,6 @@ from .core import (
     CompleteBipartite,
     Design,
     Edge,
-    Explicit,
     Hexagon,
     Kind,
     Prism,
@@ -88,6 +86,13 @@ def _host_vertex_set(host) -> set:
     return {v for e in host.edges for v in e}
 
 
+def _host_edge_pairs(host):
+    """The normalized edges of a bipartite or explicit host, with repeats."""
+    if isinstance(host, CompleteBipartite):
+        return (_norm(u, v) for u in host.left for v in host.right)
+    return (_norm(u, v) for u, v in host.edges)
+
+
 def _integral_host(host) -> bool:
     """Whether the host's order, or else each of its vertices, is a plain int."""
     if isinstance(host, Complete):
@@ -98,11 +103,12 @@ def _integral_host(host) -> bool:
 def _edge_ranks(host):
     """How a host numbers its edges: (rank, edge_at).
 
-    rank(u, v) maps an edge of a complete or complete bipartite host, its
-    endpoints in either order, to 0 .. edges - 1, and any other pair to
-    None: one whose endpoint lies outside the host or is not an int, or, on
-    a bipartite host, one within a side.  edge_at(r) is the normalized edge
-    of rank r.  An explicit host may repeat an edge, so it ranks none.
+    rank(u, v) maps an edge of a complete host, its endpoints in either
+    order, to 0 .. edges - 1, and any other pair to None: one whose endpoint
+    lies outside the host or is not an int.  edge_at(r) is the normalized
+    edge of rank r.  Other hosts rank none, so their edges count in a
+    Counter: an explicit host may repeat an edge, and the reach check has
+    bounded a bipartite host's cross pairs by the file size.
     """
     if isinstance(host, Complete):
         n = host.n
@@ -119,24 +125,6 @@ def _edge_ranks(host):
         def edge_at(r):
             v = (1 + math.isqrt(1 + 8 * r)) // 2
             return (r - before[v], v)
-
-        return rank, edge_at
-    if isinstance(host, CompleteBipartite):
-        left, right = sorted(host.left), sorted(host.right)
-        # side and offset: left index times |R|, or right index
-        place = {v: (0, i * len(right)) for i, v in enumerate(left)}
-        place.update((v, (1, j)) for j, v in enumerate(right))
-
-        def rank(u, v):
-            if type(u) is int and type(v) is int:
-                a, b = place.get(u), place.get(v)
-                if a and b and a[0] != b[0]:
-                    return a[1] + b[1]
-            return None
-
-        def edge_at(r):
-            i, j = divmod(r, len(right))
-            return _norm(left[i], right[j])
 
         return rank, edge_at
     return (lambda u, v: None), None
@@ -324,14 +312,14 @@ def verify_design(design: Design, require_both_types: bool = True) -> Verificati
     failures: list[Finding] = []
     host_vs = _host_vertex_set(design.host)
     rank, edge_at = _edge_ranks(design.host)
-    explicit = isinstance(design.host, Explicit)
+    complete = isinstance(design.host, Complete)
     # uses per host edge: by rank, and in Counters for edges without one
-    claimed = [0] * (0 if explicit else host_size)
+    claimed = [0] * (host_size if complete else 0)
     stray: Counter = Counter()
-    expected_stray = Counter(_norm(u, v) for u, v in design.host.edges) if explicit else Counter()
+    expected_stray = Counter() if complete else Counter(_host_edge_pairs(design.host))
 
     counted = None
-    if isinstance(design.host, Complete):
+    if complete:
         counted = _inline_counts(design.blocks, design.host.n, claimed)
     if counted is None:
         counted = _block_by_block(design.blocks, host_vs, rank, claimed, stray, failures)

@@ -185,6 +185,10 @@ def test_search_budget_must_be_positive(budget):
 def test_search_usage_errors():
     assert run_cli("search").returncode == 2
     assert run_cli("search", "--host", "triangle:5").returncode == 2
+    both = run_cli("search", "--n", "5", "--host", "complete:12")
+    assert both.returncode == 2
+    assert "not allowed with argument" in both.stderr
+    assert "Traceback" not in both.stderr
 
 
 @pytest.mark.parametrize("spec", ["complete:", "bipartite:4x"])

@@ -199,6 +199,21 @@ def test_budget_halts_search():
     assert outcome.design is None
 
 
+@pytest.mark.parametrize("n", [21, 33])
+def test_budget_bounds_candidate_builds(n, monkeypatch):
+    # candidates are built only as they are tried, so a budget stop comes after
+    # a handful of builds however large the host
+    from hexprism import search
+
+    build, builds = search._candidate, []
+    monkeypatch.setattr(search, "_candidate", lambda *args: builds.append(args) or build(*args))
+    outcome = search_multidecomposition(
+        Complete(n), SearchConfig(min_hexagons=1, min_prisms=1, symmetry_breaking=True,
+                                  node_budget=5))
+    assert outcome.status is Status.BUDGET
+    assert len(builds) <= 100
+
+
 def test_large_host_requires_budget():
     with pytest.raises(ValueError, match="budget"):
         search_multidecomposition(Complete(12), SearchConfig())

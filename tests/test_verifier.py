@@ -233,6 +233,20 @@ def test_bipartite_host_verification():
     assert report.valid
     assert report.hexagon_count == 4
 
+    # K_{12,18} with one block dropped and a leave edge inside the left side
+    fill = c6_decompose_bipartite(CompleteBipartite(range(12), range(12, 30)))
+    assert verify_design(fill, require_both_types=False).valid
+    dropped = fill.blocks[7]
+    broken = dataclasses.replace(fill, kind=Kind.PACKING, leave=frozenset({(1, 0)}),
+                                 blocks=fill.blocks[:7] + fill.blocks[8:])
+    report = verify_design(broken, require_both_types=False)
+    assert [(f.code, f.edges) for f in report.failures] == [
+        ("leave-outside-host", ((0, 1),)),
+        ("uncovered-edges", tuple(sorted(block_edges(dropped)))),
+        ("overcovered-edges", ((0, 1),)),
+    ]
+    assert report.hexagon_count == len(fill.blocks) - 1 == 35
+
 
 def test_multigraph_host_padding_semantics():
     # a covering of a doubled edge by reusing it is equivalent to padding
