@@ -11,7 +11,6 @@ or unparseable input, 3 search stopped by its node budget.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 
@@ -231,16 +230,15 @@ def cmd_search(args) -> int:
     except ValueError as exc:
         return _fail(str(exc), EXIT_USAGE)
     both = args.blocks == "both"
+    budget = args.budget or (DEFAULT_BUDGET if needs_budget(host) else None)
     config = SearchConfig(
         hexagons=args.blocks in ("both", "hexagon"),
         prisms=args.blocks in ("both", "prism"),
         min_hexagons=1 if both else 0,
         min_prisms=1 if both else 0,
-        node_budget=args.budget,
+        node_budget=budget,
         symmetry_breaking=True,
     )
-    if config.node_budget is None and needs_budget(host):
-        config = dataclasses.replace(config, node_budget=DEFAULT_BUDGET)
     outcome = search_multidecomposition(host, config)
     if args.format == "json":
         print(json.dumps(_outcome_obj(outcome), indent=2))

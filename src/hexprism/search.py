@@ -33,7 +33,6 @@ from .core import (
     Complete,
     CompleteBipartite,
     Design,
-    Explicit,
     Hexagon,
     Host,
     Kind,
@@ -50,7 +49,7 @@ UNBUDGETED_VERTEX_LIMIT = 10
 
 
 class MultigraphHostError(ValueError):
-    """The plain decomposition search only accepts simple hosts."""
+    """The search only accepts simple hosts."""
 
 
 class InfeasibleBoundError(ValueError):
@@ -210,15 +209,29 @@ def _degree_ok(rd: int, a_max: int, b_max: int, slack: int) -> bool:
     )
 
 
+def _simple_edges(host: Host):
+    """The host's edge multiset, or MultigraphHostError if it repeats one."""
+    multiset = host_edges(host)
+    if any(m > 1 for m in multiset.values()):
+        raise MultigraphHostError("host has repeated edges; the search needs a simple host")
+    return multiset
+
+
+def needs_budget(host: Host) -> bool:
+    """Whether a search on the host must carry a node_budget."""
+    return len(host_vertices(host)) > UNBUDGETED_VERTEX_LIMIT
+
+
 class _Engine:
-    """One backtracking run over a simple edge set, in plain ints and lists.
+    """One backtracking run, from a simple host less the leave edges to the
+    SearchOutcome for a design of the kind, in plain ints and lists.
 
     Bit i of avail is set while edge i is unmet, and nbr[v] has bit w set
     while edge vw is unmet, so the remaining degree of v is
     nbr[v].bit_count(); flips[i] holds the endpoints of edge i and their
-    bits.  pad[i] counts the reuses of edge i.  placed is a stack of
-    (candidate, newly met edge mask); Hexagon and Prism objects are built
-    only for the solution.
+    bits.  placed is a stack of (candidate, newly met edge mask), so the
+    edges a block reuses are the bits of mask ^ new; Hexagon and Prism
+    objects are built only for the solution.
 
     padding_budget > 0 switches to covering mode: blocks may reuse edges
     whose requirement is already met, (mask & ~avail).bit_count() of them,
@@ -233,30 +246,29 @@ class _Engine:
     and otherwise hi is the edge-use total, which no count can reach.
     """
 
-    def __init__(self, edges, cfg: SearchConfig, padding_budget: int = 0):
-        self.cfg = cfg
+    def __init__(self, host: Host, kind: Kind, cfg: SearchConfig, padding_budget: int = 0,
+                 leave=()):
+        self.host, self.kind, self.cfg, self.leave = host, kind, cfg, leave
         self.pad_budget = padding_budget
-        self.order = sorted(edges)
+        self.order = sorted(_simple_edges(host).keys() - leave)
         cap = len(self.order) + padding_budget
         hi = cfg.target_counts or (cap, cap)
         self.lo = tuple(map(max, (cfg.min_hexagons, cfg.min_prisms), cfg.target_counts or (0, 0)))
         self.hi = tuple(h if on else 0 for h, on in zip(hi, (cfg.hexagons, cfg.prisms)))
         self.labels, self.idx, self.nbr, self.eid = _index(self.order)
+        if cfg.node_budget is None and len(self.labels) > UNBUDGETED_VERTEX_LIMIT:
+            raise ValueError("an explicit node_budget is required for hosts on more than "
+                             f"{UNBUDGETED_VERTEX_LIMIT} vertices")
         self.host_nbr = list(self.nbr)
         idx = self.idx
         self.flips = [(idx[a], 1 << idx[b], idx[b], 1 << idx[a]) for a, b in self.order]
         self.avail = (1 << len(self.order)) - 1
-        self.unmet = len(self.order)
-        self.pad = [0] * len(self.order)
         self.memo: dict = {}
-        self.hex_placed = 0
-        self.prism_placed = 0
-        self.pad_used = 0
+        self.hex_placed = self.prism_placed = self.pad_used = 0
         self.placed: list = []
         self.stats = SearchStats()
         self.exceeded = False
-        self.solution: tuple[Block, ...] | None = None
-        self.solution_padding: tuple | None = None
+        self.solution: list = []
         self._cuts: dict = {}
 
     # -- state updates
@@ -270,12 +282,8 @@ class _Engine:
         else:
             self.prism_placed += sign
         self.avail ^= new
-        self.unmet -= sign * new.bit_count()
         if new != mask:
-            for i in ids:
-                if not new >> i & 1:
-                    self.pad[i] += sign
-                    self.pad_used += sign
+            self.pad_used += sign * (mask ^ new).bit_count()
             ids = [i for i in ids if new >> i & 1]
         nbr, flips = self.nbr, self.flips
         for i in ids:
@@ -293,16 +301,17 @@ class _Engine:
 
     # -- pruning
 
-    def _cut(self):
+    def _cut(self, unmet: int):
         """None when no (hexagons, prisms) still to be placed solves the
-        block-count equation inside the range, else the largest prism count
-        among those that do and the remaining degrees _degree_ok rejects."""
+        block-count equation for the unmet edges inside the range, else the
+        largest prism count among those that do and the remaining degrees
+        _degree_ok rejects."""
         placed = (self.hex_placed, self.prism_placed)
         lo, hi = ([b - p for b, p in zip(bounds, placed)] for bounds in (self.lo, self.hi))
         slack = self.pad_budget - self.pad_used
         pairs = [
             (a, b)
-            for total in range(self.unmet, self.unmet + slack + 1)
+            for total in range(unmet, unmet + slack + 1)
             for a, b in block_count_solutions(total, False)
             if lo[0] <= a <= hi[0] and lo[1] <= b <= hi[1]
         ]
@@ -317,9 +326,10 @@ class _Engine:
     def _prune(self, rd: list) -> bool:
         """Whether the node survives the cuts, which are cached per
         block-count state."""
-        key = (self.unmet, self.hex_placed, self.prism_placed, self.pad_used)
+        unmet = self.avail.bit_count()
+        key = (unmet, self.hex_placed, self.prism_placed, self.pad_used)
         if key not in self._cuts:
-            self._cuts[key] = self._cut()
+            self._cuts[key] = self._cut(unmet)
         cut, stats = self._cuts[key], self.stats
         if cut is None:
             stats.pruned_block_count += 1
@@ -376,7 +386,7 @@ class _Engine:
         if self.cfg.node_budget is not None and self.stats.nodes > self.cfg.node_budget:
             self.exceeded = True
             return False
-        if self.unmet == 0:
+        if not self.avail:
             return self._complete()
         rd = list(map(int.bit_count, self.nbr))
         if not self._prune(rd):
@@ -396,10 +406,7 @@ class _Engine:
         counts = (self.hex_placed, self.prism_placed)
         if not all(lo <= c <= hi for lo, c, hi in zip(self.lo, counts, self.hi)):
             return False
-        self.solution = tuple(_block(c[0], c[1], self.labels) for c, _ in self.placed)
-        self.solution_padding = tuple(
-            e for e, reuses in zip(self.order, self.pad) for _ in range(reuses)
-        )
+        self.solution = list(self.placed)
         return True
 
     def _root_block(self, host) -> Block | None:
@@ -418,36 +425,27 @@ class _Engine:
                 return Hexagon((near[0], far[0], near[1], far[1], near[2], far[2]))
         return None
 
-    def run(self, host) -> tuple[Status, tuple[Block, ...] | None, tuple]:
+    def run(self) -> SearchOutcome:
         start = perf_counter()
-        root = self._root_block(host) if self.cfg.symmetry_breaking else None
+        # a leave breaks the host's symmetry, so no root is fixed under one
+        symmetric = self.cfg.symmetry_breaking and not self.leave
+        root = self._root_block(self.host) if symmetric else None
         if root is not None:
             self.stats.nodes += 1
             self.stats.placements += 1
             vs = tuple(self.idx[x] for x in block_vertices(root))
             self._place(_candidate(type(root), vs, self.eid))
-            found = self._node(1)
-        else:
-            found = self._node(0)
+        found = self._node(len(self.placed))
         self.stats.elapsed_s = perf_counter() - start
-        if found:
-            return Status.FOUND, self.solution, self.solution_padding
-        if self.exceeded:
-            return Status.BUDGET, None, None
-        return Status.EXHAUSTED, None, None
-
-
-def needs_budget(host: Host) -> bool:
-    """Whether a search on the host must carry a node_budget."""
-    return len(host_vertices(host)) > UNBUDGETED_VERTEX_LIMIT
-
-
-def _check_budget_rule(host: Host, cfg: SearchConfig) -> None:
-    if cfg.node_budget is None and needs_budget(host):
-        raise ValueError(
-            "an explicit node_budget is required for hosts on more than "
-            f"{UNBUDGETED_VERTEX_LIMIT} vertices"
-        )
+        if not found:
+            return SearchOutcome(Status.BUDGET if self.exceeded else Status.EXHAUSTED, None,
+                                 self.stats)
+        blocks = tuple(_block(shape, vs, self.labels) for (shape, vs, _, _), _ in self.solution)
+        padding = tuple(self.order[i] for (_, _, ids, _), new in self.solution
+                        for i in ids if not new >> i & 1)
+        design = Design(host=self.host, kind=self.kind, blocks=blocks,
+                        leave=frozenset(self.leave), padding=padding)
+        return SearchOutcome(Status.FOUND, design, self.stats)
 
 
 def search_multidecomposition(host: Host, cfg: SearchConfig = SearchConfig()) -> SearchOutcome:
@@ -456,16 +454,7 @@ def search_multidecomposition(host: Host, cfg: SearchConfig = SearchConfig()) ->
     The host must be simple.  Found outcomes carry a verified-shape design;
     an exhausted outcome certifies that no design exists under the config.
     """
-    multiset = host_edges(host)
-    if any(m > 1 for m in multiset.values()):
-        raise MultigraphHostError("host has repeated edges; decomposition search needs a simple host")
-    _check_budget_rule(host, cfg)
-    engine = _Engine(multiset, cfg)
-    status, blocks, _ = engine.run(host)
-    design = None
-    if status is Status.FOUND:
-        design = Design(host=host, kind=Kind.DECOMPOSITION, blocks=blocks)
-    return SearchOutcome(status=status, design=design, stats=engine.stats)
+    return _Engine(host, Kind.DECOMPOSITION, cfg).run()
 
 
 # ---------------------------------------------------------------------------
@@ -508,8 +497,6 @@ def _leave_candidates(host: Host, bound: int):
     raw subsets.
     """
     edges = sorted(host_edges(host))
-    if bound == 0:
-        return [()]
     if isinstance(host, Complete) and bound == 1:
         return [(edges[0],)]
     if math.comb(len(edges), bound) > 200_000:
@@ -548,12 +535,9 @@ def find_extremal(
     have padding at most the bound.  Neither fixes a root block by symmetry
     breaking.
     """
-    multiset = host_edges(host)
-    if any(m > 1 for m in multiset.values()):
-        raise MultigraphHostError("extremal search needs a simple host")
+    total = len(_simple_edges(host))
     if kind not in (Kind.PACKING, Kind.COVERING):
         raise ValueError("find_extremal handles packings and coverings only")
-    total = sum(multiset.values())
     met = total - bound if kind is Kind.PACKING else total + bound
     if not block_count_solutions(met, True):
         raise InfeasibleBoundError(
@@ -562,26 +546,13 @@ def find_extremal(
         )
     cfg = SearchConfig(min_hexagons=1, min_prisms=1, node_budget=node_budget)
     if kind is Kind.COVERING:
-        _check_budget_rule(host, cfg)
-        engine = _Engine(multiset, cfg, padding_budget=bound)
-        status, blocks, padding = engine.run(host)
-        design = None
-        if status is Status.FOUND:
-            design = Design(host=host, kind=Kind.COVERING, blocks=blocks, padding=padding)
-        return SearchOutcome(status, design, engine.stats)
-
+        return _Engine(host, kind, cfg, padding_budget=bound).run()
     runs = []
     for leave in _leave_candidates(host, bound):
-        reduced = Explicit(tuple(set(multiset) - set(leave)))
-        _check_budget_rule(reduced, cfg)
-        engine = _Engine(reduced.edges, cfg)
-        status, blocks, _ = engine.run(reduced)
-        runs.append(engine.stats)
-        if status is Status.FOUND:
-            design = Design(host=host, kind=Kind.PACKING, blocks=blocks, leave=frozenset(leave))
-            return SearchOutcome(Status.FOUND, design, merge_stats(runs))
-        if status is Status.BUDGET:
-            return SearchOutcome(Status.BUDGET, None, merge_stats(runs))
+        outcome = _Engine(host, kind, cfg, leave=leave).run()
+        runs.append(outcome.stats)
+        if outcome.status is not Status.EXHAUSTED:
+            return SearchOutcome(outcome.status, outcome.design, merge_stats(runs))
     return SearchOutcome(Status.EXHAUSTED, None, merge_stats(runs))
 
 
@@ -662,11 +633,7 @@ def confirm_nonexistence(n: int) -> NonexistenceReport:
     if n not in EXCEPTIONAL_ORDERS:
         raise ValueError(f"only the exceptional orders {EXCEPTIONAL_ORDERS} are certified here")
     cases = tuple(sorted(block_count_solutions(n * (n - 1) // 2, True)))
-    analytic = {}
-    for x, y in cases:
-        reason = _analytic_case(n, x, y)
-        if reason is not None:
-            analytic[(x, y)] = reason
+    analytic = {c: r for c in cases if (r := _analytic_case(n, *c)) is not None}
 
     enumerative = {}
     stats: dict = {}
@@ -701,13 +668,12 @@ def confirm_nonexistence(n: int) -> NonexistenceReport:
                     f"{outcome.stats.nodes} nodes"
                 )
 
-    eliminated = set(analytic) | set(enumerative)
     return NonexistenceReport(
         n=n,
         cases=cases,
         analytic_eliminated=analytic,
         enumerative_eliminated=enumerative,
         stats=stats,
-        nonexistent=not witnesses and eliminated == set(cases) and set(enumerative) == set(cases),
+        nonexistent=not witnesses and set(enumerative) == set(cases),
         branches_agree=not witnesses,
     )

@@ -3,8 +3,9 @@
 The verifier shares no construction code with the rest of the package: it
 recomputes every block edge from the raw tuples and counts its uses.  A
 complete host numbers its edges, and the counts sit in a flat list indexed
-by that rank; edges without a rank (an endpoint outside the host or not an
-int, or any edge of another host) go to a Counter.
+by that rank; edges without a rank (an endpoint outside the host, or any
+edge of another host) go to a Counter, and leave or padding edges with an
+endpoint that is not an int to one of their own.
 
 On a complete host K_n, bulk passes over all blocks first test that every
 block is a plain Hexagon or Prism of 6 distinct plain ints in 0 .. n - 1.
@@ -103,9 +104,9 @@ def _integral_host(host) -> bool:
 def _edge_ranks(host):
     """How a host numbers its edges: (rank, edge_at).
 
-    rank(u, v) maps an edge of a complete host, its endpoints in either
-    order, to 0 .. edges - 1, and any other pair to None: one whose endpoint
-    lies outside the host or is not an int.  edge_at(r) is the normalized
+    rank(u, v) maps an edge of a complete host, its int endpoints in either
+    order, to 0 .. edges - 1, and any other pair of ints to None: one with
+    an endpoint outside the host.  edge_at(r) is the normalized
     edge of rank r.  Other hosts rank none, so their edges count in a
     Counter: an explicit host may repeat an edge, and the reach check has
     bounded a bipartite host's cross pairs by the file size.
@@ -115,11 +116,10 @@ def _edge_ranks(host):
         before = [v * (v - 1) // 2 for v in range(n)]  # edges (u, w) with u < w < v
 
         def rank(u, v):
-            if type(u) is int and type(v) is int:
-                if u > v:
-                    u, v = v, u
-                if 0 <= u < v < n:
-                    return before[v] + u
+            if u > v:
+                u, v = v, u
+            if 0 <= u < v < n:
+                return before[v] + u
             return None
 
         def edge_at(r):
@@ -265,12 +265,12 @@ def _rejected(design: Design, finding: Finding) -> VerificationReport:
     return VerificationReport(False, (finding,), 0, 0, design.leave, design.padding, {})
 
 
-def _differences(claimed, expected, edge_at, stray, expected_stray):
+def _differences(claimed, expected, edge_at, *counters):
     """(uncovered, extra): sorted edge tuples listing each edge once per use
     that the claimed counts miss, or exceed, against the expected ones.
 
     The lists are compared a slice at a time, and only the slices that
-    differ are walked rank by rank.
+    differ are walked rank by rank, then each (claimed, expected) Counter pair.
     """
     uncovered: list = []
     extra: list = []
@@ -281,10 +281,11 @@ def _differences(claimed, expected, edge_at, stray, expected_stray):
         for r, c, x in zip(range(lo, lo + _SLICE), got, want):
             if c != x:
                 (uncovered if c < x else extra).extend([edge_at(r)] * abs(x - c))
-    for e in stray.keys() | expected_stray.keys():
-        c, x = stray[e], expected_stray[e]
-        if c != x:
-            (uncovered if c < x else extra).extend([e] * abs(x - c))
+    for got, want in counters:
+        for e in got.keys() | want.keys():
+            c, x = got[e], want[e]
+            if c != x:
+                (uncovered if c < x else extra).extend([e] * abs(x - c))
     return tuple(sorted(uncovered)), tuple(sorted(extra))
 
 
@@ -326,7 +327,7 @@ def verify_design(design: Design, require_both_types: bool = True) -> Verificati
     hexagons, prisms, hexagon_uses, prism_uses = counted
 
     leave = [_norm(u, v) for u, v in design.leave]
-    padding = Counter(_norm(u, v) for u, v in design.padding)
+    padding = [_norm(u, v) for u, v in design.padding]
 
     if design.kind is not Kind.PACKING and design.leave:
         failures.append(
@@ -345,7 +346,17 @@ def verify_design(design: Design, require_both_types: bool = True) -> Verificati
                 edges=tuple(design.padding),
             )
         )
-        padding = Counter()
+        padding = []
+
+    # an endpoint that is not an int lies outside every host, but 1.0 or True
+    # would count as the int it equals, so such edges are counted apart
+    def plain(e):
+        return type(e[0]) is type(e[1]) is int
+
+    odd = Counter(e for e in leave if not plain(e))
+    odd_expected = Counter(e for e in padding if not plain(e))
+    leave = list(filter(plain, leave))
+    padding = Counter(filter(plain, padding))
 
     def uses(e):
         r = rank(*e)
@@ -363,7 +374,7 @@ def verify_design(design: Design, require_both_types: bool = True) -> Verificati
                 edges=tuple(overlap),
             )
         )
-    bad_leave = sorted(e for e in leave if not in_host(e))
+    bad_leave = sorted([*odd, *(e for e in leave if not in_host(e))])
     if bad_leave:
         failures.append(
             Finding(
@@ -372,7 +383,7 @@ def verify_design(design: Design, require_both_types: bool = True) -> Verificati
                 edges=tuple(bad_leave),
             )
         )
-    bad_padding = sorted(e for e in padding if not in_host(e))
+    bad_padding = sorted([*odd_expected, *(e for e in padding if not in_host(e))])
     if bad_padding:
         failures.append(
             Finding(
@@ -396,8 +407,9 @@ def verify_design(design: Design, require_both_types: bool = True) -> Verificati
             stray[e] += 1
         else:
             claimed[r] += 1
-    if claimed != expected or stray != expected_stray:
-        uncovered, extra = _differences(claimed, expected, edge_at, stray, expected_stray)
+    if claimed != expected or stray != expected_stray or odd != odd_expected:
+        uncovered, extra = _differences(claimed, expected, edge_at,
+                                        (stray, expected_stray), (odd, odd_expected))
         if uncovered:
             failures.append(
                 Finding(

@@ -191,12 +191,19 @@ def test_search_bipartite_host():
     assert verify_design(outcome.design, require_both_types=False).valid
 
 
-def test_budget_halts_search():
-    outcome = search_multidecomposition(
-        Complete(12), SearchConfig(symmetry_breaking=True, node_budget=2)
-    )
+@pytest.mark.parametrize(
+    "run,nodes",
+    [(lambda: search_multidecomposition(
+        Complete(12), SearchConfig(symmetry_breaking=True, node_budget=2)), 3),
+     # the budget holds per leave class, and the stats sum over the classes tried
+     (lambda: find_extremal(Complete(8), Kind.PACKING, 4, node_budget=5), 16)],
+    ids=["decomposition", "packing"],
+)
+def test_budget_halts_search(run, nodes):
+    outcome = run()
     assert outcome.status is Status.BUDGET
     assert outcome.design is None
+    assert outcome.stats.nodes == nodes
 
 
 @pytest.mark.parametrize("n", [21, 33])
@@ -214,16 +221,31 @@ def test_budget_bounds_candidate_builds(n, monkeypatch):
     assert len(builds) <= 100
 
 
-def test_large_host_requires_budget():
+@pytest.mark.parametrize(
+    "run",
+    [lambda: search_multidecomposition(Complete(12), SearchConfig()),
+     lambda: find_extremal(Complete(11), Kind.PACKING, 1),
+     lambda: find_extremal(Complete(11), Kind.COVERING, 2)],
+    ids=["decomposition", "packing", "covering"],
+)
+def test_large_host_requires_budget(run):
     with pytest.raises(ValueError, match="budget"):
-        search_multidecomposition(Complete(12), SearchConfig())
+        run()
 
 
-def test_multigraph_host_rejected():
+_MULTIGRAPH = Explicit(((0, 1), (0, 1), (1, 2)))
+
+
+@pytest.mark.parametrize(
+    "run",
+    [lambda: search_multidecomposition(_MULTIGRAPH, SearchConfig()),
+     # raised before the block-count check, which 3 edges = 6x + 9y would fail
+     lambda: find_extremal(_MULTIGRAPH, Kind.PACKING, 0)],
+    ids=["decomposition", "packing"],
+)
+def test_multigraph_host_rejected(run):
     with pytest.raises(MultigraphHostError):
-        search_multidecomposition(
-            Explicit(((0, 1), (0, 1), (1, 2))), SearchConfig()
-        )
+        run()
 
 
 def test_infeasible_edge_count_exhausts_immediately():
@@ -252,8 +274,16 @@ def test_extremal_packing_finds_k8_leave_one():
     assert outcome.status is Status.FOUND
     design = outcome.design
     assert design.kind is Kind.PACKING
-    assert len(design.leave) == 1
+    assert design.host == Complete(8)
+    assert design.leave == {(0, 1)}
     assert verify_design(design).valid
+
+
+def test_extremal_packing_tries_every_raw_leave_off_complete_hosts():
+    # C(24, 3) = 2,024 leave subsets of K_{4,6}, each cut at its root
+    outcome = find_extremal(CompleteBipartite(range(4), range(4, 10)), Kind.PACKING, 3)
+    assert outcome.status is Status.EXHAUSTED
+    assert (outcome.stats.nodes, outcome.stats.placements) == (2024, 0)
 
 
 def test_extremal_covering_finds_k8_padding_two():

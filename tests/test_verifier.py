@@ -306,6 +306,37 @@ def test_non_integer_padding_edge_is_outside_the_host():
     ]
 
 
+def _explicit_k6():
+    k6 = catalog_get("decomposition:6")
+    return dataclasses.replace(k6, host=Explicit(tuple(itertools.combinations(range(6), 2))))
+
+
+@pytest.mark.parametrize(
+    "base",
+    [lambda: catalog_get("decomposition:6"), lambda: catalog_get("bipartite:4x6"), _explicit_k6],
+    ids=["complete", "bipartite", "explicit"],
+)
+def test_float_or_bool_leave_and_padding_vertex_is_outside_every_host(base):
+    # 1.0 and True equal the int 1, yet no host has them as vertices: every
+    # host reports them as outside, never as the host edge (1, 5)
+    design = base()
+    cases = [
+        (Kind.PACKING, {"leave": frozenset({(1.0, 5)})},
+         [("leave-outside-host", "leave edges not in the host: [(1.0, 5)]"),
+          ("overcovered-edges", "1 edge uses beyond the host: ((1.0, 5),)")]),
+        (Kind.COVERING, {"padding": ((1.0, 5),)},
+         [("padding-outside-host", "padding edges not in the host: [(1.0, 5)]"),
+          ("uncovered-edges", "1 host edge uses not covered: ((1.0, 5),)")]),
+        (Kind.PACKING, {"leave": frozenset({(True, 5)})},
+         [("leave-outside-host", "leave edges not in the host: [(True, 5)]"),
+          ("overcovered-edges", "1 edge uses beyond the host: ((True, 5),)")]),
+    ]
+    for kind, change, expected in cases:
+        report = verify_design(dataclasses.replace(design, kind=kind, **change),
+                               require_both_types=False)
+        assert [(f.code, f.message) for f in report.failures] == expected
+
+
 # ---------------------------------------------------------------------------
 # seeded fuzzing: every mutation of a valid design must be flagged, and the
 # findings over the whole seeded set are pinned by one digest
