@@ -4,10 +4,11 @@ Branching rule: at each node pick the unmet edge whose endpoints have the
 least remaining degree, ties lexicographic, and branch over every block of
 the allowed shapes through that edge whose edges are still available.
 Candidate generation emits every qualifying block exactly once, so an
-exhausted run is a complete-enumeration certificate.  Runs are
-deterministic: identical inputs give identical statistics and designs, and
-the reported design is the one on the first branch, in generation order,
-that completes.
+exhausted run is a complete-enumeration certificate.  Each child is counted
+and cut before it is placed, so nodes counts every child the cuts examined,
+placed or not.  Runs are deterministic: identical inputs give identical
+statistics and designs, and the reported design is the one on the first
+branch, in generation order, that completes.
 
 The engine state is plain ints and lists, as in a bitset exact cover
 (Knuth, Dancing Links, arXiv cs/0011047): an int mask of unmet edges and an
@@ -92,10 +93,12 @@ class SearchConfig:
 
 @dataclass
 class SearchStats:
-    """pruned_* count nodes cut by the block-count equation, the odd-degree
-    bound and the per-vertex degree bound; skipped_padding_budget counts
-    covering candidates that would overspend the padding budget.  elapsed_s
-    is time in the engine, without leave-class enumeration."""
+    """nodes counts the root and every child the cuts examined, including
+    children cut before placement.  pruned_* count nodes cut by the
+    block-count equation, the odd-degree bound and the per-vertex degree
+    bound; skipped_padding_budget counts covering candidates that would
+    overspend the padding budget.  elapsed_s is time in the engine, without
+    leave-class enumeration."""
 
     nodes: int = 0
     placements: int = 0
@@ -301,49 +304,43 @@ class _Engine:
 
     # -- pruning
 
-    def _cut(self, unmet: int):
+    def _cut(self, key: tuple):
         """None when no (hexagons, prisms) still to be placed solves the
         block-count equation for the unmet edges inside the range, else the
         largest prism count among those that do and the remaining degrees
         _degree_ok rejects."""
-        placed = (self.hex_placed, self.prism_placed)
+        unmet, *placed, pad_used = key
         lo, hi = ([b - p for b, p in zip(bounds, placed)] for bounds in (self.lo, self.hi))
-        slack = self.pad_budget - self.pad_used
-        pairs = [
-            (a, b)
-            for total in range(unmet, unmet + slack + 1)
-            for a, b in block_count_solutions(total, False)
-            if lo[0] <= a <= hi[0] and lo[1] <= b <= hi[1]
-        ]
+        slack = self.pad_budget - pad_used
+        pairs = [(a, b) for total in range(unmet, unmet + slack + 1)
+                 for a, b in block_count_solutions(total, False)
+                 if lo[0] <= a <= hi[0] and lo[1] <= b <= hi[1]]
         if not pairs:
             return None
-        a_max = max(a for a, _ in pairs)
-        b_max = max(b for _, b in pairs)
+        a_max, b_max = map(max, zip(*pairs))
         return b_max, frozenset(
             d for d in range(1, len(self.labels)) if not _degree_ok(d, a_max, b_max, slack)
         )
 
-    def _prune(self, rd: list) -> bool:
-        """Whether the node survives the cuts, which are cached per
-        block-count state."""
-        unmet = self.avail.bit_count()
-        key = (unmet, self.hex_placed, self.prism_placed, self.pad_used)
+    def _reject(self, key: tuple, rd: list) -> str | None:
+        """Count and name the SearchStats counter that cuts a state with key
+        (unmet, hexagons, prisms, padding used) and remaining degrees rd, or
+        None if it survives; the cuts are cached per key."""
         if key not in self._cuts:
-            self._cuts[key] = self._cut(unmet)
-        cut, stats = self._cuts[key], self.stats
+            self._cuts[key] = self._cut(key)
+        cut = self._cuts[key]
         if cut is None:
-            stats.pruned_block_count += 1
-            return False
-        if not self.cfg.degree_prunes:
-            return True
-        b_max, bad = cut
-        if self.pad_budget == 0 and sum(map(_ODD, rd)) > 6 * b_max:
-            stats.pruned_odd_degree += 1
-            return False
-        if not bad.isdisjoint(rd):
-            stats.pruned_vertex_degree += 1
-            return False
-        return True
+            reason = "pruned_block_count"
+        elif not self.cfg.degree_prunes:
+            return None
+        elif self.pad_budget == 0 and sum(map(_ODD, rd)) > 6 * cut[0]:
+            reason = "pruned_odd_degree"
+        elif not cut[1].isdisjoint(rd):
+            reason = "pruned_vertex_degree"
+        else:
+            return None
+        setattr(self.stats, reason, getattr(self.stats, reason) + 1)
+        return reason
 
     # -- candidates
 
@@ -379,27 +376,58 @@ class _Engine:
                     best, best_key = (u, v), key
         return best
 
-    def _node(self, depth: int) -> bool:
-        self.stats.nodes += 1
-        if depth > self.stats.max_depth:
-            self.stats.max_depth = depth
-        if self.cfg.node_budget is not None and self.stats.nodes > self.cfg.node_budget:
-            self.exceeded = True
+    def _count(self, depth: int) -> bool:
+        """Count a node at the depth; False once it overruns node_budget."""
+        stats = self.stats
+        stats.nodes += 1
+        stats.max_depth = max(stats.max_depth, depth)
+        self.exceeded = self.cfg.node_budget is not None and stats.nodes > self.cfg.node_budget
+        return not self.exceeded
+
+    def _root(self) -> bool:
+        depth = len(self.placed)
+        if not self._count(depth):
             return False
         if not self.avail:
             return self._complete()
         rd = list(map(int.bit_count, self.nbr))
-        if not self._prune(rd):
-            return False
+        key = (self.avail.bit_count(), self.hex_placed, self.prism_placed, self.pad_used)
+        return not self._reject(key, rd) and self._node(depth, rd)
+
+    def _node(self, depth: int, rd: list) -> bool:
+        """Branch below a placed state that passed the cuts, with remaining
+        degrees rd; each child is counted and cut before it is placed."""
+        avail, flips, pad = self.avail, self.flips, self.pad_used
+        unmet, hexes, prisms = avail.bit_count(), self.hex_placed, self.prism_placed
         for cand in self._candidates(*self._branch_edge(rd)):
-            if self.exceeded:
-                return False
             self.stats.placements += 1
+            if not self._count(depth + 1):
+                return False
+            shape, vs, ids, mask = cand
+            new = mask & avail
+            # a child that meets the last unmet edge is checked whole, never cut
+            if new != avail:
+                child = rd.copy()
+                hexagon = shape is Hexagon
+                if new == mask:
+                    step = 2 if hexagon else 3
+                    for v in vs:
+                        child[v] -= step
+                else:
+                    for i in ids:
+                        if new >> i & 1:
+                            x, _, y, _ = flips[i]
+                            child[x] -= 1
+                            child[y] -= 1
+                key = (unmet - new.bit_count(), hexes + hexagon, prisms + (not hexagon),
+                       pad + (mask ^ new).bit_count())
+                if self._reject(key, child):
+                    continue
             self._place(cand)
-            done = self._node(depth + 1)
+            done = self._complete() if new == avail else self._node(depth + 1, child)
             self._unplace()
-            if done:
-                return True
+            if done or self.exceeded:
+                return done
         return False
 
     def _complete(self) -> bool:
@@ -435,7 +463,7 @@ class _Engine:
             self.stats.placements += 1
             vs = tuple(self.idx[x] for x in block_vertices(root))
             self._place(_candidate(type(root), vs, self.eid))
-        found = self._node(len(self.placed))
+        found = self._root()
         self.stats.elapsed_s = perf_counter() - start
         if not found:
             return SearchOutcome(Status.BUDGET if self.exceeded else Status.EXHAUSTED, None,
@@ -495,6 +523,11 @@ def _leave_candidates(host: Host, bound: int):
     symmetry; a subset is tested only against the class representatives with
     the same (degree, neighbour degrees) vertex labels.  Other hosts get the
     raw subsets.
+
+    Only subsets whose vertices are exactly 0..k-1 are tested.  If label
+    i < j is unused and j is used, swapping i and j maps every edge to an
+    earlier one, so the subset comes after its swap in combinations order
+    and is never the first of its class, which is the one kept.
     """
     edges = sorted(host_edges(host))
     if isinstance(host, Complete) and bound == 1:
@@ -508,6 +541,9 @@ def _leave_candidates(host: Host, bound: int):
     classes = []
     buckets: dict = {}
     for subset in itertools.combinations(edges, bound):
+        used = set().union(*subset)
+        if max(used, default=-1) >= len(used):
+            continue
         g: dict = {}
         for u, v in subset:
             g.setdefault(u, set()).add(v)

@@ -262,11 +262,45 @@ def test_extremal_packing_bound_rejected_arithmetically():
         find_extremal(Complete(8), Kind.PACKING, 2)
 
 
+def _counts(outcome):
+    """Status and every SearchStats field but elapsed_s."""
+    s = outcome.stats
+    return (outcome.status.value, s.nodes, s.placements, s.max_depth, s.pruned_block_count,
+            s.pruned_odd_degree, s.pruned_vertex_degree, s.skipped_padding_budget)
+
+
 def test_extremal_covering_bound_three_exhausts_on_k7():
     outcome = find_extremal(Complete(7), Kind.COVERING, 3)
-    assert outcome.status is Status.EXHAUSTED
     assert outcome.design is None
-    assert outcome.stats.nodes == 134_701
+    assert _counts(outcome) == ("exhausted", 134_701, 134_700, 3, 76_480, 0, 56_720, 315_600)
+
+
+# budget stops land mid-loop, after children were counted and cut before
+# placement, so every counter pins where the look-ahead stops
+@pytest.mark.parametrize(
+    "run,expected",
+    [(lambda: find_extremal(Complete(7), Kind.COVERING, 3, node_budget=1000),
+      ("budget", 1001, 1000, 3, 568, 0, 417, 2994)),
+     (lambda: search_multidecomposition(
+         Complete(15), SearchConfig(min_hexagons=1, min_prisms=1, symmetry_breaking=True,
+                                    node_budget=1000)),
+      ("budget", 1001, 1000, 6, 0, 0, 994, 0)),
+     (lambda: search_multidecomposition(
+         Complete(15), SearchConfig(min_hexagons=1, min_prisms=1, symmetry_breaking=True,
+                                    node_budget=5000)),
+      ("budget", 5001, 5000, 13, 0, 683, 4228, 0))],
+    ids=["k7-cover3-1000", "k15-mixed-1000", "k15-mixed-5000"],
+)
+def test_budget_stop_counts_are_pinned(run, expected):
+    assert _counts(run()) == expected
+
+
+def test_zero_bound_on_complete_host():
+    # the empty leave uses no vertices, which is the empty prefix
+    assert _leave_candidates(Complete(13), 0) == [()]
+    outcome = find_extremal(Complete(13), Kind.PACKING, 0, node_budget=100)
+    assert outcome.status is Status.BUDGET
+    assert outcome.stats.nodes == 101
 
 
 def test_extremal_packing_finds_k8_leave_one():
@@ -482,6 +516,17 @@ def test_leave_class_counts(n, bound, classes):
     assert len(reps) == classes
     assert reps == sorted(reps)
     assert all(len(set(leave)) == bound for leave in reps)
+    # every representative uses exactly the leading vertices 0..k-1
+    for leave in reps:
+        used = {x for e in leave for x in e}
+        assert used == set(range(len(used)))
+
+
+def test_leave_classes_ignore_unused_trailing_vertices():
+    # four edges touch at most eight vertices, so K9 has K8's representatives
+    reps = _leave_candidates(Complete(9), 4)
+    assert len(reps) == 11
+    assert reps == _leave_candidates(Complete(8), 4)
 
 
 @pytest.mark.parametrize("n,bound", [(7, b) for b in range(1, 7)] + [(8, b) for b in range(1, 5)])
