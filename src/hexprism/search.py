@@ -6,17 +6,19 @@ the allowed shapes through that edge whose edges are still available.
 Candidate generation emits every qualifying block exactly once, so an
 exhausted run is a complete-enumeration certificate.  Each child is counted
 and cut before it is placed, so nodes counts every child the cuts examined,
-placed or not.  Runs are deterministic: identical inputs give identical
-statistics and designs, and the reported design is the one on the first
-branch, in generation order, that completes.
+placed or not; a child is judged from its parent's state and its block's
+six vertices, as SAT propagation looks only at what an assignment changes
+(Moskewicz et al., Chaff, DAC 2001).  Runs are deterministic: identical
+inputs give identical statistics and designs, and the reported design is
+the one on the first branch, in generation order, that completes.
 
 The engine state is plain ints and lists, as in a bitset exact cover
 (Knuth, Dancing Links, arXiv cs/0011047): an int mask of unmet edges and an
 int neighbour mask per vertex, over dense indices in sorted-label order, so
-walking mask bits upwards visits labels in ascending order.  Candidates
-are generated lazily, so a run builds only those it tries and node_budget
-bounds time as well as nodes; in covering mode the candidates through each
-branch edge are instead listed once per run and replayed.
+walking mask bits upwards visits labels in ascending order.  Candidate
+vertex tuples are generated lazily and only survivors get edge ids and a
+mask, so node_budget bounds time as well as nodes; in covering mode the full
+candidates through each branch edge are instead listed once and replayed.
 """
 
 from __future__ import annotations
@@ -154,6 +156,7 @@ def _index(edges):
 
 _BIT = (1).__lshift__  # i -> 1 << i
 _ODD = (1).__and__  # d -> d & 1
+_LOSS = {Hexagon: (2,) * 6, Prism: (3,) * 6}  # degree lost per vertex to a block of unmet edges
 
 
 def _candidate(shape, vs, eid):
@@ -166,11 +169,10 @@ def _block(shape, vs, labels) -> Block:
     return Hexagon(vs) if shape is Hexagon else Prism(vs[:3], vs[3:])
 
 
-def _through(shape, nbr: list, eid: list, u: int, v: int):
-    """Yield every block of the shape through edge (u, v) inside the
-    neighbour masks, exactly once, as (shape, vertex indices, edge ids, edge
-    mask).  The masks are read as the walk goes, so the caller must restore
-    any it changes before resuming.
+def _through(shape, nbr: list, u: int, v: int):
+    """Yield the vertex indices of every block of the shape through edge
+    (u, v) inside the neighbour masks, exactly once.  The masks are read as
+    the walk goes, so the caller must restore any it changes before resuming.
 
     Hexagons are rooted as (u, v, a, b, c, d), which fixes an orientation.
     A prism either has (u, v) in a triangle, giving [u, v, c; d, e2, f] with
@@ -184,18 +186,18 @@ def _through(shape, nbr: list, eid: list, u: int, v: int):
             for b in _bits(nbr[a] & ~(bu | bv)):
                 for c in _bits(nbr[b] & ~(bu | bv | 1 << a)):
                     for d in _bits(nbr[c] & nbr[u] & ~(bv | 1 << a | 1 << b)):
-                        yield _candidate(Hexagon, (u, v, a, b, c, d), eid)
+                        yield u, v, a, b, c, d
         return
     for c in _bits(nbr[u] & nbr[v]):
         for d in _bits(nbr[u] & ~(bv | 1 << c)):
             for e2 in _bits(nbr[v] & nbr[d] & ~(bu | 1 << c)):
                 for f in _bits(nbr[c] & nbr[d] & nbr[e2] & ~(bu | bv)):
-                    yield _candidate(Prism, (u, v, c, d, e2, f), eid)
+                    yield u, v, c, d, e2, f
     for b in _bits(nbr[u] & ~bv):
         for c in _bits(nbr[u] & nbr[b] & ~((2 << b) - 1 | bv)):
             for e2 in _bits(nbr[v] & nbr[b] & ~(bu | 1 << c)):
                 for f in _bits(nbr[v] & nbr[c] & nbr[e2] & ~(bu | 1 << b)):
-                    yield _candidate(Prism, (u, b, c, v, e2, f), eid)
+                    yield u, b, c, v, e2, f
 
 
 # ---------------------------------------------------------------------------
@@ -241,8 +243,8 @@ class _Engine:
     spending one unit of budget per reuse.  Candidates are then walked in
     the host's full adjacency, which never changes, so the candidates
     through each branch edge are listed once and kept in memo.  In exact
-    mode they are yielded one at a time from the live masks, which every
-    placement restores before the walk resumes.
+    mode vertex tuples are yielded one at a time from the live masks, which
+    every placement restores, and only survivors get edge ids and a mask.
 
     The config's counts become one range, lo <= (hexagons, prisms) <= hi:
     a target sets hi and raises lo to itself, a disabled shape gets hi = 0,
@@ -259,6 +261,7 @@ class _Engine:
         self.lo = tuple(map(max, (cfg.min_hexagons, cfg.min_prisms), cfg.target_counts or (0, 0)))
         self.hi = tuple(h if on else 0 for h, on in zip(hi, (cfg.hexagons, cfg.prisms)))
         self.labels, self.idx, self.nbr, self.eid = _index(self.order)
+        self.limit = math.inf if cfg.node_budget is None else cfg.node_budget
         if cfg.node_budget is None and len(self.labels) > UNBUDGETED_VERTEX_LIMIT:
             raise ValueError("an explicit node_budget is required for hosts on more than "
                              f"{UNBUDGETED_VERTEX_LIMIT} vertices")
@@ -322,47 +325,66 @@ class _Engine:
             d for d in range(1, len(self.labels)) if not _degree_ok(d, a_max, b_max, slack)
         )
 
-    def _reject(self, key: tuple, rd: list) -> str | None:
-        """Count and name the SearchStats counter that cuts a state with key
-        (unmet, hexagons, prisms, padding used) and remaining degrees rd, or
-        None if it survives; the cuts are cached per key."""
-        if key not in self._cuts:
-            self._cuts[key] = self._cut(key)
-        cut = self._cuts[key]
+    def _verdict(self, judged: dict, key: tuple, rd: list, odd: int, vs: tuple = (),
+                 loss: tuple = (), reused: int = 0) -> str | None:
+        """Count and name the SearchStats counter that cuts a child with key
+        (unmet, hexagons, prisms, padding used), or None if it survives.
+
+        judged caches per key, once per parent, the _cut and the set at of
+        vertices whose parent degree rd[v] it rejects.  The child differs from
+        rd only at its block's vertices vs, where vs[k] loses dec[k] = loss[k]
+        newly met edges, less one per reused edge there (covering mode), and
+        rejected degrees are >= 1, so it passes exactly when at lies in vs and
+        no rd[v] - dec[v] is rejected.  odd is its odd-degree count (exact
+        mode).  The root is judged as a child without a block."""
+        hoisted = judged.get(key)
+        if hoisted is None:
+            if key not in self._cuts:
+                self._cuts[key] = self._cut(key)
+            cut = self._cuts[key]
+            judged[key] = hoisted = cut, cut and {v for v, d in enumerate(rd) if d in cut[1]}
+        cut, at = hoisted
         if cut is None:
             reason = "pruned_block_count"
         elif not self.cfg.degree_prunes:
             return None
-        elif self.pad_budget == 0 and sum(map(_ODD, rd)) > 6 * cut[0]:
+        elif self.pad_budget == 0 and odd > 6 * cut[0]:
             reason = "pruned_odd_degree"
-        elif not cut[1].isdisjoint(rd):
+        elif not at.issubset(vs):
             reason = "pruned_vertex_degree"
         else:
-            return None
+            dec = list(loss)
+            while reused:  # a reused edge was met before, so its ends keep it
+                x, _, y, _ = self.flips[reused.bit_length() - 1]
+                dec[vs.index(x)] -= 1
+                dec[vs.index(y)] -= 1
+                reused ^= 1 << reused.bit_length() - 1
+            if cut[1].isdisjoint(map(int.__sub__, map(rd.__getitem__, vs), dec)):
+                return None
+            reason = "pruned_vertex_degree"
         setattr(self.stats, reason, getattr(self.stats, reason) + 1)
         return reason
 
     # -- candidates
 
     def _candidates(self, u: int, v: int):
-        wants = (self.hex_placed < self.hi[0], self.prism_placed < self.hi[1])
-        shapes = (Hexagon, Prism)
-        if self.pad_budget:
-            if (u, v) not in self.memo:
-                self.memo[u, v] = [list(_through(s, self.host_nbr, self.eid, u, v)) for s in shapes]
-            groups = [g if w else () for g, w in zip(self.memo[u, v], wants)]
-        else:
-            groups = [_through(s, self.nbr, self.eid, u, v) if w else () for s, w in zip(shapes, wants)]
-        if wants[1] and self.prism_placed < self.lo[1]:
-            # place the scarcer shape first while it is still owed
-            groups.reverse()
-        if self.pad_budget:
-            out = [c for group in groups for c in group]
-            met, left = ~self.avail, self.pad_budget - self.pad_used
-            kept = [c for c in out if (c[3] & met).bit_count() <= left]
-            self.stats.skipped_padding_budget += len(out) - len(kept)
-            return kept
-        return itertools.chain.from_iterable(groups)
+        shapes = [s for s, w in ((Hexagon, self.hex_placed < self.hi[0]),
+                                 (Prism, self.prism_placed < self.hi[1])) if w]
+        if Prism in shapes and self.prism_placed < self.lo[1]:
+            shapes.reverse()  # place the scarcer shape first while it is still owed
+        if not self.pad_budget:
+            none = itertools.repeat(None)
+            return itertools.chain.from_iterable(
+                zip(itertools.repeat(s), _through(s, self.nbr, u, v), none, none) for s in shapes)
+        for s in shapes:
+            if (s, u, v) not in self.memo:
+                self.memo[s, u, v] = [_candidate(s, vs, self.eid)
+                                      for vs in _through(s, self.host_nbr, u, v)]
+        out = [c for s in shapes for c in self.memo[s, u, v]]
+        met, left = ~self.avail, self.pad_budget - self.pad_used
+        kept = [c for c in out if (c[3] & met).bit_count() <= left]
+        self.stats.skipped_padding_budget += len(out) - len(kept)
+        return kept
 
     # -- the search proper
 
@@ -376,55 +398,48 @@ class _Engine:
                     best, best_key = (u, v), key
         return best
 
-    def _count(self, depth: int) -> bool:
-        """Count a node at the depth; False once it overruns node_budget."""
-        stats = self.stats
+    def _root(self) -> bool:
+        """Count the state the run starts from and judge it before branching."""
+        stats, depth = self.stats, len(self.placed)
         stats.nodes += 1
         stats.max_depth = max(stats.max_depth, depth)
-        self.exceeded = self.cfg.node_budget is not None and stats.nodes > self.cfg.node_budget
-        return not self.exceeded
-
-    def _root(self) -> bool:
-        depth = len(self.placed)
-        if not self._count(depth):
+        self.exceeded = stats.nodes > self.limit
+        if self.exceeded:
             return False
         if not self.avail:
             return self._complete()
         rd = list(map(int.bit_count, self.nbr))
         key = (self.avail.bit_count(), self.hex_placed, self.prism_placed, self.pad_used)
-        return not self._reject(key, rd) and self._node(depth, rd)
+        return not self._verdict({}, key, rd, sum(map(_ODD, rd))) and self._node(depth)
 
-    def _node(self, depth: int, rd: list) -> bool:
-        """Branch below a placed state that passed the cuts, with remaining
-        degrees rd; each child is counted and cut before it is placed."""
-        avail, flips, pad = self.avail, self.flips, self.pad_used
-        unmet, hexes, prisms = avail.bit_count(), self.hex_placed, self.prism_placed
-        for cand in self._candidates(*self._branch_edge(rd)):
-            self.stats.placements += 1
-            if not self._count(depth + 1):
+    def _node(self, depth: int) -> bool:
+        """Count and judge each child of a placed state, then place the survivors."""
+        rd = list(map(int.bit_count, self.nbr))
+        odd = sum(map(_ODD, rd))
+        avail, hexes, prisms, pad = self.avail, self.hex_placed, self.prism_placed, self.pad_used
+        unmet, stats, limit, judged = avail.bit_count(), self.stats, self.limit, {}
+        depth += 1
+        for shape, vs, ids, mask in self._candidates(*self._branch_edge(rd)):
+            stats.placements += 1
+            stats.nodes += 1
+            if depth > stats.max_depth:
+                stats.max_depth = depth
+            if stats.nodes > limit:
+                self.exceeded = True
                 return False
-            shape, vs, ids, mask = cand
-            new = mask & avail
+            hexagon = shape is Hexagon
+            size = 6 if hexagon else 9
+            reused = mask & ~avail if ids else 0  # only covering mode reuses met edges
+            met, child_odd = size - reused.bit_count(), odd
+            if not (hexagon or ids):  # each vertex of an exact-mode prism flips parity
+                child_odd += 6 - 2 * sum(map(_ODD, map(rd.__getitem__, vs)))
             # a child that meets the last unmet edge is checked whole, never cut
-            if new != avail:
-                child = rd.copy()
-                hexagon = shape is Hexagon
-                if new == mask:
-                    step = 2 if hexagon else 3
-                    for v in vs:
-                        child[v] -= step
-                else:
-                    for i in ids:
-                        if new >> i & 1:
-                            x, _, y, _ = flips[i]
-                            child[x] -= 1
-                            child[y] -= 1
-                key = (unmet - new.bit_count(), hexes + hexagon, prisms + (not hexagon),
-                       pad + (mask ^ new).bit_count())
-                if self._reject(key, child):
+            if met != unmet:
+                key = (unmet - met, hexes + hexagon, prisms + (not hexagon), pad + size - met)
+                if self._verdict(judged, key, rd, child_odd, vs, _LOSS[shape], reused):
                     continue
-            self._place(cand)
-            done = self._complete() if new == avail else self._node(depth + 1, child)
+            self._place((shape, vs, ids, mask) if ids else _candidate(shape, vs, self.eid))
+            done = self._complete() if met == unmet else self._node(depth)
             self._unplace()
             if done or self.exceeded:
                 return done

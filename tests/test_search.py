@@ -10,6 +10,7 @@ import pytest
 from hexprism.bases import load_base
 from hexprism.catalog import get as catalog_get
 from hexprism.core import (
+    EDGE_POSITIONS,
     Complete,
     CompleteBipartite,
     Explicit,
@@ -48,9 +49,8 @@ def _blocks_through(shape, adj, e):
     """The engine's candidates of the shape through edge e of the adjacency,
     in generation order, as blocks on the adjacency's own labels."""
     edges = sorted({(x, y) for x in adj for y in adj[x] if x < y})
-    labels, idx, nbr, eid = _index(edges)
-    found = _through(shape, nbr, eid, idx[e[0]], idx[e[1]])
-    return [_block(shape, vs, labels) for _, vs, _, _ in found]
+    labels, idx, nbr, _ = _index(edges)
+    return [_block(shape, vs, labels) for vs in _through(shape, nbr, idx[e[0]], idx[e[1]])]
 
 
 def test_hexagons_through_complete_host():
@@ -208,17 +208,23 @@ def test_budget_halts_search(run, nodes):
 
 @pytest.mark.parametrize("n", [21, 33])
 def test_budget_bounds_candidate_builds(n, monkeypatch):
-    # candidates are built only as they are tried, so a budget stop comes after
-    # a handful of builds however large the host
+    # candidates are walked only as they are tried, so a budget stop comes
+    # after a handful of them however large the host
     from hexprism import search
 
-    build, builds = search._candidate, []
-    monkeypatch.setattr(search, "_candidate", lambda *args: builds.append(args) or build(*args))
+    walk, walked = search._through, []
+
+    def counting(*args):
+        for candidate in walk(*args):
+            walked.append(candidate)
+            yield candidate
+
+    monkeypatch.setattr(search, "_through", counting)
     outcome = search_multidecomposition(
         Complete(n), SearchConfig(min_hexagons=1, min_prisms=1, symmetry_breaking=True,
                                   node_budget=5))
     assert outcome.status is Status.BUDGET
-    assert len(builds) <= 100
+    assert len(walked) <= 100
 
 
 @pytest.mark.parametrize(
@@ -333,65 +339,131 @@ _MIXED = SearchConfig(min_hexagons=1, min_prisms=1, symmetry_breaking=True)
 _BIPARTITE_6X6 = CompleteBipartite(frozenset(range(6)), frozenset(range(6, 12)))
 
 
-# status, nodes, placements, max_depth and the sha256 of dumps_design of the
-# found design, as the dict-of-sets engine reported them
+# every _counts field, then the sha256 of dumps_design of the found design;
+# status, nodes, placements and max_depth are as the dict-of-sets engine
+# reported them
 @pytest.mark.parametrize(
     "run,expected",
     [
         pytest.param(
             lambda: search_multidecomposition(
+                Complete(15), SearchConfig(min_hexagons=1, min_prisms=1, symmetry_breaking=True,
+                                           node_budget=1_000_000)),
+            ("found", 133_090, 133_089, 15, 0, 42_606, 83_547, 0,
+             "5a9211391a7f9178b1e6b94504122d3517975f978e889d7f3be7503e08d5f542"),
+            id="k15-mixed-find"),
+        pytest.param(
+            lambda: search_multidecomposition(
                 Complete(12), SearchConfig(min_hexagons=1, min_prisms=1, symmetry_breaking=True,
                                            node_budget=200_000)),
-            ("found", 26, 25, 10, "36e7a525dd7014ff5c68ec6bcb1e362e91c975f40da3614f7cc7e4be3f316e42"),
+            ("found", 26, 25, 10, 2, 0, 13, 0,
+             "36e7a525dd7014ff5c68ec6bcb1e362e91c975f40da3614f7cc7e4be3f316e42"),
             id="k12-mixed-find"),
         pytest.param(
             lambda: search_multidecomposition(Complete(9), _MIXED),
-            ("exhausted", 479, 478, 2, None),
+            ("exhausted", 479, 478, 2, 0, 0, 477, 0, None),
             id="k9-mixed-exhaust"),
+        pytest.param(
+            # the engine run behind the (3, 3) case of confirm_nonexistence(10)
+            lambda: search_multidecomposition(
+                Complete(10), SearchConfig(target_counts=(3, 3), symmetry_breaking=True)),
+            ("exhausted", 11_565, 11_564, 4, 0, 0, 11_453, 0, None),
+            id="k10-case33-exhaust"),
         pytest.param(
             lambda: search_multidecomposition(
                 Complete(9), SearchConfig(prisms=False, symmetry_breaking=True)),
-            ("found", 13, 12, 6, "547ffbb2070fa414014282bd6736006074f4e3b0ea4bf9eae5af11715701d9ea"),
+            ("found", 13, 12, 6, 0, 0, 6, 0,
+             "547ffbb2070fa414014282bd6736006074f4e3b0ea4bf9eae5af11715701d9ea"),
             id="k9-hex-find"),
         pytest.param(
             lambda: search_multidecomposition(
                 Complete(10), SearchConfig(hexagons=False, symmetry_breaking=True)),
-            ("found", 6, 5, 5, "ae00ea8038eb9c4982f115ac9e544151fa697fbf862bbe361c0b390bbd37aa3f"),
+            ("found", 6, 5, 5, 0, 0, 0, 0,
+             "ae00ea8038eb9c4982f115ac9e544151fa697fbf862bbe361c0b390bbd37aa3f"),
             id="k10-prism-find"),
         pytest.param(
             lambda: search_multidecomposition(
                 _BIPARTITE_6X6,
                 SearchConfig(prisms=False, symmetry_breaking=True, node_budget=50_000)),
-            ("found", 10, 9, 6, "dba1663326e1c1c7a93b48e79a6848d047738a7023b6e96ba1b9df979c393c62"),
+            ("found", 10, 9, 6, 0, 0, 3, 0,
+             "dba1663326e1c1c7a93b48e79a6848d047738a7023b6e96ba1b9df979c393c62"),
             id="b6x6-hex-find"),
         pytest.param(
             lambda: find_extremal(Complete(8), Kind.PACKING, 1),
-            ("found", 402, 401, 4, "bc8adfc7e5c36b4f5cd8e391fc0ed399b73d4f807acc71e5167daa0872c120b5"),
+            ("found", 402, 401, 4, 0, 384, 13, 0,
+             "bc8adfc7e5c36b4f5cd8e391fc0ed399b73d4f807acc71e5167daa0872c120b5"),
             id="k8-pack1-find"),
         pytest.param(
             lambda: find_extremal(Complete(8), Kind.COVERING, 2, node_budget=200_000),
-            ("found", 70, 69, 4, "2d8031363dcc7dbc2661f50e16edbf045348e20b5854968d228535ee3ef8f6de"),
+            ("found", 70, 69, 4, 5, 0, 60, 2096,
+             "2d8031363dcc7dbc2661f50e16edbf045348e20b5854968d228535ee3ef8f6de"),
             id="k8-cover2-find"),
         pytest.param(
             lambda: find_extremal(Complete(8), Kind.PACKING, 4),
-            ("exhausted", 291, 280, 1, None),
+            ("exhausted", 291, 280, 1, 0, 0, 290, 0, None),
             id="k8-pack4-exhaust"),
         pytest.param(
             # the raw placement enumeration behind confirm_nonexistence(7)
             lambda: search_multidecomposition(
                 Complete(7), SearchConfig(min_hexagons=1, min_prisms=1, degree_prunes=False)),
-            ("exhausted", 7481, 7480, 3, None),
+            ("exhausted", 7481, 7480, 3, 3200, 0, 0, 0, None),
             id="cert-n7-raw"),
     ],
 )
 def test_engine_fingerprint_is_pinned(run, expected):
     outcome = run()
-    stats = outcome.stats
     digest = None
     if outcome.design is not None:
         digest = hashlib.sha256(dumps_design(outcome.design).encode()).hexdigest()
-    assert (outcome.status.value, stats.nodes, stats.placements, stats.max_depth,
-            digest) == expected
+    assert (*_counts(outcome), digest) == expected
+
+
+@pytest.mark.parametrize(
+    "run",
+    [lambda: search_multidecomposition(Complete(9), _MIXED),
+     lambda: find_extremal(Complete(8), Kind.PACKING, 1),
+     lambda: search_multidecomposition(
+         Complete(7), SearchConfig(min_hexagons=1, min_prisms=1, degree_prunes=False)),
+     # coverings whose children reuse met edges at some block vertices
+     lambda: find_extremal(Complete(7), Kind.COVERING, 6, node_budget=50_000),
+     lambda: find_extremal(Complete(9), Kind.COVERING, 3, node_budget=5000)],
+    ids=["k9-mixed", "k8-pack1", "cert-n7-raw", "k7-cover6", "k9-cover3-5000"],
+)
+def test_child_verdict_matches_the_full_degree_check(run, monkeypatch):
+    # a child is judged from its parent's degrees and its block's vertices;
+    # the verdict, and the odd-degree count it is given in exact mode, must be
+    # those of the cuts applied to all of the child's remaining degrees
+    from hexprism import search
+
+    verdict = search._Engine._verdict
+
+    def checked(engine, hoisted, key, rd, odd, vs=(), loss=(), reused=0):
+        reason = verdict(engine, hoisted, key, rd, odd, vs, loss, reused)
+        child = list(rd)
+        if vs:
+            shape = Hexagon if loss[0] == 2 else Prism
+            for i, j in EDGE_POSITIONS[shape]:
+                if not reused >> engine.eid[vs[i]][vs[j]] & 1:
+                    child[vs[i]] -= 1
+                    child[vs[j]] -= 1
+        cut, exact, prunes = engine._cuts[key], engine.pad_budget == 0, engine.cfg.degree_prunes
+        if exact:
+            assert odd == sum(d % 2 for d in child)
+        expected = None
+        if cut is None:
+            expected = "pruned_block_count"
+        elif prunes and exact and sum(d % 2 for d in child) > 6 * cut[0]:
+            expected = "pruned_odd_degree"
+        elif prunes and not cut[1].isdisjoint(child):
+            expected = "pruned_vertex_degree"
+        assert reason == expected
+        judged.append(reason)
+        return reason
+
+    judged: list = []
+    monkeypatch.setattr(search._Engine, "_verdict", checked)
+    run()
+    assert judged
 
 
 def test_stats_count_prunes_by_reason():
