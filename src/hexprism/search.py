@@ -8,9 +8,11 @@ exhausted run is a complete-enumeration certificate.  Each child is counted
 and cut before it is placed, so nodes counts every child the cuts examined,
 placed or not; a child is judged from its parent's state and its block's
 six vertices, as SAT propagation looks only at what an assignment changes
-(Moskewicz et al., Chaff, DAC 2001).  Runs are deterministic: identical
-inputs give identical statistics and designs, and the reported design is
-the one on the first branch, in generation order, that completes.
+(Moskewicz et al., Chaff, DAC 2001), and exact-mode hexagons per node, by
+forward checking (Haralick and Elliott, Artif. Intell. 14, 1980).  Runs are
+deterministic: identical inputs give identical statistics and designs, and
+the reported design is the one on the first branch, in generation order,
+that completes.
 
 The engine state is plain ints and lists, as in a bitset exact cover
 (Knuth, Dancing Links, arXiv cs/0011047): an int mask of unmet edges and an
@@ -96,11 +98,11 @@ class SearchConfig:
 @dataclass
 class SearchStats:
     """nodes counts the root and every child the cuts examined, including
-    children cut before placement.  pruned_* count nodes cut by the
-    block-count equation, the odd-degree bound and the per-vertex degree
-    bound; skipped_padding_budget counts covering candidates that would
-    overspend the padding budget.  elapsed_s is time in the engine, without
-    leave-class enumeration."""
+    children cut before placement or, for hexagons cut per node, never
+    built.  pruned_* count nodes cut by the block-count equation, the
+    odd-degree bound and the per-vertex degree bound; skipped_padding_budget
+    counts covering candidates that would overspend the padding budget.
+    elapsed_s is time in the engine, without leave-class enumeration."""
 
     nodes: int = 0
     placements: int = 0
@@ -156,7 +158,6 @@ def _index(edges):
 
 _BIT = (1).__lshift__  # i -> 1 << i
 _ODD = (1).__and__  # d -> d & 1
-_LOSS = {Hexagon: (2,) * 6, Prism: (3,) * 6}  # degree lost per vertex to a block of unmet edges
 
 
 def _candidate(shape, vs, eid):
@@ -169,24 +170,43 @@ def _block(shape, vs, labels) -> Block:
     return Hexagon(vs) if shape is Hexagon else Prism(vs[:3], vs[3:])
 
 
+def _hexagons(nbr: list, u: int, v: int, ok: int, need: int):
+    """Walk the hexagons (u, v, a, b, c, d) through edge (u, v) inside the
+    neighbour masks, each vertex ascending, and yield (skipped, vs) for each
+    whose vertices lie in the vertex mask ok and cover the mask need, then
+    (skipped, None); skipped counts, by int.bit_count, those passed over since
+    the last yield.  The caller must restore any mask it changes to resume."""
+    skipped, bu, bv, every = 0, 1 << u, 1 << v, (1 << len(nbr)) - 1
+    for a in _bits(nbr[v] & ~bu):
+        prefix = bu | bv | 1 << a
+        if (prefix | need) & ~ok or (need & ~prefix).bit_count() > 3:
+            # count per c the (b, d) with b in N(c) & x, d in N(c) & y and b != d
+            x, y = nbr[a] & ~(bu | bv), nbr[u] & ~(bv | 1 << a)
+            for nc in map(nbr.__getitem__, _bits(every & ~prefix)):
+                skipped += (nc & x).bit_count() * (nc & y).bit_count() - (nc & x & y).bit_count()
+            continue
+        for b in _bits(nbr[a] & ~(bu | bv)):
+            prefix = bu | bv | 1 << a | 1 << b
+            for c in _bits(nbr[b] & ~prefix):
+                ds, rest = nbr[c] & nbr[u] & ~prefix, need & ~(full := prefix | 1 << c)
+                keep = ds & ok & (rest or -1) if not (full & ~ok or rest & rest - 1) else 0
+                while keep:  # the survivors, ascending; ds drops each d it passes
+                    d = (keep & -keep).bit_length() - 1
+                    yield skipped + (ds & (1 << d) - 1).bit_count(), (u, v, a, b, c, d)
+                    skipped, ds, keep = 0, ds >> d + 1 << d + 1, keep & keep - 1
+                skipped += ds.bit_count()
+    yield skipped, None
+
+
 def _through(shape, nbr: list, u: int, v: int):
     """Yield the vertex indices of every block of the shape through edge
-    (u, v) inside the neighbour masks, exactly once.  The masks are read as
-    the walk goes, so the caller must restore any it changes before resuming.
-
-    Hexagons are rooted as (u, v, a, b, c, d), which fixes an orientation.
-    A prism either has (u, v) in a triangle, giving [u, v, c; d, e2, f] with
-    the rung partners in matching order, or has it as a rung, giving
-    [u, b, c; v, e2, f] with b < c.  Every vertex is walked in ascending
-    order, triangle prisms before rung prisms.
-    """
+    (u, v) inside the neighbour masks, exactly once, read as _hexagons reads
+    them: its hexagons, none excluded, or the prisms with (u, v) in a
+    triangle, [u, v, c; d, e2, f] with rung partners in matching order, then
+    as a rung, [u, b, c; v, e2, f] with b < c, each vertex ascending."""
     bu, bv = 1 << u, 1 << v
     if shape is Hexagon:
-        for a in _bits(nbr[v] & ~bu):
-            for b in _bits(nbr[a] & ~(bu | bv)):
-                for c in _bits(nbr[b] & ~(bu | bv | 1 << a)):
-                    for d in _bits(nbr[c] & nbr[u] & ~(bv | 1 << a | 1 << b)):
-                        yield u, v, a, b, c, d
+        yield from (vs for _, vs in _hexagons(nbr, u, v, -1, 0) if vs)
         return
     for c in _bits(nbr[u] & nbr[v]):
         for d in _bits(nbr[u] & ~(bv | 1 << c)):
@@ -311,38 +331,37 @@ class _Engine:
         """None when no (hexagons, prisms) still to be placed solves the
         block-count equation for the unmet edges inside the range, else the
         largest prism count among those that do and the remaining degrees
-        _degree_ok rejects."""
-        unmet, *placed, pad_used = key
-        lo, hi = ([b - p for b, p in zip(bounds, placed)] for bounds in (self.lo, self.hi))
-        slack = self.pad_budget - pad_used
-        pairs = [(a, b) for total in range(unmet, unmet + slack + 1)
-                 for a, b in block_count_solutions(total, False)
-                 if lo[0] <= a <= hi[0] and lo[1] <= b <= hi[1]]
-        if not pairs:
-            return None
-        a_max, b_max = map(max, zip(*pairs))
-        return b_max, frozenset(
-            d for d in range(1, len(self.labels)) if not _degree_ok(d, a_max, b_max, slack)
-        )
+        _degree_ok rejects; kept in _cuts per key."""
+        if key not in self._cuts:
+            unmet, *placed, pad_used = key
+            lo, hi = ([b - p for b, p in zip(bounds, placed)] for bounds in (self.lo, self.hi))
+            slack = self.pad_budget - pad_used
+            pairs = [(a, b) for total in range(unmet, unmet + slack + 1)
+                     for a, b in block_count_solutions(total, False)
+                     if lo[0] <= a <= hi[0] and lo[1] <= b <= hi[1]]
+            a_max, b_max = map(max, zip(*pairs)) if pairs else (0, 0)
+            self._cuts[key] = (b_max, frozenset(
+                d for d in range(1, len(self.labels)) if not _degree_ok(d, a_max, b_max, slack)
+            )) if pairs else None
+        return self._cuts[key]
 
     def _verdict(self, judged: dict, key: tuple, rd: list, odd: int, vs: tuple = (),
-                 loss: tuple = (), reused: int = 0) -> str | None:
+                 loss: int = 0, reused: int = 0) -> str | None:
         """Count and name the SearchStats counter that cuts a child with key
-        (unmet, hexagons, prisms, padding used), or None if it survives.
-
-        judged caches per key, once per parent, the _cut and the set at of
-        vertices whose parent degree rd[v] it rejects.  The child differs from
-        rd only at its block's vertices vs, where vs[k] loses dec[k] = loss[k]
-        newly met edges, less one per reused edge there (covering mode), and
-        rejected degrees are >= 1, so it passes exactly when at lies in vs and
-        no rd[v] - dec[v] is rejected.  odd is its odd-degree count (exact
-        mode).  The root is judged as a child without a block."""
+        (unmet, hexagons, prisms, padding used), or None if it survives: the
+        root (no block), an exact-mode prism or a covering child.  judged
+        caches per key, once per parent, the _cut and (degree prunes on) the
+        set at of vertices whose parent degree rd[v] it rejects.  The child
+        differs from rd only at its block's vertices vs, where vs[k] loses
+        dec[k] = loss newly met edges (2 a hexagon, 3 a prism), less one per
+        reused edge there (covering mode), and rejected degrees are >= 1, so
+        it passes exactly when at lies in vs and no rd[v] - dec[v] is
+        rejected.  odd is its odd-degree count (exact mode)."""
         hoisted = judged.get(key)
         if hoisted is None:
-            if key not in self._cuts:
-                self._cuts[key] = self._cut(key)
-            cut = self._cuts[key]
-            judged[key] = hoisted = cut, cut and {v for v, d in enumerate(rd) if d in cut[1]}
+            cut = self._cut(key)
+            at = cut and self.cfg.degree_prunes and {v for v, d in enumerate(rd) if d in cut[1]}
+            judged[key] = hoisted = cut, at
         cut, at = hoisted
         if cut is None:
             reason = "pruned_block_count"
@@ -353,7 +372,7 @@ class _Engine:
         elif not at.issubset(vs):
             reason = "pruned_vertex_degree"
         else:
-            dec = list(loss)
+            dec = [loss] * 6
             while reused:  # a reused edge was met before, so its ends keep it
                 x, _, y, _ = self.flips[reused.bit_length() - 1]
                 dec[vs.index(x)] -= 1
@@ -367,7 +386,32 @@ class _Engine:
 
     # -- candidates
 
-    def _candidates(self, u: int, v: int):
+    def _judged_hexagons(self, u: int, v: int, rd: list, odd: int, depth: int):
+        """Yield the exact-mode hexagon children through (u, v) that survive,
+        first counting the runs cut before them as the child loop would, up
+        to the node budget.  All share one key and odd count and lose 2 per
+        vertex: one meeting the last unmet edges survives, else, with degree
+        prunes on, one inside ok (rd[w] - 2 not rejected) covering need (_verdict's at)."""
+        unmet, ok, need, reason = self.avail.bit_count(), -1, 0, "pruned_vertex_degree"
+        cut = unmet > 6 and self._cut((unmet - 6, self.hex_placed + 1, self.prism_placed, 0))
+        if cut is None:
+            ok, reason = 0, "pruned_block_count"
+        elif cut and self.cfg.degree_prunes and odd > 6 * cut[0]:
+            ok, reason = 0, "pruned_odd_degree"
+        elif cut and self.cfg.degree_prunes:
+            ok = sum(1 << w for w, d in enumerate(rd) if d - 2 not in cut[1])
+            need = sum(1 << w for w, d in enumerate(rd) if d in cut[1])
+        for skipped, vs in _hexagons(self.nbr, u, v, ok, need):
+            counted = skipped and min(skipped, self.limit - self.stats.nodes)
+            if counted:
+                self.stats.nodes += counted
+                self.stats.placements += counted
+                self.stats.max_depth = max(self.stats.max_depth, depth)
+                setattr(self.stats, reason, getattr(self.stats, reason) + counted)
+            if vs or counted < skipped:  # the loop counts the child past the budget and stops
+                yield Hexagon, vs, None, None
+
+    def _candidates(self, u: int, v: int, rd: list, odd: int, depth: int):
         shapes = [s for s, w in ((Hexagon, self.hex_placed < self.hi[0]),
                                  (Prism, self.prism_placed < self.hi[1])) if w]
         if Prism in shapes and self.prism_placed < self.lo[1]:
@@ -375,6 +419,7 @@ class _Engine:
         if not self.pad_budget:
             none = itertools.repeat(None)
             return itertools.chain.from_iterable(
+                self._judged_hexagons(u, v, rd, odd, depth) if s is Hexagon else
                 zip(itertools.repeat(s), _through(s, self.nbr, u, v), none, none) for s in shapes)
         for s in shapes:
             if (s, u, v) not in self.memo:
@@ -414,12 +459,12 @@ class _Engine:
 
     def _node(self, depth: int) -> bool:
         """Count and judge each child of a placed state, then place the survivors."""
-        rd = list(map(int.bit_count, self.nbr))
-        odd = sum(map(_ODD, rd))
+        rd, prunes = list(map(int.bit_count, self.nbr)), self.cfg.degree_prunes
+        odd = sum(map(_ODD, rd)) if prunes else 0
         avail, hexes, prisms, pad = self.avail, self.hex_placed, self.prism_placed, self.pad_used
         unmet, stats, limit, judged = avail.bit_count(), self.stats, self.limit, {}
         depth += 1
-        for shape, vs, ids, mask in self._candidates(*self._branch_edge(rd)):
+        for shape, vs, ids, mask in self._candidates(*self._branch_edge(rd), rd, odd, depth):
             stats.placements += 1
             stats.nodes += 1
             if depth > stats.max_depth:
@@ -431,12 +476,12 @@ class _Engine:
             size = 6 if hexagon else 9
             reused = mask & ~avail if ids else 0  # only covering mode reuses met edges
             met, child_odd = size - reused.bit_count(), odd
-            if not (hexagon or ids):  # each vertex of an exact-mode prism flips parity
+            if prunes and not (hexagon or ids):  # each vertex of an exact-mode prism flips parity
                 child_odd += 6 - 2 * sum(map(_ODD, map(rd.__getitem__, vs)))
-            # a child that meets the last unmet edge is checked whole, never cut
-            if met != unmet:
+            # exact-mode hexagons come judged; a child meeting the last unmet edge is never cut
+            if met != unmet and (ids or not hexagon):
                 key = (unmet - met, hexes + hexagon, prisms + (not hexagon), pad + size - met)
-                if self._verdict(judged, key, rd, child_odd, vs, _LOSS[shape], reused):
+                if self._verdict(judged, key, rd, child_odd, vs, size // 3, reused):
                     continue
             self._place((shape, vs, ids, mask) if ids else _candidate(shape, vs, self.eid))
             done = self._complete() if met == unmet else self._node(depth)

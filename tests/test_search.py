@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import random
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -30,6 +31,7 @@ from hexprism.search import (
     Status,
     _block,
     _degree_ok,
+    _hexagons,
     _index,
     _leave_candidates,
     _through,
@@ -122,6 +124,33 @@ def test_blocks_through_match_brute_force(seed):
         ) + sorted(t for t in tuples if (t[0], t[3]) == (u, v) and t[1] < t[2])
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_hexagon_walk_matches_filtered_through(seed):
+    # on the four sparse adjacencies of test_blocks_through_match_brute_force
+    # and on K8, each edge both ways, under random vertex masks ok and need
+    # (need empty or 1-6 vertices): the walk yields, in order, the _through
+    # hexagons inside ok that cover need, each with the count of those
+    # filtered out since the previous one, and then the count of the rest
+    rng = random.Random(seed)
+    adj = _random_adjacency(rng, 8, 0.6) if seed < 4 else _complete_adjacency(8)
+    edges = sorted((u, v) for u in adj for v in adj[u] if u < v)
+    _, idx, nbr, _ = _index(edges)
+    survived = Counter()
+    for u, v in [(idx[a], idx[b]) for a, b in edges] + [(idx[b], idx[a]) for a, b in edges]:
+        every = list(_through(Hexagon, nbr, u, v))
+        for _ in range(6):
+            ok = sum(1 << w for w in range(len(nbr)) if rng.random() < 0.85)
+            need = rng.sample(range(len(nbr)), rng.choice([0, 0, 1, 2, 3, 4, 5, 6]))
+            kept = [i for i, vs in enumerate(every)
+                    if all(ok >> w & 1 for w in vs) and set(need) <= set(vs)]
+            walked = list(_hexagons(nbr, u, v, ok, sum(1 << w for w in need)))
+            assert [vs for _, vs in walked] == [every[i] for i in kept] + [None]
+            assert [skipped for skipped, _ in walked] == [
+                i - j - 1 for i, j in zip(kept + [len(every)], [-1] + kept)]
+            survived[bool(need)] += len(kept)
+    assert survived[False] and survived[True]
+
+
 def test_search_k6_matches_bundled_design():
     outcome = search_multidecomposition(
         Complete(6), SearchConfig(symmetry_breaking=True)
@@ -209,22 +238,29 @@ def test_budget_halts_search(run, nodes):
 @pytest.mark.parametrize("n", [21, 33])
 def test_budget_bounds_candidate_builds(n, monkeypatch):
     # candidates are walked only as they are tried, so a budget stop comes
-    # after a handful of them however large the host
+    # after a handful of them however large the host; an item pulled from the
+    # hexagon walk stands for its survivor and the run it passed over
     from hexprism import search
 
-    walk, walked = search._through, []
+    through, hexagons, walked = search._through, search._hexagons, [0]
 
-    def counting(*args):
-        for candidate in walk(*args):
-            walked.append(candidate)
+    def counting_through(*args):
+        for candidate in through(*args):
+            walked[0] += 1
             yield candidate
 
-    monkeypatch.setattr(search, "_through", counting)
+    def counting_hexagons(*args):
+        for skipped, vs in hexagons(*args):
+            walked[0] += skipped + (vs is not None)
+            yield skipped, vs
+
+    monkeypatch.setattr(search, "_through", counting_through)
+    monkeypatch.setattr(search, "_hexagons", counting_hexagons)
     outcome = search_multidecomposition(
         Complete(n), SearchConfig(min_hexagons=1, min_prisms=1, symmetry_breaking=True,
                                   node_budget=5))
     assert outcome.status is Status.BUDGET
-    assert len(walked) <= 100
+    assert 0 < walked[0] <= 100
 
 
 @pytest.mark.parametrize(
@@ -299,6 +335,21 @@ def test_extremal_covering_bound_three_exhausts_on_k7():
 )
 def test_budget_stop_counts_are_pinned(run, expected):
     assert _counts(run()) == expected
+
+
+def test_budget_stop_sweep_is_pinned():
+    # a budget stop can land inside a run of hexagon children counted without
+    # being built; at every budget here the counters are those of the
+    # per-child loop, hashed over all 546 runs
+    runs = [(Complete(9), _MIXED, range(1, 480)),
+            (Complete(10), SearchConfig(target_counts=(3, 3), symmetry_breaking=True),
+             range(1, 11566, 250)),
+            (Complete(15), _MIXED, range(500, 10001, 500))]
+    rows = [_counts(search_multidecomposition(host, replace(cfg, node_budget=budget)))
+            for host, cfg, budgets in runs for budget in budgets]
+    assert len(rows) == 546
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
+        "5b2fc0ed09d54a22a01f8db192b1929972f84b064f880f0e3aab4bedf2d63f51")
 
 
 def test_zero_bound_on_complete_host():
@@ -426,42 +477,75 @@ def test_engine_fingerprint_is_pinned(run, expected):
          Complete(7), SearchConfig(min_hexagons=1, min_prisms=1, degree_prunes=False)),
      # coverings whose children reuse met edges at some block vertices
      lambda: find_extremal(Complete(7), Kind.COVERING, 6, node_budget=50_000),
-     lambda: find_extremal(Complete(9), Kind.COVERING, 3, node_budget=5000)],
-    ids=["k9-mixed", "k8-pack1", "cert-n7-raw", "k7-cover6", "k9-cover3-5000"],
+     lambda: find_extremal(Complete(9), Kind.COVERING, 3, node_budget=5000),
+     # hexagon runs cut by the odd-degree bound, and a budget stop inside one
+     lambda: search_multidecomposition(Complete(13), replace(_MIXED, node_budget=3000))],
+    ids=["k9-mixed", "k8-pack1", "cert-n7-raw", "k7-cover6", "k9-cover3-5000", "k13-mixed-3000"],
 )
 def test_child_verdict_matches_the_full_degree_check(run, monkeypatch):
-    # a child is judged from its parent's degrees and its block's vertices;
-    # the verdict, and the odd-degree count it is given in exact mode, must be
-    # those of the cuts applied to all of the child's remaining degrees
+    # a child is judged from its parent's degrees and its block's vertices,
+    # one by one or, for exact-mode hexagons, per node; the verdict, and the
+    # odd-degree count it is given in exact mode with degree prunes on, must
+    # be those of the cuts applied to all of the child's remaining degrees
     from hexprism import search
 
-    verdict = search._Engine._verdict
+    verdict, judge_hexagons = search._Engine._verdict, search._Engine._judged_hexagons
+    reasons = ("pruned_block_count", "pruned_odd_degree", "pruned_vertex_degree")
 
-    def checked(engine, hoisted, key, rd, odd, vs=(), loss=(), reused=0):
+    def full_check(engine, key, child):
+        cut, exact, prunes = engine._cut(key), engine.pad_budget == 0, engine.cfg.degree_prunes
+        if cut is None:
+            return "pruned_block_count"
+        if prunes and exact and sum(d % 2 for d in child) > 6 * cut[0]:
+            return "pruned_odd_degree"
+        if prunes and not cut[1].isdisjoint(child):
+            return "pruned_vertex_degree"
+        return None
+
+    def checked(engine, hoisted, key, rd, odd, vs=(), loss=0, reused=0):
         reason = verdict(engine, hoisted, key, rd, odd, vs, loss, reused)
         child = list(rd)
         if vs:
-            shape = Hexagon if loss[0] == 2 else Prism
+            shape = Hexagon if loss == 2 else Prism
+            assert shape is Prism or engine.pad_budget
             for i, j in EDGE_POSITIONS[shape]:
                 if not reused >> engine.eid[vs[i]][vs[j]] & 1:
                     child[vs[i]] -= 1
                     child[vs[j]] -= 1
-        cut, exact, prunes = engine._cuts[key], engine.pad_budget == 0, engine.cfg.degree_prunes
-        if exact:
+        if engine.pad_budget == 0 and engine.cfg.degree_prunes:
             assert odd == sum(d % 2 for d in child)
-        expected = None
-        if cut is None:
-            expected = "pruned_block_count"
-        elif prunes and exact and sum(d % 2 for d in child) > 6 * cut[0]:
-            expected = "pruned_odd_degree"
-        elif prunes and not cut[1].isdisjoint(child):
-            expected = "pruned_vertex_degree"
-        assert reason == expected
+        assert reason == full_check(engine, key, child)
         judged.append(reason)
         return reason
 
+    def checked_hexagons(engine, u, v, rd, odd, depth):
+        # each survivor passes the full check, and each run counted before it
+        # holds the children the full check cuts, under the reasons it names
+        unmet = engine.avail.bit_count()
+        key = (unmet - 6, engine.hex_placed + 1, engine.prism_placed, 0)
+        children = [(vs, unmet != 6 and full_check(engine, key, [
+            d - 2 * (w in vs) for w, d in enumerate(rd)]))
+            for vs in _through(Hexagon, engine.nbr, u, v)]
+        walk = judge_hexagons(engine, u, v, rd, odd, depth)
+        while True:
+            before = [getattr(engine.stats, r) for r in reasons]
+            item = next(walk, None)
+            run = Counter({r: getattr(engine.stats, r) - b for r, b in zip(reasons, before)})
+            cut = [children.pop(0)[1] for _ in range(run.total())]
+            assert all(cut) and Counter(cut) == +run
+            judged.extend(cut)
+            if item is None:
+                assert not children
+                return
+            if engine.stats.nodes < engine.limit:  # else the loop only counts the item
+                vs, reason = children.pop(0)
+                assert vs == item[1] and not reason
+                judged.append(reason)
+            yield item
+
     judged: list = []
     monkeypatch.setattr(search._Engine, "_verdict", checked)
+    monkeypatch.setattr(search._Engine, "_judged_hexagons", checked_hexagons)
     run()
     assert judged
 
