@@ -11,8 +11,10 @@ first, so seed label i lands on position i of the part followed by the group.
 
 from __future__ import annotations
 
+from operator import itemgetter
+
 from .bases import load_base
-from .core import CompleteBipartite, Design, Kind, relabel_block
+from .core import CompleteBipartite, Design, Kind, _hexagon
 
 
 class InfeasibleParametersError(ValueError):
@@ -69,5 +71,6 @@ def c6_decompose_bipartite(host: CompleteBipartite) -> Design:
     for group in groups:
         for part in parts:
             seed = six if len(part) == 6 else four
-            blocks.extend(relabel_block(b, part + group) for b in seed)
+            labels = part + group  # distinct, so the verified seeds need no re-check
+            blocks.extend(_hexagon(itemgetter(*b.vertices)(labels)) for b in seed)
     return Design(host=host, kind=Kind.DECOMPOSITION, blocks=tuple(blocks))

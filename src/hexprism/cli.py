@@ -11,6 +11,7 @@ or unparseable input, 3 search stopped by its node budget.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 
@@ -31,15 +32,7 @@ from .designfile import (
     render_text,
     save_design,
 )
-from .feasibility import FeasibilityReport, UnsupportedOrderError, classify
-from .search import (
-    UNBUDGETED_VERTEX_LIMIT,
-    SearchConfig,
-    SearchOutcome,
-    Status,
-    needs_budget,
-    search_multidecomposition,
-)
+from .feasibility import UNBUDGETED_VERTEX_LIMIT, FeasibilityReport, UnsupportedOrderError, classify
 from .verifier import VerificationReport, verify_design
 
 EXIT_OK = 0
@@ -214,7 +207,7 @@ def _parse_host(args):
     raise ValueError(f"unknown host {args.host!r}; use complete:N or bipartite:MxN")
 
 
-def _outcome_obj(outcome: SearchOutcome) -> dict:
+def _outcome_obj(outcome) -> dict:
     return {
         "status": outcome.status.value,
         "nodes": outcome.stats.nodes,
@@ -224,7 +217,17 @@ def _outcome_obj(outcome: SearchOutcome) -> dict:
     }
 
 
+def search_multidecomposition(host, config):
+    """search.search_multidecomposition, imported on the first call, so that
+    only the search command loads the engine."""
+    from .search import search_multidecomposition as run
+
+    return run(host, config)
+
+
 def cmd_search(args) -> int:
+    from .search import SearchConfig, Status, needs_budget
+
     try:
         host = _parse_host(args)
     except ValueError as exc:
@@ -344,7 +347,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    # commands build acyclic tuples and JSON trees, which the cyclic collector
+    # would only rescan; in-process callers get their collector state back
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return args.func(args)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

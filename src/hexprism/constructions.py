@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import accumulate, combinations
+from operator import itemgetter
 from typing import NamedTuple
 
 from .bases import load_base
@@ -24,9 +25,10 @@ from .core import (
     Hexagon,
     Kind,
     Prism,
+    _hexagon,
+    _prism,
     canonical_form,
     edge,
-    relabel_block,
 )
 from .feasibility import FeasibilityReport, classify, has_decomposition, nonexistence_reason
 
@@ -170,8 +172,14 @@ MONOLITHIC = {
 
 def _embed(design: Design, targets) -> tuple[tuple, frozenset, tuple]:
     """Blocks, leave, and padding of a bundled design mapped onto the target
-    vertices, position by position from its 0-based labels."""
-    blocks = tuple(relabel_block(b, targets) for b in design.blocks)
+    vertices, position by position from its 0-based labels.  The design is
+    verified and the targets are distinct, so every block keeps its shape and
+    is built unchecked."""
+    blocks = tuple(
+        _hexagon(itemgetter(*b.vertices)(targets)) if type(b) is Hexagon
+        else _prism(itemgetter(*b.first)(targets), itemgetter(*b.second)(targets))
+        for b in design.blocks
+    )
     leave = frozenset(edge(targets[u], targets[v]) for u, v in design.leave)
     padding = tuple(edge(targets[u], targets[v]) for u, v in design.padding)
     return blocks, leave, padding

@@ -4,6 +4,10 @@ A block is either a hexagon (a 6-cycle) or a prism (two triangles joined by
 a perfect matching, which is the complement of a 6-cycle on the same six
 vertices).  Everything in this module is an immutable value and every
 operation is a pure function, so values can be shared freely across threads.
+
+Blocks check their shape when built, relabel_block's results included.  The
+private _hexagon and _prism skip the check, for the design-file decoder and
+the placement of verified bundled designs, which establish it in bulk.
 """
 
 from __future__ import annotations
@@ -242,9 +246,29 @@ def recognize(edges) -> Block | None:
     return None
 
 
+# looked up once, not on each of the tens of thousands of blocks of a design
+_new, _set = object.__new__, object.__setattr__
+
+
+def _hexagon(vertices: tuple) -> Hexagon:
+    """A Hexagon on a tuple of 6 vertices, built without __init__."""
+    block = _new(Hexagon)
+    _set(block, "vertices", vertices)
+    return block
+
+
+def _prism(first: tuple, second: tuple) -> Prism:
+    """A Prism on two vertex 3-tuples, built without __init__."""
+    block = _new(Prism)
+    _set(block, "first", first)
+    _set(block, "second", second)
+    return block
+
+
 def relabel_block(block: Block, mapping) -> Block:
     """The block with each vertex v replaced by mapping[v]: a dict, or a
-    sequence indexed by 0-based label that places a design by position."""
+    sequence indexed by 0-based label that places a design by position.
+    The result is checked like any new block."""
     if isinstance(block, Hexagon):
         return Hexagon(itemgetter(*block.vertices)(mapping))
     return Prism(itemgetter(*block.first)(mapping), itemgetter(*block.second)(mapping))

@@ -14,12 +14,18 @@ encoder falls back to pure Python whenever ``indent`` is set, so
 ``dumps_design`` writes this layout itself: each block is one fixed
 per-shape template filled with its six vertices, and only the small host,
 kind, leave and padding go through ``json``.
+
+Decoding checks every block in bulk passes over the whole list, then builds
+them all unchecked.  Any block list those passes do not accept goes block by
+block through _block_from_obj, which names the fault.
 """
 
 from __future__ import annotations
 
 import json
 from collections import Counter
+from itertools import chain, compress, repeat
+from operator import eq, not_
 
 from .core import (
     Block,
@@ -31,6 +37,8 @@ from .core import (
     Host,
     Kind,
     Prism,
+    _hexagon,
+    _prism,
     edge,
 )
 
@@ -106,6 +114,45 @@ def _block_from_obj(obj) -> Block:
     raise DesignFileError(f"unknown block type {kind!r}")
 
 
+def _blocks_in_bulk(objs: list) -> tuple[Block, ...] | None:
+    """The blocks of a well-formed block list, or None for _block_from_obj
+    to name the fault.
+
+    Bulk passes, each over all blocks, decide that every block is a dict
+    whose "type" is "hexagon" with a list of 6 vertices, or "prism" with a
+    list of two lists of 3, and that every vertex is a plain int.  Only then
+    are the blocks built, without a check or a call per vertex.
+    """
+    if not set(map(type, objs)) <= {dict}:
+        return None
+    # types first: a list or dict "type" would not hash
+    if not set(map(type, map(dict.get, objs, repeat("type")))) <= {str}:
+        return None
+    if not set(map(dict.get, objs, repeat("type"))) <= {"hexagon", "prism"}:
+        return None
+    # a byte per block, and cycles() rebuilt per pass: no design-long list is held
+    is_hexagon = bytes(map(eq, map(dict.get, objs, repeat("type")), repeat("hexagon")))
+
+    def cycles():
+        return map(dict.get, compress(objs, is_hexagon), repeat("vertices"))
+
+    pairs = list(map(dict.get, compress(objs, map(not_, is_hexagon)), repeat("triangles")))
+    if not (set(map(type, cycles())) | set(map(type, pairs)) <= {list}
+            and set(map(len, cycles())) <= {6} and set(map(len, pairs)) <= {2}):
+        return None
+    triangles = list(chain.from_iterable(pairs))
+    if not (set(map(type, triangles)) <= {list} and set(map(len, triangles)) <= {3}):
+        return None
+    # a bool is not an int here, as in _int
+    if not set(map(type, chain.from_iterable(chain(cycles(), triangles)))) <= {int}:
+        return None
+    hexagons = map(_hexagon, map(tuple, cycles()))
+    triples = map(tuple, triangles)
+    prisms = map(_prism, triples, triples)
+    # each block's flag picks the iterator that holds it next
+    return tuple(map(next, map((prisms, hexagons).__getitem__, is_hexagon)))
+
+
 def design_to_obj(design: Design) -> dict:
     return {
         "host": _host_to_obj(design.host),
@@ -129,7 +176,9 @@ def design_from_obj(obj) -> Design:
     host = _host_from_obj(obj["host"])
     if type(obj["blocks"]) is not list:
         raise DesignFileError("blocks must be a list")
-    blocks = tuple(_block_from_obj(b) for b in obj["blocks"])
+    blocks = _blocks_in_bulk(obj["blocks"])
+    if blocks is None:
+        blocks = tuple(_block_from_obj(b) for b in obj["blocks"])
     try:
         leave = [edge(u, v) for u, v in map(_ints, obj.get("leave", []))]
         padding = tuple((u, v) for u, v in map(_ints, obj.get("padding", [])))

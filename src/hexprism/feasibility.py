@@ -12,6 +12,9 @@ from dataclasses import dataclass
 
 EXCEPTIONAL_ORDERS = (7, 9, 10)
 
+# the most host vertices a search may run on without a node_budget
+UNBUDGETED_VERTEX_LIMIT = 10
+
 _MOD3_ANNOTATION = (
     "minimum padding is 3: every block covers a multiple of 3 edges and "
     "n(n-1)/2 is divisible by 3 here, so any padding size must be a multiple "

@@ -29,7 +29,8 @@ import itertools
 import math
 from dataclasses import dataclass, fields
 from enum import Enum
-from functools import lru_cache
+from functools import lru_cache, partial, reduce
+from operator import or_
 from time import perf_counter
 
 from .core import (
@@ -47,10 +48,7 @@ from .core import (
     host_vertices,
 )
 from .feasibility import EXCEPTIONAL_ORDERS, block_count_solutions, degree_solutions
-
-
-# the most host vertices a search may run on without a node_budget
-UNBUDGETED_VERTEX_LIMIT = 10
+from .feasibility import UNBUDGETED_VERTEX_LIMIT
 
 
 class MultigraphHostError(ValueError):
@@ -584,7 +582,8 @@ def _leave_candidates(host: Host, bound: int):
     the same (degree, neighbour degrees) vertex labels.  Other hosts get the
     raw subsets.
 
-    Only subsets whose vertices are exactly 0..k-1 are tested.  If label
+    Only subsets whose vertices are exactly 0..k-1 are tested, read off the
+    OR m of their edges' vertex bitmasks as m & (m + 1) == 0.  If label
     i < j is unused and j is used, swapping i and j maps every edge to an
     earlier one, so the subset comes after its swap in combinations order
     and is never the first of its class, which is the one kept.
@@ -600,9 +599,10 @@ def _leave_candidates(host: Host, bound: int):
         return list(itertools.combinations(edges, bound))
     classes = []
     buckets: dict = {}
-    for subset in itertools.combinations(edges, bound):
-        used = set().union(*subset)
-        if max(used, default=-1) >= len(used):
+    masks = [1 << u | 1 << v for u, v in edges]
+    unions = map(partial(reduce, or_), itertools.combinations(masks, bound), itertools.repeat(0))
+    for subset, m in zip(itertools.combinations(edges, bound), unions):
+        if m & (m + 1):
             continue
         g: dict = {}
         for u, v in subset:

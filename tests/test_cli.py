@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import json
 import subprocess
 import sys
@@ -279,3 +280,38 @@ def test_import_loads_no_numeric_or_graph_library():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_cli_import_leaves_the_search_engine_unloaded():
+    # only `hexprism search` runs the engine, so no other command loads it;
+    # the package still lists and resolves every public name
+    code = (
+        "import sys, hexprism, hexprism.cli\n"
+        "assert 'hexprism.search' not in sys.modules, 'search loaded'\n"
+        "assert set(hexprism.__all__) <= set(dir(hexprism)), 'dir'\n"
+        "assert all(getattr(hexprism, name) is not None for name in hexprism.__all__)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_commands_leave_no_cyclic_garbage_that_grows(tmp_path, capsys):
+    # main pauses the cyclic collector for the command, which is sound only
+    # while the command makes no cycles whose number grows with the design
+    found = []
+    for n in (61, 601):
+        path = tmp_path / f"k{n}.json"
+        gc.collect()
+        argv = ["construct", "--n", str(n), "--kind", "decomposition", "--output", str(path)]
+        assert cli.main(argv) == cli.EXIT_OK
+        assert cli.main(["verify", str(path)]) == cli.EXIT_OK
+        found.append(gc.collect())
+    capsys.readouterr()
+    assert found[0] == found[1] < 1000
+    assert gc.isenabled()
+    gc.disable()
+    try:
+        assert cli.main(["classify", "--n", "13"]) == cli.EXIT_OK
+        assert not gc.isenabled()
+    finally:
+        gc.enable()

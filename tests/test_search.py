@@ -352,6 +352,20 @@ def test_budget_stop_sweep_is_pinned():
         "5b2fc0ed09d54a22a01f8db192b1929972f84b064f880f0e3aab4bedf2d63f51")
 
 
+def test_covering_budget_stop_sweep_is_pinned():
+    # extremal coverings run the memoised candidate path, which budget stops
+    # cut at other points than exact mode; the counters are hashed over all
+    # 126 runs, statuses included
+    runs = [(Complete(7), 3, range(1, 3000, 61)), (Complete(8), 2, range(1, 71)),
+            (Complete(9), 3, (1000, 5000)), (Complete(10), 3, (1000, 3000)),
+            (Complete(11), 2, (1000, 3000))]
+    rows = [_counts(find_extremal(host, Kind.COVERING, bound, node_budget=budget))
+            for host, bound, budgets in runs for budget in budgets]
+    assert len(rows) == 126
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
+        "a6649ef9a4f7ff78c38670473e6510c91fc1e58a9d56fbb98e8c52c9e43442e2")
+
+
 def test_zero_bound_on_complete_host():
     # the empty leave uses no vertices, which is the empty prefix
     assert _leave_candidates(Complete(13), 0) == [()]
@@ -676,6 +690,13 @@ def test_leave_class_counts(n, bound, classes):
     for leave in reps:
         used = {x for e in leave for x in e}
         assert used == set(range(len(used)))
+
+
+def test_leave_class_lists_are_pinned():
+    # the representatives themselves, not only their number, in order
+    lists = [_leave_candidates(Complete(8), 4), _leave_candidates(Complete(7), 5)]
+    assert hashlib.sha256(repr(lists).encode()).hexdigest() == (
+        "7440ef6c803c28e1e90017198c10cc1da1ce5d0ed60c34d106840e000a90b7c0")
 
 
 def test_leave_classes_ignore_unused_trailing_vertices():
