@@ -1,10 +1,11 @@
 """Independent design checking.
 
 The verifier shares no construction code with the rest of the package: it
-recomputes every block edge from the raw tuples and counts its uses.  A
-complete host numbers its edges, and the counts sit in a flat list indexed
-by that rank; edges without a rank (an endpoint outside the host, or any
-edge of another host) go to a Counter, and leave or padding edges with an
+recomputes every block edge from the raw tuples and counts its uses.  Every
+host numbers its edges, and the counts sit in a flat list indexed by that
+rank: a complete host ranks them by arithmetic, any other host through a
+dict over its distinct edges.  Only edges outside the host have no rank;
+their uses go to a signed Counter, and leave or padding edges with an
 endpoint that is not an int to one of their own.
 
 On a complete host K_n, bulk passes over all blocks first test that every
@@ -87,13 +88,6 @@ def _host_vertex_set(host) -> set:
     return {v for e in host.edges for v in e}
 
 
-def _host_edge_pairs(host):
-    """The normalized edges of a bipartite or explicit host, with repeats."""
-    if isinstance(host, CompleteBipartite):
-        return (_norm(u, v) for u in host.left for v in host.right)
-    return (_norm(u, v) for u, v in host.edges)
-
-
 def _integral_host(host) -> bool:
     """Whether the host's order, or else each of its vertices, is a plain int."""
     if isinstance(host, Complete):
@@ -102,14 +96,14 @@ def _integral_host(host) -> bool:
 
 
 def _edge_ranks(host):
-    """How a host numbers its edges: (rank, edge_at).
+    """How a host numbers its edges: (rank, edge_at, expected).
 
-    rank(u, v) maps an edge of a complete host, its int endpoints in either
-    order, to 0 .. edges - 1, and any other pair of ints to None: one with
-    an endpoint outside the host.  edge_at(r) is the normalized
-    edge of rank r.  Other hosts rank none, so their edges count in a
-    Counter: an explicit host may repeat an edge, and the reach check has
-    bounded a bipartite host's cross pairs by the file size.
+    rank(u, v) maps a host edge, its int endpoints in either order, to
+    0 .. len(expected) - 1, and any other pair of ints to None: one that is
+    not an edge of the host.  edge_at(r) is the normalized edge of rank r,
+    and expected[r] how many times the host has it, more than once only on
+    an explicit multigraph.  A complete host ranks by arithmetic, any other
+    through a dict over its sorted distinct edges.
     """
     if isinstance(host, Complete):
         n = host.n
@@ -126,8 +120,19 @@ def _edge_ranks(host):
             v = (1 + math.isqrt(1 + 8 * r)) // 2
             return (r - before[v], v)
 
-        return rank, edge_at
-    return (lambda u, v: None), None
+        return rank, edge_at, [1] * (n * (n - 1) // 2)
+    if isinstance(host, CompleteBipartite):
+        pairs = ((u, v) for u in host.left for v in host.right)
+    else:
+        pairs = host.edges
+    multiplicity = Counter(_norm(u, v) for u, v in pairs)
+    edges = sorted(multiplicity)
+    index = {e: r for r, e in enumerate(edges)}
+
+    def rank(u, v):
+        return index.get(_norm(u, v))
+
+    return rank, edges.__getitem__, [multiplicity[e] for e in edges]
 
 
 def _block_pairs(block):
@@ -144,15 +149,21 @@ def _block_pairs(block):
 def _block_fault(block) -> tuple[str, str] | None:
     """Finding code and text for a block that cannot be checked edge by
     edge, or None for a well-formed one."""
+    # a block built without __init__ may lack its fields or their shape
     if isinstance(block, Hexagon):
-        vs = block.vertices
+        vs = getattr(block, "vertices", None)
+        shaped = type(vs) is tuple and len(vs) == 6
     elif isinstance(block, Prism):
-        vs = block.first + block.second
+        first, second = getattr(block, "first", None), getattr(block, "second", None)
+        shaped = type(first) is type(second) is tuple and len(first) == len(second) == 3
+        vs = first + second if shaped else None
     else:
+        shaped = False
+    if not shaped:
         return "bad-block", "is not a hexagon or prism"
     if not set(map(type, vs)) <= {int}:
         return "non-integer-vertex", f"has a vertex that is not an integer: {block}"
-    if len(vs) != 6 or len(set(vs)) != 6:
+    if len(set(vs)) != 6:
         return "repeated-vertex", f"does not have 6 distinct vertices: {block}"
     return None
 
@@ -203,7 +214,8 @@ def _inline_counts(blocks, n, claimed):
     """Count blocks on K_n with no call per block or edge, or return None.
 
     Bulk passes first decide that every block is a plain Hexagon or Prism
-    of 6 distinct plain ints in [0, n), so that none could yield a finding.
+    whose plain tuples hold 6 distinct plain ints in [0, n), so that none
+    could yield a finding.
     Only then are the edges added to claimed, each ranked inline as
     before[v] + u for u < v.  Any other blocks leave claimed untouched and
     return None, for the block-by-block loop to report on.  Returns what
@@ -211,10 +223,15 @@ def _inline_counts(blocks, n, claimed):
     """
     if not set(map(type, blocks)) <= {Hexagon, Prism}:
         return None
-    hexagons = [b.vertices for b in blocks if type(b) is Hexagon]
-    firsts = [b.first for b in blocks if type(b) is Prism]
-    seconds = [b.second for b in blocks if type(b) is Prism]
-    # types before anything hashes or orders a vertex; a bool is not an int
+    try:
+        hexagons = [b.vertices for b in blocks if type(b) is Hexagon]
+        firsts = [b.first for b in blocks if type(b) is Prism]
+        seconds = [b.second for b in blocks if type(b) is Prism]
+    except AttributeError:  # a block built without its fields
+        return None
+    # types before anything measures, hashes or orders; a bool is not an int
+    if not set(map(type, chain(hexagons, firsts, seconds))) <= {tuple}:
+        return None
     if not set(map(type, chain.from_iterable(chain(hexagons, firsts, seconds)))) <= {int}:
         return None
     if not (
@@ -265,12 +282,13 @@ def _rejected(design: Design, finding: Finding) -> VerificationReport:
     return VerificationReport(False, (finding,), 0, 0, design.leave, design.padding, {})
 
 
-def _differences(claimed, expected, edge_at, *counters):
+def _differences(claimed, expected, edge_at, *balances):
     """(uncovered, extra): sorted edge tuples listing each edge once per use
     that the claimed counts miss, or exceed, against the expected ones.
 
     The lists are compared a slice at a time, and only the slices that
-    differ are walked rank by rank, then each (claimed, expected) Counter pair.
+    differ are walked rank by rank, then each signed Counter, where a
+    negative count is uses missed and a positive one uses beyond.
     """
     uncovered: list = []
     extra: list = []
@@ -281,11 +299,10 @@ def _differences(claimed, expected, edge_at, *counters):
         for r, c, x in zip(range(lo, lo + _SLICE), got, want):
             if c != x:
                 (uncovered if c < x else extra).extend([edge_at(r)] * abs(x - c))
-    for got, want in counters:
-        for e in got.keys() | want.keys():
-            c, x = got[e], want[e]
-            if c != x:
-                (uncovered if c < x else extra).extend([e] * abs(x - c))
+    for balance in balances:
+        for e, c in balance.items():
+            if c:
+                (uncovered if c < 0 else extra).extend([e] * abs(c))
     return tuple(sorted(uncovered)), tuple(sorted(extra))
 
 
@@ -312,60 +329,41 @@ def verify_design(design: Design, require_both_types: bool = True) -> Verificati
         return _rejected(design, Finding("uncovered-edges", text))
     failures: list[Finding] = []
     host_vs = _host_vertex_set(design.host)
-    rank, edge_at = _edge_ranks(design.host)
-    complete = isinstance(design.host, Complete)
-    # uses per host edge: by rank, and in Counters for edges without one
-    claimed = [0] * (host_size if complete else 0)
+    rank, edge_at, expected = _edge_ranks(design.host)
+    # uses per host edge by rank, and of edges outside it in a signed Counter
+    claimed = [0] * len(expected)
     stray: Counter = Counter()
-    expected_stray = Counter() if complete else Counter(_host_edge_pairs(design.host))
 
     counted = None
-    if complete:
+    if isinstance(design.host, Complete):
         counted = _inline_counts(design.blocks, design.host.n, claimed)
     if counted is None:
         counted = _block_by_block(design.blocks, host_vs, rank, claimed, stray, failures)
     hexagons, prisms, hexagon_uses, prism_uses = counted
 
-    leave = [_norm(u, v) for u, v in design.leave]
-    padding = [_norm(u, v) for u, v in design.padding]
-
-    if design.kind is not Kind.PACKING and design.leave:
-        failures.append(
-            Finding(
-                "unexpected-leave",
-                f"{design.kind.value} must not carry a leave",
-                edges=tuple(sorted(design.leave)),
+    leave = [_norm(u, v) for u, v in design.leave] if design.kind is Kind.PACKING else []
+    padding = [_norm(u, v) for u, v in design.padding] if design.kind is Kind.COVERING else []
+    for name, kind, given in (("leave", Kind.PACKING, design.leave),
+                              ("padding", Kind.COVERING, design.padding)):
+        if design.kind is not kind and given:
+            failures.append(
+                Finding(
+                    f"unexpected-{name}",
+                    f"{design.kind.value} must not carry a {name}",
+                    edges=tuple(sorted(given)),
+                )
             )
-        )
-        leave = []
-    if design.kind is not Kind.COVERING and design.padding:
-        failures.append(
-            Finding(
-                "unexpected-padding",
-                f"{design.kind.value} must not carry a padding",
-                edges=tuple(design.padding),
-            )
-        )
-        padding = []
 
     # an endpoint that is not an int lies outside every host, but 1.0 or True
     # would count as the int it equals, so such edges are counted apart
     def plain(e):
         return type(e[0]) is type(e[1]) is int
 
-    odd = Counter(e for e in leave if not plain(e))
-    odd_expected = Counter(e for e in padding if not plain(e))
-    leave = list(filter(plain, leave))
-    padding = Counter(filter(plain, padding))
-
     def uses(e):
         r = rank(*e)
         return stray[e] if r is None else claimed[r]
 
-    def in_host(e):
-        return rank(*e) is not None or e in expected_stray
-
-    overlap = sorted(e for e in leave if uses(e) > 0)
+    overlap = sorted(e for e in leave if plain(e) and uses(e) > 0)
     if overlap:
         failures.append(
             Finding(
@@ -374,42 +372,29 @@ def verify_design(design: Design, require_both_types: bool = True) -> Verificati
                 edges=tuple(overlap),
             )
         )
-    bad_leave = sorted([*odd, *(e for e in leave if not in_host(e))])
-    if bad_leave:
-        failures.append(
-            Finding(
-                "leave-outside-host",
-                f"leave edges not in the host: {bad_leave}",
-                edges=tuple(bad_leave),
+    # the partition equation: blocks + leave - padding meet each host edge as
+    # often as the host has it; a padding edge outside the host is named once
+    odd: Counter = Counter()
+    for name, edges, sign in (("leave", leave, 1), ("padding", padding, -1)):
+        bad = sorted([*{e for e in edges if not plain(e)},
+                      *{e for e in edges if plain(e) and rank(*e) is None}])
+        if bad:
+            failures.append(
+                Finding(
+                    f"{name}-outside-host",
+                    f"{name} edges not in the host: {bad}",
+                    edges=tuple(bad),
+                )
             )
-        )
-    bad_padding = sorted([*odd_expected, *(e for e in padding if not in_host(e))])
-    if bad_padding:
-        failures.append(
-            Finding(
-                "padding-outside-host",
-                f"padding edges not in the host: {bad_padding}",
-                edges=tuple(bad_padding),
-            )
-        )
-
-    # the partition equation: blocks (+ leave) must equal host (+ padding)
-    expected = [1] * len(claimed)
-    for e, m in padding.items():
-        r = rank(*e)
-        if r is None:
-            expected_stray[e] += m
-        else:
-            expected[r] += m
-    for e in leave:
-        r = rank(*e)
-        if r is None:
-            stray[e] += 1
-        else:
-            claimed[r] += 1
-    if claimed != expected or stray != expected_stray or odd != odd_expected:
-        uncovered, extra = _differences(claimed, expected, edge_at,
-                                        (stray, expected_stray), (odd, odd_expected))
+        for e in edges:
+            if not plain(e):
+                odd[e] += sign
+            elif (r := rank(*e)) is None:
+                stray[e] += sign
+            else:
+                claimed[r] += sign
+    if claimed != expected or any(stray.values()) or any(odd.values()):
+        uncovered, extra = _differences(claimed, expected, edge_at, stray, odd)
         if uncovered:
             failures.append(
                 Finding(

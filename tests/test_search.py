@@ -713,7 +713,11 @@ def test_leave_classes_match_networkx(n, bound):
     reps: dict = {}
     for subset in itertools.combinations(sorted(host_edges(Complete(n))), bound):
         g = nx.Graph(subset)
-        bucket = reps.setdefault(tuple(sorted(d for _, d in g.degree())), [])
+        # bucketed by an isomorphism invariant finer than the degree
+        # sequence: the sorted endpoint-degree pairs of the edges
+        degree = dict(g.degree())
+        key = tuple(sorted(tuple(sorted((degree[u], degree[v]))) for u, v in subset))
+        bucket = reps.setdefault(key, [])
         if not any(nx.is_isomorphic(g, h) for h in bucket):
             bucket.append(g)
             expected.append(subset)

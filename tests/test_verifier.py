@@ -9,7 +9,7 @@ from collections import Counter
 
 import pytest
 
-from hexprism import verifier
+from hexprism import core, verifier
 from hexprism.catalog import get as catalog_get
 from hexprism.core import (
     Complete,
@@ -21,11 +21,12 @@ from hexprism.core import (
     Prism,
     block_edges,
     block_vertices,
+    host_edges,
     host_vertices,
     relabel_design,
 )
 from hexprism.designfile import loads_design
-from hexprism.verifier import incidence_table, verify_design
+from hexprism.verifier import Finding, incidence_table, verify_design
 
 
 def _codes(report):
@@ -97,6 +98,27 @@ def test_bad_block_type():
         blocks=("hexagon", Prism((0, 4, 2), (3, 1, 5))),
     )
     assert "bad-block" in _codes(verify_design(design))
+
+
+def test_malformed_block_object_is_a_bad_block_finding():
+    # blocks built without __init__ skip the shape check; each must give a
+    # finding, not an exception, whichever counting path sees it first
+    malformed = [
+        core._prism((0, 1), (2, 3, 4, 5)),
+        core._prism([0, 1, 2], (3, 4, 5)),
+        core._hexagon(5),
+        core._hexagon(None),
+        object.__new__(Prism),
+        object.__new__(Hexagon),
+    ]
+    for design in (catalog_get("decomposition:6"), catalog_get("bipartite:4x6")):
+        i = len(design.blocks)
+        for block in malformed:
+            bad = dataclasses.replace(design, blocks=design.blocks + (block,))
+            report = verify_design(bad, require_both_types=False)
+            assert report.failures == (
+                Finding("bad-block", f"block {i} is not a hexagon or prism", blocks=(i,)),
+            )
 
 
 def test_missing_shape_findings():
@@ -444,15 +466,37 @@ def test_seeded_mutations_are_all_flagged():
 
 
 # ---------------------------------------------------------------------------
-# large orders, where the verifier counts on its inline path, against a plain
-# Counter reference; malformed blocks send it down the block-by-block loop
+# large designs on every host type, counted inline on complete hosts and
+# block by block on the others, against a plain Counter reference;
+# malformed blocks send a complete host down the block-by-block loop too
 
 
-def _reference(design, complete_edges):
-    """What a Counter count says of a design on the complete host whose
-    edges are given: (valid, uncovered edge uses, overcovered edge uses,
-    hexagons, prisms, leave, padding)."""
-    host = complete_edges.copy()
+def _large_design(build):
+    """The design a parameter names: a construction at an order, the
+    bipartite fill of K_{a,b}, or an explicit multigraph made of K_n's edges
+    and those of the first 40 blocks of its decomposition, blocks repeated."""
+    from hexprism import constructions
+    from hexprism.bipartite import c6_decompose_bipartite
+
+    name, size = build.split(":")
+    if name == "c6_decompose_bipartite":
+        a, b = map(int, size.split("x"))
+        return c6_decompose_bipartite(CompleteBipartite(range(a), range(a, a + b)))
+    if name == "explicit":
+        design = constructions.multidecompose(int(size))
+        again = design.blocks[:40]
+        edges = [*itertools.combinations(range(int(size)), 2),
+                 *itertools.chain.from_iterable(map(block_edges, again))]
+        return dataclasses.replace(design, host=Explicit(tuple(edges)),
+                                   blocks=design.blocks + again)
+    return getattr(constructions, name)(int(size))
+
+
+def _reference(design, host, both):
+    """What a Counter count says of a design on a host whose edge multiset
+    is given: (valid, uncovered edge uses, overcovered edge uses, hexagons,
+    prisms, leave, padding)."""
+    host = host.copy()
     host.update(tuple(sorted(e)) for e in design.padding)
     used = Counter(tuple(sorted(e)) for e in design.leave)
     good = [b for b in design.blocks
@@ -463,7 +507,8 @@ def _reference(design, complete_edges):
     changed = {e for e, _ in host.items() ^ used.items()}
     uncovered = tuple(sorted(e for e in changed for _ in range(host[e] - used[e])))
     extra = tuple(sorted(e for e in changed for _ in range(used[e] - host[e])))
-    valid = not (malformed or uncovered or extra) and shapes[Hexagon] > 0 and shapes[Prism] > 0
+    valid = not (malformed or uncovered or extra) and (
+        not both or (shapes[Hexagon] > 0 and shapes[Prism] > 0))
     return valid, uncovered, extra, shapes[Hexagon], shapes[Prism], design.leave, design.padding
 
 
@@ -475,18 +520,21 @@ def _observed(report):
 
 def _large_mutations(design, shape):
     """(name, mutated design, whether the inline path counts it) triples;
-    the vertex mutations change the first block of the given shape."""
-    n = design.host.n
+    the vertex mutations change the first block of the given shape, and
+    only a complete host is ever counted inline."""
+    complete = isinstance(design.host, Complete)
+    host_vs = host_vertices(design.host)
     blocks = design.blocks
-    yield "valid", design, True
-    yield "drop", dataclasses.replace(design, blocks=blocks[:-1]), True
-    yield "duplicate", dataclasses.replace(design, blocks=blocks + blocks[-1:]), True
+    yield "valid", design, complete
+    yield "drop", dataclasses.replace(design, blocks=blocks[:-1]), complete
+    yield "duplicate", dataclasses.replace(design, blocks=blocks + blocks[-1:]), complete
     i = next(i for i, b in enumerate(blocks) if isinstance(b, shape))
     vs = list(block_vertices(blocks[i]))
-    others = sorted(set(range(n)) - set(vs))
-    for name, v, inline in (("retarget", others[len(others) // 2], True), ("repeat", vs[1], False),
-                            ("n", n, False), ("-1", -1, False), ("True", True, False),
-                            ("1.0", 1.0, False), ("[0]", [0], False)):
+    others = sorted(set(host_vs) - set(vs))
+    for name, v, inline in (("retarget", others[len(others) // 2], complete),
+                            ("repeat", vs[1], False), ("n", host_vs[-1] + 1, False),
+                            ("-1", -1, False), ("True", True, False), ("1.0", 1.0, False),
+                            ("[0]", [0], False)):
         moved = vs[:]
         moved[3] = v
         yield name, _replace_block(design, i, _rebuild(blocks[i], moved)), inline
@@ -494,27 +542,26 @@ def _large_mutations(design, shape):
 
 @pytest.mark.parametrize("build, shape", [
     ("multidecompose:601", Hexagon), ("max_multipack:452", Prism), ("min_multicover:455", Hexagon),
+    ("c6_decompose_bipartite:120x180", Hexagon), ("explicit:121", Prism),
 ])
 def test_large_orders_match_a_counter_reference(build, shape, monkeypatch):
-    from hexprism import constructions
-
-    name, n = build.split(":")
-    design = getattr(constructions, name)(int(n))
-    complete_edges = Counter(itertools.combinations(range(int(n)), 2))
+    design = _large_design(build)
+    host = host_edges(design.host)
+    both = {Hexagon, Prism} <= set(map(type, design.blocks))
     inline_counts = verifier._inline_counts
-    took_inline = []
+    block_by_block = verifier._block_by_block
+    looped = []
 
     def spy(*args):
-        counted = inline_counts(*args)
-        took_inline.append(counted is not None)
-        return counted
+        looped.append(True)
+        return block_by_block(*args)
 
-    monkeypatch.setattr(verifier, "_inline_counts", spy)
+    monkeypatch.setattr(verifier, "_block_by_block", spy)
     for mutation, bad, inline in _large_mutations(design, shape):
-        took_inline.clear()
-        report = verify_design(bad)
-        assert took_inline == [inline], mutation
-        assert _observed(report) == _reference(bad, complete_edges), mutation
+        looped.clear()
+        report = verify_design(bad, require_both_types=both)
+        assert looped == ([] if inline else [True]), mutation
+        assert _observed(report) == _reference(bad, host, both), mutation
         assert report.valid is (mutation == "valid"), mutation
         if mutation in ("True", "1.0", "[0]"):
             assert report.failures[0].code == "non-integer-vertex", mutation
@@ -522,4 +569,4 @@ def test_large_orders_match_a_counter_reference(build, shape, monkeypatch):
             # the block-by-block loop gives the same report, to the message
             monkeypatch.setattr(verifier, "_inline_counts", lambda *args: None)
             assert _fingerprint(verify_design(bad)) == _fingerprint(report), mutation
-            monkeypatch.setattr(verifier, "_inline_counts", spy)
+            monkeypatch.setattr(verifier, "_inline_counts", inline_counts)
