@@ -19,8 +19,8 @@ The engine state is plain ints and lists, as in a bitset exact cover
 int neighbour mask per vertex, over dense indices in sorted-label order, so
 walking mask bits upwards visits labels in ascending order.  Candidate
 vertex tuples are generated lazily and only survivors get edge ids and a
-mask, so node_budget bounds time as well as nodes; in covering mode the full
-candidates through each branch edge are instead listed once and replayed.
+mask, so node_budget bounds time as well as nodes; in covering mode the
+blocks through each branch edge are listed once and judged per node in bulk.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass, fields
 from enum import Enum
 from functools import lru_cache, partial, reduce
-from operator import or_
+from operator import and_, or_
 from time import perf_counter
 
 from .core import (
@@ -163,6 +163,15 @@ def _candidate(shape, vs, eid):
     return shape, vs, ids, sum(map(_BIT, ids))
 
 
+def _at_least(cols, top: int, most: int) -> list:
+    """levels[k]: the bits of top set in at least k of the bitsets cols."""
+    levels, down = [top] + [0] * most, range(most, 0, -1)
+    for col in cols:
+        for k in down:
+            levels[k] |= levels[k - 1] & col
+    return levels
+
+
 def _block(shape, vs, labels) -> Block:
     vs = tuple(labels[v] for v in vs)
     return Hexagon(vs) if shape is Hexagon else Prism(vs[:3], vs[3:])
@@ -258,11 +267,12 @@ class _Engine:
 
     padding_budget > 0 switches to covering mode: blocks may reuse edges
     whose requirement is already met, (mask & ~avail).bit_count() of them,
-    spending one unit of budget per reuse.  Candidates are then walked in
-    the host's full adjacency, which never changes, so the candidates
-    through each branch edge are listed once and kept in memo.  In exact
+    spending one unit of budget per reuse.  Candidates are then the blocks
+    in the host's full adjacency, which never changes, listed once per
+    branch edge in memo and judged per node by _judged_covers.  In exact
     mode vertex tuples are yielded one at a time from the live masks, which
-    every placement restores, and only survivors get edge ids and a mask.
+    every placement restores.  Either way only survivors get edge ids and a
+    mask.
 
     The config's counts become one range, lo <= (hexagons, prisms) <= hi:
     a target sets hi and raises lo to itself, a disabled shape gets hi = 0,
@@ -344,17 +354,15 @@ class _Engine:
         return self._cuts[key]
 
     def _verdict(self, judged: dict, key: tuple, rd: list, odd: int, vs: tuple = (),
-                 loss: int = 0, reused: int = 0) -> str | None:
+                 loss: int = 0) -> str | None:
         """Count and name the SearchStats counter that cuts a child with key
         (unmet, hexagons, prisms, padding used), or None if it survives: the
-        root (no block), an exact-mode prism or a covering child.  judged
-        caches per key, once per parent, the _cut and (degree prunes on) the
-        set at of vertices whose parent degree rd[v] it rejects.  The child
-        differs from rd only at its block's vertices vs, where vs[k] loses
-        dec[k] = loss newly met edges (2 a hexagon, 3 a prism), less one per
-        reused edge there (covering mode), and rejected degrees are >= 1, so
-        it passes exactly when at lies in vs and no rd[v] - dec[v] is
-        rejected.  odd is its odd-degree count (exact mode)."""
+        root (no block) or an exact-mode prism.  judged caches per key, once
+        per parent, the _cut and (degree prunes on) the set at of vertices
+        whose parent degree rd[v] it rejects.  The child differs from rd only
+        at its block's vertices vs, which each lose loss edges, and rejected
+        degrees are >= 1, so it passes exactly when at lies in vs and no
+        rd[v] - loss is rejected.  odd is its odd-degree count (exact mode)."""
         hoisted = judged.get(key)
         if hoisted is None:
             cut = self._cut(key)
@@ -367,17 +375,9 @@ class _Engine:
             return None
         elif self.pad_budget == 0 and odd > 6 * cut[0]:
             reason = "pruned_odd_degree"
-        elif not at.issubset(vs):
-            reason = "pruned_vertex_degree"
+        elif at.issubset(vs) and cut[1].isdisjoint(map(loss.__rsub__, map(rd.__getitem__, vs))):
+            return None
         else:
-            dec = [loss] * 6
-            while reused:  # a reused edge was met before, so its ends keep it
-                x, _, y, _ = self.flips[reused.bit_length() - 1]
-                dec[vs.index(x)] -= 1
-                dec[vs.index(y)] -= 1
-                reused ^= 1 << reused.bit_length() - 1
-            if cut[1].isdisjoint(map(int.__sub__, map(rd.__getitem__, vs), dec)):
-                return None
             reason = "pruned_vertex_degree"
         setattr(self.stats, reason, getattr(self.stats, reason) + 1)
         return reason
@@ -419,15 +419,66 @@ class _Engine:
             return itertools.chain.from_iterable(
                 self._judged_hexagons(u, v, rd, odd, depth) if s is Hexagon else
                 zip(itertools.repeat(s), _through(s, self.nbr, u, v), none, none) for s in shapes)
-        for s in shapes:
-            if (s, u, v) not in self.memo:
-                self.memo[s, u, v] = [_candidate(s, vs, self.eid)
-                                      for vs in _through(s, self.host_nbr, u, v)]
-        out = [c for s in shapes for c in self.memo[s, u, v]]
-        met, left = ~self.avail, self.pad_budget - self.pad_used
-        kept = [c for c in out if (c[3] & met).bit_count() <= left]
-        self.stats.skipped_padding_budget += len(out) - len(kept)
-        return kept
+        return itertools.chain(*[self._judged_covers(s, u, v, rd, depth) for s in shapes])
+
+    def _judged_covers(self, shape, u: int, v: int, rd: list, depth: int):
+        """Count the covering children of the shape through (u, v) that would
+        overspend the padding left, then return a walk like _judged_hexagons'
+        over the rest.  memo keeps, per (shape, edge), the blocks in _through's
+        order and the bitsets of their positions on each host edge and vertex;
+        ge[r] holds those reusing at least r met edges."""
+        eid, stats, avail, pad = self.eid, self.stats, self.avail, self.pad_used
+        if (shape, u, v) not in self.memo:
+            tups = list(_through(shape, self.host_nbr, u, v))
+            bits = [bytearray(b"0") * (len(tups) + 1) for _ in self.order]
+            for i, vs in enumerate(tups):  # bit strings, read as ints once, are cheaper to set
+                for a, b in EDGE_POSITIONS[shape]:
+                    bits[eid[vs[a]][vs[b]]][i] = 49
+            ecol = [int(col[::-1], 2) for col in bits]
+            vcol = [reduce(or_, map(ecol.__getitem__, map(row.__getitem__, _bits(m))), 0)
+                    for row, m in zip(eid, self.host_nbr)]  # a block on w has edges at w
+            self.memo[shape, u, v] = tups, ecol, vcol
+        tups, ecol, vcol = self.memo[shape, u, v]
+        met = itertools.compress(ecol, map(_ODD, map((~avail).__rshift__, range(len(ecol)))))
+        ge = _at_least(met, (1 << len(tups)) - 1, self.pad_budget - pad + 1)
+        stats.skipped_padding_budget += ge[-1].bit_count()
+        unmet, (size, loss) = avail.bit_count(), (6, 2) if shape is Hexagon else (9, 3)
+        placed = (self.hex_placed + (shape is Hexagon), self.prism_placed + (shape is Prism))
+
+        def walk():
+            surv = block_count = 0
+            for r in range(len(ge) - 1):  # the blocks reusing exactly r share one key
+                keep = ge[r] & ~ge[r + 1]
+                cut = keep and (rest := unmet - size + r) and self._cut((rest, *placed, pad + r))
+                if cut is None:
+                    block_count, keep = block_count | keep, 0
+                rejected = cut and self.cfg.degree_prunes and sum(map(_BIT, cut[1])) << loss
+                bad = [rejected >> d & (2 << loss) - 1 for d in rd] if rejected else ()
+                # bit k of bad[w]: rd[w] - loss + k is rejected; k = loss keeps w off the block
+                keep &= reduce(and_, (vcol[w] for w, b in enumerate(bad) if b >> loss), -1)
+                for w, b in enumerate(bad):
+                    if b and keep & vcol[w]:  # lw[k]: the blocks with k or more met edges at w
+                        met_at = map(eid[w].__getitem__, _bits(self.host_nbr[w] & ~self.nbr[w]))
+                        lw = _at_least(map(ecol.__getitem__, met_at), vcol[w], loss) + [0]
+                        keep = reduce(and_, [~lw[k] | lw[k + 1] for k in _bits(b)], keep)
+                surv |= keep
+            cuts = ge[0] & ~ge[-1] & ~surv
+            low = -1
+            while low:
+                low = surv & -surv
+                run = cuts & (low - 1 if low else -1)
+                while run.bit_count() > self.limit - stats.nodes:  # the budget stops in the run
+                    run ^= (low := 1 << run.bit_length() - 1)
+                if n := run.bit_count():
+                    stats.nodes, stats.placements = stats.nodes + n, stats.placements + n
+                    stats.max_depth = max(stats.max_depth, depth)
+                    stats.pruned_block_count += (block_count & run).bit_count()
+                    stats.pruned_vertex_degree += n - (block_count & run).bit_count()
+                if low:  # a survivor, or the child past the budget: the loop counts it and stops
+                    yield _candidate(shape, tups[low.bit_length() - 1], eid)
+                cuts, surv = cuts & ~run, surv ^ low
+
+        return walk()
 
     # -- the search proper
 
@@ -472,14 +523,13 @@ class _Engine:
                 return False
             hexagon = shape is Hexagon
             size = 6 if hexagon else 9
-            reused = mask & ~avail if ids else 0  # only covering mode reuses met edges
-            met, child_odd = size - reused.bit_count(), odd
+            met, child_odd = (mask & avail).bit_count() if ids else size, odd
             if prunes and not (hexagon or ids):  # each vertex of an exact-mode prism flips parity
                 child_odd += 6 - 2 * sum(map(_ODD, map(rd.__getitem__, vs)))
-            # exact-mode hexagons come judged; a child meeting the last unmet edge is never cut
-            if met != unmet and (ids or not hexagon):
+            # hexagons and covering children come judged; a child that completes is never cut
+            if met != unmet and not (hexagon or ids):
                 key = (unmet - met, hexes + hexagon, prisms + (not hexagon), pad + size - met)
-                if self._verdict(judged, key, rd, child_odd, vs, size // 3, reused):
+                if self._verdict(judged, key, rd, child_odd, vs, size // 3):
                     continue
             self._place((shape, vs, ids, mask) if ids else _candidate(shape, vs, self.eid))
             done = self._complete() if met == unmet else self._node(depth)

@@ -353,9 +353,9 @@ def test_budget_stop_sweep_is_pinned():
 
 
 def test_covering_budget_stop_sweep_is_pinned():
-    # extremal coverings run the memoised candidate path, which budget stops
-    # cut at other points than exact mode; the counters are hashed over all
-    # 126 runs, statuses included
+    # extremal coverings judge their children per node in bulk, and a budget
+    # stop can land inside a run of them counted without being built; the
+    # counters are hashed over all 126 runs, statuses included
     runs = [(Complete(7), 3, range(1, 3000, 61)), (Complete(8), 2, range(1, 71)),
             (Complete(9), 3, (1000, 5000)), (Complete(10), 3, (1000, 3000)),
             (Complete(11), 2, (1000, 3000))]
@@ -483,6 +483,25 @@ def test_engine_fingerprint_is_pinned(run, expected):
     assert (*_counts(outcome), digest) == expected
 
 
+# covering finds off the benchmark workload, at a 300k budget: every _counts
+# field, then the sha256 of dumps_design of the found design, which verifies
+@pytest.mark.parametrize(
+    "n,bound,expected",
+    [(9, 3, ("found", 53_480, 53_479, 5, 35, 0, 51_131, 4_799_690,
+             "4becc6bd2147ddf384e9f119fd53b4979578cbf9d81f5757e0a562b360a2bd00")),
+     (10, 3, ("found", 294_349, 294_348, 7, 0, 0, 277_444, 70_692_814,
+              "4812687a8af151fe77802b39ce066ee5c28fb1ed22ee122b8013a87e57748033")),
+     (11, 2, ("found", 219_187, 219_186, 8, 0, 0, 206_406, 96_382_236,
+              "6b78c3aced36076ba686ce57fbc40a15472aaa438975ef1776af2c017ef1f5f7"))],
+    ids=["k9-cover3", "k10-cover3", "k11-cover2"],
+)
+def test_covering_finds_are_pinned(n, bound, expected):
+    outcome = find_extremal(Complete(n), Kind.COVERING, bound, node_budget=300_000)
+    digest = hashlib.sha256(dumps_design(outcome.design).encode()).hexdigest()
+    assert (*_counts(outcome), digest) == expected
+    assert verify_design(outcome.design).valid
+
+
 @pytest.mark.parametrize(
     "run",
     [lambda: search_multidecomposition(Complete(9), _MIXED),
@@ -492,18 +511,23 @@ def test_engine_fingerprint_is_pinned(run, expected):
      # coverings whose children reuse met edges at some block vertices
      lambda: find_extremal(Complete(7), Kind.COVERING, 6, node_budget=50_000),
      lambda: find_extremal(Complete(9), Kind.COVERING, 3, node_budget=5000),
+     # every reuse class below the padding budget, and a budget stop inside a run
+     lambda: find_extremal(Complete(7), Kind.COVERING, 3, node_budget=2000),
      # hexagon runs cut by the odd-degree bound, and a budget stop inside one
      lambda: search_multidecomposition(Complete(13), replace(_MIXED, node_budget=3000))],
-    ids=["k9-mixed", "k8-pack1", "cert-n7-raw", "k7-cover6", "k9-cover3-5000", "k13-mixed-3000"],
+    ids=["k9-mixed", "k8-pack1", "cert-n7-raw", "k7-cover6", "k9-cover3-5000", "k7-cover3-2000",
+         "k13-mixed-3000"],
 )
-def test_child_verdict_matches_the_full_degree_check(run, monkeypatch):
+def test_child_verdict_matches_the_full_degree_check(run, monkeypatch, request):
     # a child is judged from its parent's degrees and its block's vertices,
-    # one by one or, for exact-mode hexagons, per node; the verdict, and the
-    # odd-degree count it is given in exact mode with degree prunes on, must
-    # be those of the cuts applied to all of the child's remaining degrees
+    # one by one or, for exact-mode hexagons and covering children, per node;
+    # the verdict, and the odd-degree count it is given in exact mode with
+    # degree prunes on, must be those of the cuts applied to all of the
+    # child's remaining degrees
     from hexprism import search
 
-    verdict, judge_hexagons = search._Engine._verdict, search._Engine._judged_hexagons
+    verdict = search._Engine._verdict
+    judge_hexagons, judge_covers = search._Engine._judged_hexagons, search._Engine._judged_covers
     reasons = ("pruned_block_count", "pruned_odd_degree", "pruned_vertex_degree")
 
     def full_check(engine, key, child):
@@ -516,31 +540,23 @@ def test_child_verdict_matches_the_full_degree_check(run, monkeypatch):
             return "pruned_vertex_degree"
         return None
 
-    def checked(engine, hoisted, key, rd, odd, vs=(), loss=0, reused=0):
-        reason = verdict(engine, hoisted, key, rd, odd, vs, loss, reused)
+    def checked(engine, hoisted, key, rd, odd, vs=(), loss=0):
+        reason = verdict(engine, hoisted, key, rd, odd, vs, loss)
         child = list(rd)
-        if vs:
-            shape = Hexagon if loss == 2 else Prism
-            assert shape is Prism or engine.pad_budget
-            for i, j in EDGE_POSITIONS[shape]:
-                if not reused >> engine.eid[vs[i]][vs[j]] & 1:
-                    child[vs[i]] -= 1
-                    child[vs[j]] -= 1
+        if vs:  # only exact-mode prisms are judged one by one
+            assert loss == 3 and not engine.pad_budget
+            for i, j in EDGE_POSITIONS[Prism]:
+                child[vs[i]] -= 1
+                child[vs[j]] -= 1
         if engine.pad_budget == 0 and engine.cfg.degree_prunes:
             assert odd == sum(d % 2 for d in child)
         assert reason == full_check(engine, key, child)
         judged.append(reason)
         return reason
 
-    def checked_hexagons(engine, u, v, rd, odd, depth):
+    def checked_runs(engine, walk, children):
         # each survivor passes the full check, and each run counted before it
         # holds the children the full check cuts, under the reasons it names
-        unmet = engine.avail.bit_count()
-        key = (unmet - 6, engine.hex_placed + 1, engine.prism_placed, 0)
-        children = [(vs, unmet != 6 and full_check(engine, key, [
-            d - 2 * (w in vs) for w, d in enumerate(rd)]))
-            for vs in _through(Hexagon, engine.nbr, u, v)]
-        walk = judge_hexagons(engine, u, v, rd, odd, depth)
         while True:
             before = [getattr(engine.stats, r) for r in reasons]
             item = next(walk, None)
@@ -557,11 +573,47 @@ def test_child_verdict_matches_the_full_degree_check(run, monkeypatch):
                 judged.append(reason)
             yield item
 
+    def checked_hexagons(engine, u, v, rd, odd, depth):
+        unmet = engine.avail.bit_count()
+        key = (unmet - 6, engine.hex_placed + 1, engine.prism_placed, 0)
+        children = [(vs, unmet != 6 and full_check(engine, key, [
+            d - 2 * (w in vs) for w, d in enumerate(rd)]))
+            for vs in _through(Hexagon, engine.nbr, u, v)]
+        yield from checked_runs(engine, judge_hexagons(engine, u, v, rd, odd, depth), children)
+
+    def checked_covers(engine, shape, u, v, rd, depth):
+        # the blocks through (u, v) in the host, less those reusing more met
+        # edges than the padding left, which are counted at once, are the
+        # children; each loses its block's newly met edges
+        met, unmet, children = ~engine.avail, engine.avail.bit_count(), []
+        left, over = engine.pad_budget - engine.pad_used, 0
+        for vs in _through(shape, engine.host_nbr, u, v):
+            pairs = [(vs[i], vs[j]) for i, j in EDGE_POSITIONS[shape]]
+            new = [(x, y) for x, y in pairs if not met >> engine.eid[x][y] & 1]
+            reused = len(pairs) - len(new)
+            over += reused > left
+            child = list(rd)
+            for x, y in new:
+                child[x] -= 1
+                child[y] -= 1
+            key = (unmet - len(new), engine.hex_placed + (shape is Hexagon),
+                   engine.prism_placed + (shape is Prism), engine.pad_used + reused)
+            if reused <= left:
+                children.append((vs, len(new) != unmet and full_check(engine, key, child)))
+        skipped = engine.stats.skipped_padding_budget
+        walk = judge_covers(engine, shape, u, v, rd, depth)
+        assert engine.stats.skipped_padding_budget - skipped == over
+        covered.append(shape)
+        return checked_runs(engine, walk, children)
+
     judged: list = []
+    covered: list = []
     monkeypatch.setattr(search._Engine, "_verdict", checked)
     monkeypatch.setattr(search._Engine, "_judged_hexagons", checked_hexagons)
+    monkeypatch.setattr(search._Engine, "_judged_covers", checked_covers)
     run()
     assert judged
+    assert bool(covered) == ("cover" in request.node.callspec.id)
 
 
 def test_stats_count_prunes_by_reason():
