@@ -68,12 +68,13 @@ def _fail(message: str, code: int) -> int:
 
 
 def _emit_design(design: Design, fmt: str, output: str | None) -> None:
-    text = dumps_design(design) if fmt == "json" else render_text(design)
     if output is None:
-        sys.stdout.write(text)
+        sys.stdout.write(dumps_design(design) if fmt == "json" else render_text(design))
+    elif fmt == "json":
+        save_design(design, output)
     else:
         with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.write(render_text(design))
 
 
 def _feasibility_obj(report: FeasibilityReport) -> dict:

@@ -13,19 +13,21 @@ padding, ``[]`` for an empty list and a trailing newline.  A hexagon is
 encoder falls back to pure Python whenever ``indent`` is set, so
 ``dumps_design`` writes this layout itself: each block is one fixed
 per-shape template filled with its six vertices, and only the small host,
-kind, leave and padding go through ``json``.
+kind, leave and padding go through ``json``.  ``save_design`` writes the
+text in runs of 1,000 blocks and never holds it whole.
 
-Decoding checks every block in bulk passes over the whole list, then builds
-them all unchecked.  Any block list those passes do not accept goes block by
-block through _block_from_obj, which names the fault.
+Decoding builds each block object into a block as ``json.loads`` parses it
+(``_block`` is its ``object_hook``), so it holds the text and the design but
+never the whole JSON tree.  A file this path does not accept is parsed again
+without the hook, for _block_from_obj and the other checks to name the fault.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 from collections import Counter
-from itertools import chain, compress, repeat
-from operator import eq, not_
+from operator import is_
 
 from .core import (
     Block,
@@ -114,43 +116,35 @@ def _block_from_obj(obj) -> Block:
     raise DesignFileError(f"unknown block type {kind!r}")
 
 
-def _blocks_in_bulk(objs: list) -> tuple[Block, ...] | None:
-    """The blocks of a well-formed block list, or None for _block_from_obj
-    to name the fault.
+_SIX_INTS = (int,) * 6  # a bool is not an int here, as in _int
 
-    Bulk passes, each over all blocks, decide that every block is a dict
-    whose "type" is "hexagon" with a list of 6 vertices, or "prism" with a
-    list of two lists of 3, and that every vertex is a plain int.  Only then
-    are the blocks built, without a check or a call per vertex.
-    """
-    if not set(map(type, objs)) <= {dict}:
-        return None
-    # types first: a list or dict "type" would not hash
-    if not set(map(type, map(dict.get, objs, repeat("type")))) <= {str}:
-        return None
-    if not set(map(dict.get, objs, repeat("type"))) <= {"hexagon", "prism"}:
-        return None
-    # a byte per block, and cycles() rebuilt per pass: no design-long list is held
-    is_hexagon = bytes(map(eq, map(dict.get, objs, repeat("type")), repeat("hexagon")))
 
-    def cycles():
-        return map(dict.get, compress(objs, is_hexagon), repeat("vertices"))
+def _block(obj):
+    """obj built unchecked as a block if it is a block object, else obj itself:
+    a dict whose "type" is "hexagon" with a list of 6 plain ints under
+    "vertices", or "prism" with a list of two lists of 3 under "triangles"."""
+    kind = obj.get("type") if type(obj) is dict else None
+    if type(kind) is not str:
+        return obj
+    if kind == "hexagon":
+        cycle = obj.get("vertices")
+        if type(cycle) is list and tuple(map(type, cycle)) == _SIX_INTS:
+            return _hexagon(tuple(cycle))
+    elif kind == "prism":
+        pair = obj.get("triangles")
+        if type(pair) is list and tuple(map(type, pair)) == (list, list):
+            first, second = pair
+            if len(first) == 3 and tuple(map(type, first + second)) == _SIX_INTS:
+                return _prism(tuple(first), tuple(second))
+    return obj
 
-    pairs = list(map(dict.get, compress(objs, map(not_, is_hexagon)), repeat("triangles")))
-    if not (set(map(type, cycles())) | set(map(type, pairs)) <= {list}
-            and set(map(len, cycles())) <= {6} and set(map(len, pairs)) <= {2}):
-        return None
-    triangles = list(chain.from_iterable(pairs))
-    if not (set(map(type, triangles)) <= {list} and set(map(len, triangles)) <= {3}):
-        return None
-    # a bool is not an int here, as in _int
-    if not set(map(type, chain.from_iterable(chain(cycles(), triangles)))) <= {int}:
-        return None
-    hexagons = map(_hexagon, map(tuple, cycles()))
-    triples = map(tuple, triangles)
-    prisms = map(_prism, triples, triples)
-    # each block's flag picks the iterator that holds it next
-    return tuple(map(next, map((prisms, hexagons).__getitem__, is_hexagon)))
+
+def _blocks(objs: list) -> tuple[Block, ...]:
+    blocks = tuple(map(_block, objs))
+    # an entry _block left as it was is no block object
+    if any(map(is_, blocks, objs)):
+        return tuple(map(_block_from_obj, objs))
+    return blocks
 
 
 def design_to_obj(design: Design) -> dict:
@@ -164,6 +158,11 @@ def design_to_obj(design: Design) -> dict:
 
 
 def design_from_obj(obj) -> Design:
+    return _design(obj, _blocks)
+
+
+def _design(obj, blocks_of) -> Design:
+    """The design in obj, whose block list blocks_of turns into blocks."""
     if not isinstance(obj, dict):
         raise DesignFileError("design file must contain a JSON object")
     missing = {"host", "kind", "blocks"} - set(obj)
@@ -176,9 +175,7 @@ def design_from_obj(obj) -> Design:
     host = _host_from_obj(obj["host"])
     if type(obj["blocks"]) is not list:
         raise DesignFileError("blocks must be a list")
-    blocks = _blocks_in_bulk(obj["blocks"])
-    if blocks is None:
-        blocks = tuple(_block_from_obj(b) for b in obj["blocks"])
+    blocks = blocks_of(obj["blocks"])
     try:
         leave = [edge(u, v) for u, v in map(_ints, obj.get("leave", []))]
         padding = tuple((u, v) for u, v in map(_ints, obj.get("padding", [])))
@@ -211,40 +208,55 @@ _PRISM = (
     + _TRIANGLE + ",\n        " + _TRIANGLE
     + "\n      ]\n    }"
 )
-_FILE = (
-    '{\n  "host": %s,\n  "kind": %s,\n  "blocks": %s,'
-    '\n  "leave": %s,\n  "padding": %s\n}\n'
-)
+_RUN = 1000  # blocks per chunk of the text
+
+
+def _chunks(design: Design):
+    """The design file text as the head, runs of _RUN blocks, then the tail."""
+    yield '{\n  "host": %s,\n  "kind": %s,\n  "blocks": [' % (
+        _nested(_host_to_obj(design.host), 1), json.dumps(design.kind.value))
+    blocks = design.blocks
+    for start in range(0, len(blocks), _RUN):
+        yield (",\n" if start else "\n") + ",\n".join([
+            _HEXAGON % b.vertices if isinstance(b, Hexagon) else _PRISM % (b.first + b.second)
+            for b in blocks[start:start + _RUN]
+        ])
+    yield '%s,\n  "leave": %s,\n  "padding": %s\n}\n' % (
+        "\n  ]" if blocks else "]", _nested([list(e) for e in sorted(design.leave)], 1),
+        _nested([list(e) for e in design.padding], 1))
 
 
 def dumps_design(design: Design) -> str:
     """The design file text; see the module docstring for the layout."""
-    blocks = [
-        _HEXAGON % b.vertices if isinstance(b, Hexagon) else _PRISM % (b.first + b.second)
-        for b in design.blocks
-    ]
-    return _FILE % (
-        _nested(_host_to_obj(design.host), 1),
-        json.dumps(design.kind.value),
-        ("[\n" + ",\n".join(blocks) + "\n  ]") if blocks else "[]",
-        _nested([list(e) for e in sorted(design.leave)], 1),
-        _nested([list(e) for e in design.padding], 1),
-    )
+    return "".join(_chunks(design))
 
 
 def loads_design(text: str | bytes) -> Design:
     """The design in JSON text, given as str or as UTF-encoded bytes."""
+    # the collector would only rescan the acyclic tree; the caller's state comes back
+    enabled = gc.isenabled()
+    gc.disable()
     try:
-        obj = json.loads(text)
-    # ValueError covers undecodable bytes; too deep a nesting exhausts the stack
-    except (ValueError, RecursionError) as exc:
-        raise DesignFileError(f"not valid JSON: {exc}") from exc
-    return design_from_obj(obj)
+        try:
+            design = _design(json.loads(text, object_hook=_block), tuple)
+            if set(map(type, design.blocks)) <= {Hexagon, Prism}:
+                return design
+        except (TypeError, ValueError, RecursionError):
+            pass  # any fault, DesignFileError included, is named by the checked path below
+        try:
+            obj = json.loads(text)
+        # ValueError covers undecodable bytes; too deep a nesting exhausts the stack
+        except (ValueError, RecursionError) as exc:
+            raise DesignFileError(f"not valid JSON: {exc}") from exc
+        return design_from_obj(obj)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def save_design(design: Design, path) -> None:
     with open(path, "w", encoding="utf-8") as fp:
-        fp.write(dumps_design(design))
+        fp.writelines(_chunks(design))
 
 
 def load_design(path) -> Design:

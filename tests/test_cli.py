@@ -4,6 +4,7 @@ import gc
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -292,6 +293,17 @@ def test_cli_import_leaves_the_search_engine_unloaded():
         "assert all(getattr(hexprism, name) is not None for name in hexprism.__all__)\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_every_name_the_benchmark_tracer_wraps_is_there():
+    # perfbench/spans.py wraps names in cli, designfile, bases, catalog and
+    # search by getattr, so a rename there fails here, not in a traced run;
+    # -B keeps the import from writing bytecode under perfbench/
+    root = Path(__file__).resolve().parents[1]
+    code = "import sys; sys.path[:0] = sys.argv[1:]; from spans import Tracer; Tracer().install()"
+    argv = [sys.executable, "-B", "-c", code, str(root / "src"), str(root / "perfbench")]
+    proc = subprocess.run(argv, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
 
 
