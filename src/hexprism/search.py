@@ -6,13 +6,13 @@ the allowed shapes through that edge whose edges are still available.
 Candidate generation emits every qualifying block exactly once, so an
 exhausted run is a complete-enumeration certificate.  Each child is counted
 and cut before it is placed, so nodes counts every child the cuts examined,
-placed or not; a child is judged from its parent's state and its block's
-six vertices, as SAT propagation looks only at what an assignment changes
-(Moskewicz et al., Chaff, DAC 2001), and exact-mode hexagons per node, by
-forward checking (Haralick and Elliott, Artif. Intell. 14, 1980).  Runs are
-deterministic: identical inputs give identical statistics and designs, and
-the reported design is the one on the first branch, in generation order,
-that completes.
+placed or not.  Every child is judged one way: per node and shape, from its
+parent's state and its block's six vertices, by forward checking (Haralick
+and Elliott, Artif. Intell. 14, 1980), as SAT propagation looks only at what
+an assignment changes (Moskewicz et al., Chaff, DAC 2001), and each run of
+children cut for one reason is counted at once.  Runs are deterministic:
+identical inputs give identical statistics and designs, and the reported
+design is the one on the first branch, in generation order, that completes.
 
 The engine state is plain ints and lists, as in a bitset exact cover
 (Knuth, Dancing Links, arXiv cs/0011047): an int mask of unmet edges and an
@@ -92,15 +92,19 @@ class SearchConfig:
     symmetry_breaking: bool = False
     degree_prunes: bool = True
 
+    def __post_init__(self):
+        if self.node_budget is not None and self.node_budget < 0:
+            raise ValueError(f"node_budget must be non-negative, got {self.node_budget}")
+
 
 @dataclass
 class SearchStats:
     """nodes counts the root and every child the cuts examined, including
-    children cut before placement or, for hexagons cut per node, never
-    built.  pruned_* count nodes cut by the block-count equation, the
-    odd-degree bound and the per-vertex degree bound; skipped_padding_budget
-    counts covering candidates that would overspend the padding budget.
-    elapsed_s is time in the engine, without leave-class enumeration."""
+    children cut before placement, which are never built.  pruned_* count
+    nodes cut by the block-count equation, the odd-degree bound and the
+    per-vertex degree bound; skipped_padding_budget counts covering
+    candidates that would overspend the padding budget.  elapsed_s is time
+    in the engine, without leave-class enumeration."""
 
     nodes: int = 0
     placements: int = 0
@@ -269,10 +273,11 @@ class _Engine:
     whose requirement is already met, (mask & ~avail).bit_count() of them,
     spending one unit of budget per reuse.  Candidates are then the blocks
     in the host's full adjacency, which never changes, listed once per
-    branch edge in memo and judged per node by _judged_covers.  In exact
-    mode vertex tuples are yielded one at a time from the live masks, which
-    every placement restores.  Either way only survivors get edge ids and a
-    mask.
+    branch edge in memo and judged per node by _judged_covers; in exact mode
+    _judged walks them from the live masks, which every placement restores.
+    Either judge counts each run of children it cuts through _count and
+    yields the survivors as (shape, vertex indices), and only those that
+    _node places get edge ids and a mask.
 
     The config's counts become one range, lo <= (hexagons, prisms) <= hi:
     a target sets hi and raises lo to itself, a disabled shape gets hi = 0,
@@ -353,80 +358,83 @@ class _Engine:
             )) if pairs else None
         return self._cuts[key]
 
-    def _verdict(self, judged: dict, key: tuple, rd: list, odd: int, vs: tuple = (),
-                 loss: int = 0) -> str | None:
-        """Count and name the SearchStats counter that cuts a child with key
-        (unmet, hexagons, prisms, padding used), or None if it survives: the
-        root (no block) or an exact-mode prism.  judged caches per key, once
-        per parent, the _cut and (degree prunes on) the set at of vertices
-        whose parent degree rd[v] it rejects.  The child differs from rd only
-        at its block's vertices vs, which each lose loss edges, and rejected
-        degrees are >= 1, so it passes exactly when at lies in vs and no
-        rd[v] - loss is rejected.  odd is its odd-degree count (exact mode)."""
-        hoisted = judged.get(key)
-        if hoisted is None:
-            cut = self._cut(key)
-            at = cut and self.cfg.degree_prunes and {v for v, d in enumerate(rd) if d in cut[1]}
-            judged[key] = hoisted = cut, at
-        cut, at = hoisted
-        if cut is None:
-            reason = "pruned_block_count"
-        elif not self.cfg.degree_prunes:
-            return None
-        elif self.pad_budget == 0 and odd > 6 * cut[0]:
-            reason = "pruned_odd_degree"
-        elif at.issubset(vs) and cut[1].isdisjoint(map(loss.__rsub__, map(rd.__getitem__, vs))):
-            return None
-        else:
-            reason = "pruned_vertex_degree"
-        setattr(self.stats, reason, getattr(self.stats, reason) + 1)
+    def _verdict(self, rd: list) -> str | None:
+        """Count and name the SearchStats counter that cuts the state the run
+        starts from, whose remaining degrees are rd, or None if it survives."""
+        state = (self.avail.bit_count(), self.hex_placed, self.prism_placed, self.pad_used)
+        cut, odd = self._cut(state), sum(map(_ODD, rd))
+        reason = ("pruned_block_count" if cut is None else None if not self.cfg.degree_prunes
+                  else "pruned_odd_degree" if not self.pad_budget and odd > 6 * cut[0]
+                  else None if cut[1].isdisjoint(rd) else "pruned_vertex_degree")
+        if reason:
+            setattr(self.stats, reason, getattr(self.stats, reason) + 1)
         return reason
 
-    # -- candidates
+    def _count(self, n: int, reason: str, depth: int) -> int:
+        """Count up to n children at depth cut for reason, stopping at the node
+        budget, and return how many; below n, the judge yields the next child."""
+        stats = self.stats
+        n = min(n, self.limit - stats.nodes)
+        if n:
+            stats.nodes += n
+            stats.placements += n
+            stats.max_depth = max(stats.max_depth, depth)
+            setattr(stats, reason, getattr(stats, reason) + n)
+        return n
 
-    def _judged_hexagons(self, u: int, v: int, rd: list, odd: int, depth: int):
-        """Yield the exact-mode hexagon children through (u, v) that survive,
-        first counting the runs cut before them as the child loop would, up
-        to the node budget.  All share one key and odd count and lose 2 per
-        vertex: one meeting the last unmet edges survives, else, with degree
-        prunes on, one inside ok (rd[w] - 2 not rejected) covering need (_verdict's at)."""
-        unmet, ok, need, reason = self.avail.bit_count(), -1, 0, "pruned_vertex_degree"
-        cut = unmet > 6 and self._cut((unmet - 6, self.hex_placed + 1, self.prism_placed, 0))
-        if cut is None:
-            ok, reason = 0, "pruned_block_count"
-        elif cut and self.cfg.degree_prunes and odd > 6 * cut[0]:
-            ok, reason = 0, "pruned_odd_degree"
-        elif cut and self.cfg.degree_prunes:
-            ok = sum(1 << w for w, d in enumerate(rd) if d - 2 not in cut[1])
-            need = sum(1 << w for w, d in enumerate(rd) if d in cut[1])
-        for skipped, vs in _hexagons(self.nbr, u, v, ok, need):
-            counted = skipped and min(skipped, self.limit - self.stats.nodes)
-            if counted:
-                self.stats.nodes += counted
-                self.stats.placements += counted
-                self.stats.max_depth = max(self.stats.max_depth, depth)
-                setattr(self.stats, reason, getattr(self.stats, reason) + counted)
-            if vs or counted < skipped:  # the loop counts the child past the budget and stops
-                yield Hexagon, vs, None, None
+    # -- candidates
 
     def _candidates(self, u: int, v: int, rd: list, odd: int, depth: int):
         shapes = [s for s, w in ((Hexagon, self.hex_placed < self.hi[0]),
                                  (Prism, self.prism_placed < self.hi[1])) if w]
         if Prism in shapes and self.prism_placed < self.lo[1]:
             shapes.reverse()  # place the scarcer shape first while it is still owed
-        if not self.pad_budget:
-            none = itertools.repeat(None)
-            return itertools.chain.from_iterable(
-                self._judged_hexagons(u, v, rd, odd, depth) if s is Hexagon else
-                zip(itertools.repeat(s), _through(s, self.nbr, u, v), none, none) for s in shapes)
-        return itertools.chain(*[self._judged_covers(s, u, v, rd, depth) for s in shapes])
+        return itertools.chain(*[self._judged_covers(s, u, v, rd, depth) if self.pad_budget
+                                 else self._judged(s, u, v, rd, odd, depth) for s in shapes])
+
+    def _judged(self, shape, u: int, v: int, rd: list, odd: int, depth: int):
+        """Yield as (shape, vs) the exact-mode children of the shape through
+        (u, v) that survive, after counting the runs cut before them.  All share
+        one key and lose size // 3 edges at each vertex: one meeting the last
+        unmet edges survives, else, with degree prunes on, one inside ok (rd[w]
+        - size // 3 not rejected) covering need (rd[w] rejected) with at least
+        floor odd vertices, as a prism flips their parity and a hexagon keeps
+        it (floor 0 or 7).  The masks wait for a prism to exist."""
+        hexagon, unmet, size = shape is Hexagon, self.avail.bit_count(), len(EDGE_POSITIONS[shape])
+        prisms = None if hexagon else _through(Prism, self.nbr, u, v)
+        if not hexagon and (first := next(prisms, None)) is None:
+            return
+        ok, need, floor, reason = -1, 0, 0, "pruned_vertex_degree"
+        key = (unmet - size, self.hex_placed + hexagon, self.prism_placed + (not hexagon), 0)
+        cut = unmet > size and self._cut(key)
+        if cut is None:
+            ok, reason = 0, "pruned_block_count"
+        elif cut and self.cfg.degree_prunes:
+            floor = 7 * (odd > 6 * cut[0]) if hexagon else (odd + 7 - 6 * cut[0]) // 2
+            if floor > 6:  # no child passes the odd-degree bound
+                ok, reason = 0, "pruned_odd_degree"
+            else:
+                ok = sum(1 << w for w, d in enumerate(rd) if d - size // 3 not in cut[1])
+                need = sum(1 << w for w, d in enumerate(rd) if d in cut[1])
+        if hexagon:
+            for skipped, vs in _hexagons(self.nbr, u, v, ok, need):
+                if skipped and self._count(skipped, reason, depth) < skipped or vs:
+                    yield shape, vs
+            return
+        odds = sum(1 << w for w, d in enumerate(rd) if d & 1)
+        for vs in itertools.chain((first,), prisms):
+            m = sum(map(_BIT, vs))
+            why = ("pruned_odd_degree" if (m & odds).bit_count() < floor else
+                   reason if m & ~ok or need & ~m else None)
+            if why is None or not self._count(1, why, depth):
+                yield shape, vs
 
     def _judged_covers(self, shape, u: int, v: int, rd: list, depth: int):
         """Count the covering children of the shape through (u, v) that would
-        overspend the padding left, then return a walk like _judged_hexagons'
-        over the rest.  memo keeps, per (shape, edge), the blocks in _through's
-        order and the bitsets of their positions on each host edge and vertex;
-        ge[r] holds those reusing at least r met edges."""
+        overspend the padding left, then return a walk like _judged's over the
+        rest.  memo keeps, per (shape, edge), the blocks in _through's order
+        and the bitsets of their positions on each host edge and vertex; ge[r]
+        holds those reusing at least r met edges."""
         eid, stats, avail, pad = self.eid, self.stats, self.avail, self.pad_used
         if (shape, u, v) not in self.memo:
             tups = list(_through(shape, self.host_nbr, u, v))
@@ -462,20 +470,19 @@ class _Engine:
                         lw = _at_least(map(ecol.__getitem__, met_at), vcol[w], loss) + [0]
                         keep = reduce(and_, [~lw[k] | lw[k + 1] for k in _bits(b)], keep)
                 surv |= keep
-            cuts = ge[0] & ~ge[-1] & ~surv
-            low = -1
+            cuts, low = ge[0] & ~ge[-1] & ~surv, -1
             while low:
                 low = surv & -surv
                 run = cuts & (low - 1 if low else -1)
-                while run.bit_count() > self.limit - stats.nodes:  # the budget stops in the run
+                # a run can mix both reasons, so the budget stop is placed in order first
+                while run.bit_count() > self.limit - stats.nodes:
                     run ^= (low := 1 << run.bit_length() - 1)
-                if n := run.bit_count():
-                    stats.nodes, stats.placements = stats.nodes + n, stats.placements + n
-                    stats.max_depth = max(stats.max_depth, depth)
-                    stats.pruned_block_count += (block_count & run).bit_count()
-                    stats.pruned_vertex_degree += n - (block_count & run).bit_count()
-                if low:  # a survivor, or the child past the budget: the loop counts it and stops
-                    yield _candidate(shape, tups[low.bit_length() - 1], eid)
+                if bc := run & block_count:
+                    self._count(bc.bit_count(), "pruned_block_count", depth)
+                if run ^ bc:
+                    self._count((run ^ bc).bit_count(), "pruned_vertex_degree", depth)
+                if low:  # a survivor, or the child past the budget: _node counts it and stops
+                    yield shape, tups[low.bit_length() - 1]
                 cuts, surv = cuts & ~run, surv ^ low
 
         return walk()
@@ -503,17 +510,16 @@ class _Engine:
         if not self.avail:
             return self._complete()
         rd = list(map(int.bit_count, self.nbr))
-        key = (self.avail.bit_count(), self.hex_placed, self.prism_placed, self.pad_used)
-        return not self._verdict({}, key, rd, sum(map(_ODD, rd))) and self._node(depth)
+        return not self._verdict(rd) and self._node(depth)
 
     def _node(self, depth: int) -> bool:
-        """Count and judge each child of a placed state, then place the survivors."""
-        rd, prunes = list(map(int.bit_count, self.nbr)), self.cfg.degree_prunes
-        odd = sum(map(_ODD, rd)) if prunes else 0
-        avail, hexes, prisms, pad = self.avail, self.hex_placed, self.prism_placed, self.pad_used
-        unmet, stats, limit, judged = avail.bit_count(), self.stats, self.limit, {}
+        """Count each child of a placed state that the judges pass, then place
+        it and descend; the judges count the children they cut."""
+        rd = list(map(int.bit_count, self.nbr))
+        odd = sum(map(_ODD, rd)) if self.cfg.degree_prunes else 0
+        stats, limit, eid = self.stats, self.limit, self.eid
         depth += 1
-        for shape, vs, ids, mask in self._candidates(*self._branch_edge(rd), rd, odd, depth):
+        for shape, vs in self._candidates(*self._branch_edge(rd), rd, odd, depth):
             stats.placements += 1
             stats.nodes += 1
             if depth > stats.max_depth:
@@ -521,18 +527,8 @@ class _Engine:
             if stats.nodes > limit:
                 self.exceeded = True
                 return False
-            hexagon = shape is Hexagon
-            size = 6 if hexagon else 9
-            met, child_odd = (mask & avail).bit_count() if ids else size, odd
-            if prunes and not (hexagon or ids):  # each vertex of an exact-mode prism flips parity
-                child_odd += 6 - 2 * sum(map(_ODD, map(rd.__getitem__, vs)))
-            # hexagons and covering children come judged; a child that completes is never cut
-            if met != unmet and not (hexagon or ids):
-                key = (unmet - met, hexes + hexagon, prisms + (not hexagon), pad + size - met)
-                if self._verdict(judged, key, rd, child_odd, vs, size // 3):
-                    continue
-            self._place((shape, vs, ids, mask) if ids else _candidate(shape, vs, self.eid))
-            done = self._complete() if met == unmet else self._node(depth)
+            self._place(_candidate(shape, vs, eid))
+            done = self._node(depth) if self.avail else self._complete()
             self._unplace()
             if done or self.exceeded:
                 return done
@@ -684,6 +680,8 @@ def find_extremal(
     total = len(_simple_edges(host))
     if kind not in (Kind.PACKING, Kind.COVERING):
         raise ValueError("find_extremal handles packings and coverings only")
+    if bound < 0:
+        raise ValueError(f"{kind.value} bound must be non-negative, got {bound}")
     met = total - bound if kind is Kind.PACKING else total + bound
     if not block_count_solutions(met, True):
         raise InfeasibleBoundError(

@@ -263,15 +263,24 @@ def test_budget_bounds_candidate_builds(n, monkeypatch):
     assert 0 < walked[0] <= 100
 
 
+# a negative budget or bound is refused by value, not read as a budget stop,
+# an exhausted run or a failure inside the leave enumeration
 @pytest.mark.parametrize(
-    "run",
-    [lambda: search_multidecomposition(Complete(12), SearchConfig()),
-     lambda: find_extremal(Complete(11), Kind.PACKING, 1),
-     lambda: find_extremal(Complete(11), Kind.COVERING, 2)],
-    ids=["decomposition", "packing", "covering"],
+    "run,match",
+    [(lambda: search_multidecomposition(Complete(12), SearchConfig()), "budget"),
+     (lambda: find_extremal(Complete(11), Kind.PACKING, 1), "budget"),
+     (lambda: find_extremal(Complete(11), Kind.COVERING, 2), "budget"),
+     (lambda: SearchConfig(node_budget=-5), "node_budget must be non-negative, got -5"),
+     (lambda: find_extremal(Complete(9), Kind.PACKING, 3, node_budget=-5), "got -5"),
+     (lambda: find_extremal(Complete(9), Kind.PACKING, -3),
+      "packing bound must be non-negative, got -3"),
+     (lambda: find_extremal(Complete(9), Kind.COVERING, -3),
+      "covering bound must be non-negative, got -3")],
+    ids=["decomposition", "packing", "covering", "negative-budget", "negative-extremal-budget",
+         "negative-packing-bound", "negative-covering-bound"],
 )
-def test_large_host_requires_budget(run):
-    with pytest.raises(ValueError, match="budget"):
+def test_large_host_requires_budget(run, match):
+    with pytest.raises(ValueError, match=match):
         run()
 
 
@@ -502,6 +511,12 @@ def test_covering_finds_are_pinned(n, bound, expected):
     assert verify_design(outcome.design).valid
 
 
+# a prism with a triangle's vertices joined to a seventh vertex: the branch
+# edge's one prism would leave 3 edges, which no block count meets
+_PRISM_AND_FAN = Explicit(((0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), (0, 3), (1, 4), (2, 5),
+                           (0, 6), (1, 6), (2, 6)))
+
+
 @pytest.mark.parametrize(
     "run",
     [lambda: search_multidecomposition(Complete(9), _MIXED),
@@ -514,20 +529,20 @@ def test_covering_finds_are_pinned(n, bound, expected):
      # every reuse class below the padding budget, and a budget stop inside a run
      lambda: find_extremal(Complete(7), Kind.COVERING, 3, node_budget=2000),
      # hexagon runs cut by the odd-degree bound, and a budget stop inside one
-     lambda: search_multidecomposition(Complete(13), replace(_MIXED, node_budget=3000))],
+     lambda: search_multidecomposition(Complete(13), replace(_MIXED, node_budget=3000)),
+     lambda: search_multidecomposition(_PRISM_AND_FAN, SearchConfig(degree_prunes=False))],
     ids=["k9-mixed", "k8-pack1", "cert-n7-raw", "k7-cover6", "k9-cover3-5000", "k7-cover3-2000",
-         "k13-mixed-3000"],
+         "k13-mixed-3000", "prism-count-cut"],
 )
 def test_child_verdict_matches_the_full_degree_check(run, monkeypatch, request):
-    # a child is judged from its parent's degrees and its block's vertices,
-    # one by one or, for exact-mode hexagons and covering children, per node;
-    # the verdict, and the odd-degree count it is given in exact mode with
-    # degree prunes on, must be those of the cuts applied to all of the
-    # child's remaining degrees
+    # a child is judged per node and shape from its parent's degrees and its
+    # block's vertices, and the root on its own; each verdict, and the
+    # odd-degree count the exact-mode judge is given with degree prunes on,
+    # must be those of the cuts applied to all of the state's remaining degrees
     from hexprism import search
 
-    verdict = search._Engine._verdict
-    judge_hexagons, judge_covers = search._Engine._judged_hexagons, search._Engine._judged_covers
+    verdict, judge, judge_covers = (
+        search._Engine._verdict, search._Engine._judged, search._Engine._judged_covers)
     reasons = ("pruned_block_count", "pruned_odd_degree", "pruned_vertex_degree")
 
     def full_check(engine, key, child):
@@ -540,46 +555,51 @@ def test_child_verdict_matches_the_full_degree_check(run, monkeypatch, request):
             return "pruned_vertex_degree"
         return None
 
-    def checked(engine, hoisted, key, rd, odd, vs=(), loss=0):
-        reason = verdict(engine, hoisted, key, rd, odd, vs, loss)
-        child = list(rd)
-        if vs:  # only exact-mode prisms are judged one by one
-            assert loss == 3 and not engine.pad_budget
-            for i, j in EDGE_POSITIONS[Prism]:
-                child[vs[i]] -= 1
-                child[vs[j]] -= 1
-        if engine.pad_budget == 0 and engine.cfg.degree_prunes:
-            assert odd == sum(d % 2 for d in child)
-        assert reason == full_check(engine, key, child)
-        judged.append(reason)
+    def checked_root(engine, rd):
+        key = (engine.avail.bit_count(), engine.hex_placed, engine.prism_placed, engine.pad_used)
+        reason = verdict(engine, rd)
+        assert rd == [nu.bit_count() for nu in engine.nbr]
+        assert reason == full_check(engine, key, rd)
+        roots.append(reason)
         return reason
 
-    def checked_runs(engine, walk, children):
+    def checked_runs(engine, shape, walk, children):
         # each survivor passes the full check, and each run counted before it
         # holds the children the full check cuts, under the reasons it names
+        exact = not engine.pad_budget
         while True:
             before = [getattr(engine.stats, r) for r in reasons]
             item = next(walk, None)
             run = Counter({r: getattr(engine.stats, r) - b for r, b in zip(reasons, before)})
             cut = [children.pop(0)[1] for _ in range(run.total())]
             assert all(cut) and Counter(cut) == +run
-            judged.extend(cut)
+            judged.extend((shape, exact, reason) for reason in cut)
             if item is None:
                 assert not children
                 return
             if engine.stats.nodes < engine.limit:  # else the loop only counts the item
                 vs, reason = children.pop(0)
-                assert vs == item[1] and not reason
-                judged.append(reason)
+                assert item == (shape, vs) and not reason
+                judged.append((shape, exact, reason))
             yield item
 
-    def checked_hexagons(engine, u, v, rd, odd, depth):
-        unmet = engine.avail.bit_count()
-        key = (unmet - 6, engine.hex_placed + 1, engine.prism_placed, 0)
-        children = [(vs, unmet != 6 and full_check(engine, key, [
-            d - 2 * (w in vs) for w, d in enumerate(rd)]))
-            for vs in _through(Hexagon, engine.nbr, u, v)]
-        yield from checked_runs(engine, judge_hexagons(engine, u, v, rd, odd, depth), children)
+    def checked(engine, shape, u, v, rd, odd, depth):
+        # an exact-mode child meets all of its block's edges, so each block
+        # vertex loses 2 (hexagon) or 3 (prism) and the key is the same for all
+        unmet, size = engine.avail.bit_count(), len(EDGE_POSITIONS[shape])
+        key = (unmet - size, engine.hex_placed + (shape is Hexagon),
+               engine.prism_placed + (shape is Prism), 0)
+        if engine.cfg.degree_prunes:
+            assert odd == sum(d % 2 for d in rd)
+        children = []
+        for vs in _through(shape, engine.nbr, u, v):
+            child = list(rd)
+            for i, j in EDGE_POSITIONS[shape]:
+                child[vs[i]] -= 1
+                child[vs[j]] -= 1
+            children.append((vs, unmet != size and full_check(engine, key, child)))
+        yield from checked_runs(engine, shape, judge(engine, shape, u, v, rd, odd, depth),
+                                children)
 
     def checked_covers(engine, shape, u, v, rd, depth):
         # the blocks through (u, v) in the host, less those reusing more met
@@ -604,16 +624,19 @@ def test_child_verdict_matches_the_full_degree_check(run, monkeypatch, request):
         walk = judge_covers(engine, shape, u, v, rd, depth)
         assert engine.stats.skipped_padding_budget - skipped == over
         covered.append(shape)
-        return checked_runs(engine, walk, children)
+        return checked_runs(engine, shape, walk, children)
 
     judged: list = []
     covered: list = []
-    monkeypatch.setattr(search._Engine, "_verdict", checked)
-    monkeypatch.setattr(search._Engine, "_judged_hexagons", checked_hexagons)
+    roots: list = []
+    monkeypatch.setattr(search._Engine, "_verdict", checked_root)
+    monkeypatch.setattr(search._Engine, "_judged", checked)
     monkeypatch.setattr(search._Engine, "_judged_covers", checked_covers)
     run()
-    assert judged
+    assert judged and roots
     assert bool(covered) == ("cover" in request.node.callspec.id)
+    # in exact mode only the fan host cuts a prism child by the block-count equation
+    assert ((Prism, True, "pruned_block_count") in judged) == ("count" in request.node.callspec.id)
 
 
 def test_stats_count_prunes_by_reason():
