@@ -27,7 +27,6 @@ from __future__ import annotations
 import gc
 import json
 from collections import Counter
-from operator import is_
 
 from .core import (
     Block,
@@ -139,14 +138,6 @@ def _block(obj):
     return obj
 
 
-def _blocks(objs: list) -> tuple[Block, ...]:
-    blocks = tuple(map(_block, objs))
-    # an entry _block left as it was is no block object
-    if any(map(is_, blocks, objs)):
-        return tuple(map(_block_from_obj, objs))
-    return blocks
-
-
 def design_to_obj(design: Design) -> dict:
     return {
         "host": _host_to_obj(design.host),
@@ -158,7 +149,7 @@ def design_to_obj(design: Design) -> dict:
 
 
 def design_from_obj(obj) -> Design:
-    return _design(obj, _blocks)
+    return _design(obj, lambda objs: tuple(map(_block_from_obj, objs)))
 
 
 def _design(obj, blocks_of) -> Design:

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache, partial, reduce
 from operator import and_, or_
@@ -104,7 +104,8 @@ class SearchStats:
     nodes cut by the block-count equation, the odd-degree bound and the
     per-vertex degree bound; skipped_padding_budget counts covering
     candidates that would overspend the padding budget.  elapsed_s is time
-    in the engine, without leave-class enumeration."""
+    in the engine, without leave-class enumeration.  A packing's runs, one
+    per leave class, add up: max_depth is the deepest, the rest sum."""
 
     nodes: int = 0
     placements: int = 0
@@ -121,16 +122,6 @@ class SearchOutcome:
     status: Status
     design: Design | None
     stats: SearchStats
-
-
-def merge_stats(parts) -> SearchStats:
-    """Sum the counters and times of several runs; max_depth is the deepest."""
-    total = SearchStats()
-    for s in parts:
-        for f in fields(SearchStats):
-            a, b = getattr(total, f.name), getattr(s, f.name)
-            setattr(total, f.name, max(a, b) if f.name == "max_depth" else a + b)
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -259,8 +250,12 @@ def needs_budget(host: Host) -> bool:
 
 
 class _Engine:
-    """One backtracking run, from a simple host less the leave edges to the
-    SearchOutcome for a design of the kind, in plain ints and lists.
+    """A simple host indexed once, and backtracking runs over it, each from
+    the host less a leave, whose edges start met, to the SearchOutcome for a
+    design of the kind, in plain ints and lists.  A vertex the leave isolates
+    keeps its index at remaining degree 0, where no block reaches.  A run
+    reads nothing of the run before it but stats, which adds up, and the
+    caches _cuts and memo, which only the host and the config fix.
 
     Bit i of avail is set while edge i is unmet, and nbr[v] has bit w set
     while edge vw is unmet, so the remaining degree of v is
@@ -284,30 +279,22 @@ class _Engine:
     and otherwise hi is the edge-use total, which no count can reach.
     """
 
-    def __init__(self, host: Host, kind: Kind, cfg: SearchConfig, padding_budget: int = 0,
-                 leave=()):
-        self.host, self.kind, self.cfg, self.leave = host, kind, cfg, leave
+    def __init__(self, host: Host, kind: Kind, cfg: SearchConfig, padding_budget: int = 0):
+        self.host, self.kind, self.cfg = host, kind, cfg
         self.pad_budget = padding_budget
-        self.order = sorted(_simple_edges(host).keys() - leave)
+        self.order = sorted(_simple_edges(host))
         cap = len(self.order) + padding_budget
         hi = cfg.target_counts or (cap, cap)
         self.lo = tuple(map(max, (cfg.min_hexagons, cfg.min_prisms), cfg.target_counts or (0, 0)))
         self.hi = tuple(h if on else 0 for h, on in zip(hi, (cfg.hexagons, cfg.prisms)))
-        self.labels, self.idx, self.nbr, self.eid = _index(self.order)
-        self.limit = math.inf if cfg.node_budget is None else cfg.node_budget
+        self.labels, self.idx, self.host_nbr, self.eid = _index(self.order)
         if cfg.node_budget is None and len(self.labels) > UNBUDGETED_VERTEX_LIMIT:
             raise ValueError("an explicit node_budget is required for hosts on more than "
                              f"{UNBUDGETED_VERTEX_LIMIT} vertices")
-        self.host_nbr = list(self.nbr)
         idx = self.idx
         self.flips = [(idx[a], 1 << idx[b], idx[b], 1 << idx[a]) for a, b in self.order]
-        self.avail = (1 << len(self.order)) - 1
         self.memo: dict = {}
-        self.hex_placed = self.prism_placed = self.pad_used = 0
-        self.placed: list = []
         self.stats = SearchStats()
-        self.exceeded = False
-        self.solution: list = []
         self._cuts: dict = {}
 
     # -- state updates
@@ -557,27 +544,36 @@ class _Engine:
                 return Hexagon((near[0], far[0], near[1], far[1], near[2], far[2]))
         return None
 
-    def run(self) -> SearchOutcome:
-        start = perf_counter()
+    def run(self, leave=()) -> SearchOutcome:
+        """Search the host with the leave edges met from the start; the run may
+        expand node_budget nodes beyond those stats already counts."""
+        start, stats, budget = perf_counter(), self.stats, self.cfg.node_budget
+        self.limit = math.inf if budget is None else stats.nodes + budget
+        self.nbr, self.avail = list(self.host_nbr), (1 << len(self.order)) - 1
+        self.hex_placed = self.prism_placed = self.pad_used = 0
+        self.placed, self.exceeded = [], False
+        for x, y in ((self.idx[a], self.idx[b]) for a, b in leave):
+            self.avail ^= 1 << self.eid[x][y]
+            self.nbr[x] ^= 1 << y
+            self.nbr[y] ^= 1 << x
         # a leave breaks the host's symmetry, so no root is fixed under one
-        symmetric = self.cfg.symmetry_breaking and not self.leave
+        symmetric = self.cfg.symmetry_breaking and not leave
         root = self._root_block(self.host) if symmetric else None
         if root is not None:
-            self.stats.nodes += 1
-            self.stats.placements += 1
+            stats.nodes += 1
+            stats.placements += 1
             vs = tuple(self.idx[x] for x in block_vertices(root))
             self._place(_candidate(type(root), vs, self.eid))
         found = self._root()
-        self.stats.elapsed_s = perf_counter() - start
+        stats.elapsed_s += perf_counter() - start
         if not found:
-            return SearchOutcome(Status.BUDGET if self.exceeded else Status.EXHAUSTED, None,
-                                 self.stats)
+            return SearchOutcome(Status.BUDGET if self.exceeded else Status.EXHAUSTED, None, stats)
         blocks = tuple(_block(shape, vs, self.labels) for (shape, vs, _, _), _ in self.solution)
         padding = tuple(self.order[i] for (_, _, ids, _), new in self.solution
                         for i in ids if not new >> i & 1)
         design = Design(host=self.host, kind=self.kind, blocks=blocks,
-                        leave=frozenset(self.leave), padding=padding)
-        return SearchOutcome(Status.FOUND, design, self.stats)
+                        leave=frozenset(leave), padding=padding)
+        return SearchOutcome(Status.FOUND, design, stats)
 
 
 def search_multidecomposition(host: Host, cfg: SearchConfig = SearchConfig()) -> SearchOutcome:
@@ -671,11 +667,15 @@ def find_extremal(
     """Search for a packing with the given leave size or a covering with the
     given padding size, both shapes required.
 
-    Bounds that already fail the block-count equation are rejected up front
-    with the arithmetic reason.  Packings run one decomposition search per
-    leave class; coverings run a single budgeted search whose completions
-    have padding at most the bound.  Neither fixes a root block by symmetry
-    breaking.
+    The bound is read two ways.  Up front it is exact: a bound b is rejected
+    with the arithmetic reason when E - b (packing) or E + b (covering) edge
+    uses, for a host of E edges, fail 6x + 9y with x, y >= 1.  The search
+    then reads a covering bound as a budget: it accepts any covering whose
+    padding is at most b.  One engine indexes the host; a packing runs it
+    once per leave class of b edges until a run does not exhaust, and a
+    covering runs it once with padding budget b.  node_budget holds per
+    run, so per leave class, and the stats add up over the runs.  Neither
+    fixes a root block by symmetry breaking.
     """
     total = len(_simple_edges(host))
     if kind not in (Kind.PACKING, Kind.COVERING):
@@ -689,15 +689,13 @@ def find_extremal(
             "solution with x >= 1 and y >= 1"
         )
     cfg = SearchConfig(min_hexagons=1, min_prisms=1, node_budget=node_budget)
-    if kind is Kind.COVERING:
-        return _Engine(host, kind, cfg, padding_budget=bound).run()
-    runs = []
-    for leave in _leave_candidates(host, bound):
-        outcome = _Engine(host, kind, cfg, leave=leave).run()
-        runs.append(outcome.stats)
-        if outcome.status is not Status.EXHAUSTED:
-            return SearchOutcome(outcome.status, outcome.design, merge_stats(runs))
-    return SearchOutcome(Status.EXHAUSTED, None, merge_stats(runs))
+    covering = kind is Kind.COVERING
+    leaves = [()] if covering else _leave_candidates(host, bound)
+    engine = _Engine(host, kind, cfg, padding_budget=bound if covering else 0)
+    for leave in leaves:
+        if (outcome := engine.run(leave)).status is not Status.EXHAUSTED:
+            break
+    return outcome
 
 
 # ---------------------------------------------------------------------------

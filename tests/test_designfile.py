@@ -252,10 +252,10 @@ def _misplaced_blocks() -> list:
 
 
 def test_bulk_decode_agrees_with_the_block_by_block_loop(monkeypatch):
-    # _block, over a block list or as the parser's object hook, must accept
-    # exactly the block objects the checked loop accepts, build equal blocks,
-    # and leave every fault to the checked path to name; the uneven prisms
-    # split their six vertices 2 + 4 over the triangles
+    # _block, as the parser's object hook, must accept exactly the block
+    # objects the checked loop accepts, build equal blocks, and leave every
+    # fault to the checked path to name; the uneven prisms split their six
+    # vertices 2 + 4 over the triangles
     uneven = [{**design_to_obj(catalog_get("decomposition:6")),
                "blocks": [{"type": "prism", "triangles": triangles}]}
               for triangles in ([[0, 1], [2, 3, 4, 5]], [[0, 1, 2, 3], [4, 5]])]

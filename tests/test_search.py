@@ -27,7 +27,6 @@ from hexprism.search import (
     InfeasibleBoundError,
     MultigraphHostError,
     SearchConfig,
-    SearchStats,
     Status,
     _block,
     _degree_ok,
@@ -37,7 +36,6 @@ from hexprism.search import (
     _through,
     confirm_nonexistence,
     find_extremal,
-    merge_stats,
     search_multidecomposition,
 )
 from hexprism.verifier import verify_design
@@ -393,11 +391,43 @@ def test_extremal_packing_finds_k8_leave_one():
     assert verify_design(design).valid
 
 
-def test_extremal_packing_tries_every_raw_leave_off_complete_hosts():
-    # C(24, 3) = 2,024 leave subsets of K_{4,6}, each cut at its root
+def test_extremal_packing_tries_every_raw_leave_off_complete_hosts(monkeypatch):
+    # C(24, 3) = 2,024 leave subsets of K_{4,6}, each cut at its root, all on
+    # one engine that indexes the host's 24 edges once
+    from hexprism import search
+
+    indexed = []
+    monkeypatch.setattr(search, "_index", lambda edges: indexed.append(edges) or _index(edges))
     outcome = find_extremal(CompleteBipartite(range(4), range(4, 10)), Kind.PACKING, 3)
     assert outcome.status is Status.EXHAUSTED
     assert (outcome.stats.nodes, outcome.stats.placements) == (2024, 0)
+    assert [len(edges) for edges in indexed] == [24]
+
+
+def test_packing_leave_may_isolate_a_vertex():
+    # the last leave class of K6 plus the pendant edge (5, 6) leaves vertex 6
+    # with no edge; it keeps its index in the engine at remaining degree 0
+    host = Explicit(tuple(itertools.combinations(range(6), 2)) + ((5, 6),))
+    outcome = find_extremal(host, Kind.PACKING, 1)
+    assert _counts(outcome)[:3] == ("found", 18, 2)
+    assert outcome.design.leave == {(5, 6)}
+    assert verify_design(outcome.design).valid
+
+
+def test_covering_bound_is_exact_up_front_and_a_budget_in_the_search():
+    # a hexagon and a prism sharing edge (0, 1): 14 edges, so padding 1 gives
+    # 15 = 6 + 9 edge uses; 16-20 solve no 6x + 9y, and at b = 7 (21 uses)
+    # the search still accepts the covering with padding 1
+    host = Explicit(tuple(itertools.pairwise((0, 1, 2, 3, 4, 5, 0)))
+                    + ((0, 2), (2, 6), (0, 6), (1, 7), (3, 7), (1, 3), (2, 7), (3, 6)))
+    assert len(host.edges) == 14
+    for bound in (1, 7):
+        outcome = find_extremal(host, Kind.COVERING, bound)
+        assert outcome.status is Status.FOUND and len(outcome.design.padding) == 1
+        assert verify_design(outcome.design).valid
+    for bound in range(2, 7):
+        with pytest.raises(InfeasibleBoundError, match=f"{14 + bound} = 6x"):
+            find_extremal(host, Kind.COVERING, bound)
 
 
 def test_extremal_covering_finds_k8_padding_two():
@@ -650,14 +680,24 @@ def test_stats_count_prunes_by_reason():
                 s.skipped_padding_budget) for s in (raw, mixed, cover)]
     assert reasons == [(3200, 0, 0, 0), (0, 678, 2235, 0), (5, 0, 60, 2096)]
     assert all(s.elapsed_s > 0 for s in (raw, mixed, cover))
-    total = merge_stats([raw, mixed, cover])
-    assert (total.nodes, total.placements, total.max_depth) == (
-        raw.nodes + mixed.nodes + cover.nodes, raw.placements + mixed.placements
-        + cover.placements, 9)
-    assert (total.pruned_block_count, total.pruned_odd_degree, total.pruned_vertex_degree,
-            total.skipped_padding_budget) == (3205, 678, 2295, 2096)
-    assert total.elapsed_s == pytest.approx(raw.elapsed_s + mixed.elapsed_s + cover.elapsed_s)
-    assert merge_stats([]) == SearchStats()
+
+
+def test_packing_stats_add_up_over_the_leave_classes():
+    # one engine runs every class; each run alone, on an engine of its own,
+    # counts what it adds to the shared stats, and max_depth is the deepest
+    from hexprism import search
+
+    host, cfg = Complete(8), SearchConfig(min_hexagons=1, min_prisms=1)
+    parts = [search._Engine(host, Kind.PACKING, cfg).run(leave).stats
+             for leave in _leave_candidates(host, 4)]
+    total = find_extremal(host, Kind.PACKING, 4).stats
+    summed = ("nodes", "placements", "pruned_block_count", "pruned_odd_degree",
+              "pruned_vertex_degree", "skipped_padding_budget")
+    assert len(parts) == 11 and (total.nodes, total.placements) == (291, 280)
+    assert total.elapsed_s > 0
+    assert [getattr(total, f) for f in summed] == [sum(getattr(p, f) for p in parts)
+                                                   for f in summed]
+    assert total.max_depth == max(p.max_depth for p in parts)
 
 
 def test_nonexistence_order_seven():

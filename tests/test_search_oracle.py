@@ -69,30 +69,32 @@ def _blocks(edges: set) -> list:
     return found
 
 
-def _oracle(edges: set, cfg: SearchConfig, padding: int = 0) -> bool:
+def _oracle(edges: set, cfg: SearchConfig, padding: int = 0, leave: int = 0) -> bool:
     """Whether blocks of the config's shapes meet every edge, each block
     through the least edge still unmet, in counts that reach the config's
     minima and equal its target if it sets one.  An edge already met may be
     met again for one unit of padding each, up to padding units in all; with
-    no padding the blocks partition the edges."""
+    no padding the blocks partition the edges.  The least unmet edge may
+    instead go into the leave, which must end with exactly leave edges."""
     through: dict = {e: [] for e in edges}
     for shape, block in _blocks(edges):
         for e in block if getattr(cfg, shape + "s") else ():
             through[e].append((shape, block))
 
     @lru_cache(maxsize=None)  # a memo, not a cut: it returns what the call would
-    def extend(unmet: frozenset, hexagons: int, prisms: int, left: int) -> bool:
+    def extend(unmet: frozenset, hexagons: int, prisms: int, left: int, leave_left: int) -> bool:
         if not unmet:
-            return (hexagons >= cfg.min_hexagons and prisms >= cfg.min_prisms
+            return (hexagons >= cfg.min_hexagons and prisms >= cfg.min_prisms and not leave_left
                     and cfg.target_counts in (None, (hexagons, prisms)))
         for shape, block in through[min(unmet)]:
             reused = len(block - unmet)
             if reused <= left and extend(unmet - block, hexagons + (shape == "hexagon"),
-                                         prisms + (shape == "prism"), left - reused):
+                                         prisms + (shape == "prism"), left - reused, leave_left):
                 return True
-        return False
+        return leave_left > 0 and extend(unmet - {min(unmet)}, hexagons, prisms, left,
+                                         leave_left - 1)
 
-    return extend(frozenset(edges), 0, 0, padding)
+    return extend(frozenset(edges), 0, 0, padding, leave)
 
 
 def _random_host(rng: random.Random, swaps: int, overlap: int = 0):
@@ -177,4 +179,26 @@ def test_coverings_of_random_hosts_match_the_oracle():
         expected = _oracle(set(host.edges), cfg, padding)
         answers.add(expected)
         _agree(find_extremal(host, Kind.COVERING, padding), expected, cfg)
+    assert answers == {True, False}
+
+
+def test_packings_of_random_hosts_match_the_oracle():
+    # a union of blocks, some with edges swapped out, plus 1-3 edges, packed
+    # with each leave size 1-3; only one size leaves a multiple of 3 edges
+    rng, answers, cfg = random.Random(200), set(), SearchConfig(min_hexagons=1, min_prisms=1)
+    for _ in range(60):
+        host, _, _ = _random_host(rng, swaps=rng.choice((0, 1, 2, 3)))
+        n = 1 + max(max(e) for e in host.edges)
+        extra = rng.sample(sorted(set(itertools.combinations(range(n), 2)) - set(host.edges)),
+                           rng.randint(1, 3))
+        host = Explicit(host.edges + tuple(extra))
+        for bound in (1, 2, 3):
+            if not any(6 * x + 9 * y == len(host.edges) - bound
+                       for x, y in itertools.product(range(1, 9), repeat=2)):
+                with pytest.raises(InfeasibleBoundError):
+                    find_extremal(host, Kind.PACKING, bound)
+                continue
+            expected = _oracle(set(host.edges), cfg, leave=bound)
+            answers.add(expected)
+            _agree(find_extremal(host, Kind.PACKING, bound), expected, cfg)
     assert answers == {True, False}
