@@ -4,6 +4,8 @@ A block is either a hexagon (a 6-cycle) or a prism (two triangles joined by
 a perfect matching, which is the complement of a 6-cycle on the same six
 vertices).  Everything in this module is an immutable value and every
 operation is a pure function, so values can be shared freely across threads.
+The value types rest on Value, a __slots__ base that stands in for frozen
+dataclasses at a fraction of their import cost.
 
 Blocks check their shape when built, relabel_block's results included.  The
 private _hexagon and _prism skip the check, for the design-file decoder and
@@ -14,7 +16,6 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
 from enum import Enum
 from operator import itemgetter
 
@@ -36,47 +37,95 @@ def edge_set(pairs) -> frozenset[Edge]:
     return frozenset(edge(u, v) for u, v in pairs)
 
 
+# looked up once, not on each of the tens of thousands of blocks of a design
+_new, _set = object.__new__, object.__setattr__
+
+
+class Value:
+    """An immutable value whose fields are its __slots__, in order.
+
+    It compares, hashes, prints, copies and pickles as a frozen dataclass
+    does, and replace() rebuilds it through __init__ with some fields
+    changed, as dataclasses.replace does.  Each __init__ sets the fields
+    with _assign or _set, since assignment raises.
+    """
+
+    __slots__ = ()
+
+    def _assign(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            _set(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def _compared(self) -> tuple:
+        """The field values that equality and the hash read."""
+        return self._values()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._compared() == other._compared()
+
+    def __hash__(self):
+        return hash(self._compared())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    __getstate__ = _values
+
+    def __setstate__(self, state: tuple) -> None:
+        self._assign(*state)
+
+    def replace(self, **changes):
+        """A copy with the named fields changed, built through __init__."""
+        return type(self)(**dict(zip(self.__slots__, self._values()), **changes))
+
+
 # ---------------------------------------------------------------------------
 # hosts
 
 
-@dataclass(frozen=True)
-class Complete:
+class Complete(Value):
     """The complete graph on vertices 0..n-1."""
 
-    n: int
+    __slots__ = ("n",)
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n: int):
+        _set(self, "n", n)
+        if n < 1:
             raise ValueError("order must be positive")
 
 
-@dataclass(frozen=True)
-class CompleteBipartite:
+class CompleteBipartite(Value):
     """All edges between two disjoint vertex sets."""
 
-    left: frozenset[int]
-    right: frozenset[int]
+    __slots__ = ("left", "right")
 
-    def __post_init__(self):
-        object.__setattr__(self, "left", frozenset(self.left))
-        object.__setattr__(self, "right", frozenset(self.right))
+    def __init__(self, left: frozenset[int], right: frozenset[int]):
+        self._assign(frozenset(left), frozenset(right))
         if not self.left or not self.right:
             raise ValueError("both sides must be nonempty")
         if self.left & self.right:
             raise ValueError("sides must be disjoint")
 
 
-@dataclass(frozen=True)
-class Explicit:
+class Explicit(Value):
     """An explicit edge multiset; repeated pairs are multiplicities."""
 
-    edges: tuple[Edge, ...]
+    __slots__ = ("edges",)
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "edges", tuple(sorted(edge(u, v) for u, v in self.edges))
-        )
+    def __init__(self, edges: tuple[Edge, ...]):
+        _set(self, "edges", tuple(sorted(edge(u, v) for u, v in edges)))
 
 
 Host = Complete | CompleteBipartite | Explicit
@@ -103,32 +152,28 @@ def host_edges(host: Host) -> Counter:
 # blocks
 
 
-@dataclass(frozen=True)
-class Hexagon:
+class Hexagon(Value):
     """The 6-cycle a-b-c-d-e-f-a written as the tuple (a, b, c, d, e, f)."""
 
-    vertices: tuple[int, int, int, int, int, int]
+    __slots__ = ("vertices",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "vertices", tuple(self.vertices))
+    def __init__(self, vertices: tuple[int, int, int, int, int, int]):
+        _set(self, "vertices", tuple(vertices))
         if len(self.vertices) != 6:
             raise InvalidBlockError(f"hexagon needs 6 vertices: {self.vertices}")
 
 
-@dataclass(frozen=True)
-class Prism:
+class Prism(Value):
     """Two triangles plus the matching pairing equal positions.
 
     [a, b, c; d, e, f] has triangles {a, b, c} and {d, e, f} and the rungs
     a-d, b-e, c-f.  The edge set is the complement of a 6-cycle.
     """
 
-    first: tuple[int, int, int]
-    second: tuple[int, int, int]
+    __slots__ = ("first", "second")
 
-    def __post_init__(self):
-        object.__setattr__(self, "first", tuple(self.first))
-        object.__setattr__(self, "second", tuple(self.second))
+    def __init__(self, first: tuple[int, int, int], second: tuple[int, int, int]):
+        self._assign(tuple(first), tuple(second))
         if len(self.first) != 3 or len(self.second) != 3:
             raise InvalidBlockError(
                 f"prism needs two vertex triples: {self.first}; {self.second}"
@@ -246,10 +291,6 @@ def recognize(edges) -> Block | None:
     return None
 
 
-# looked up once, not on each of the tens of thousands of blocks of a design
-_new, _set = object.__new__, object.__setattr__
-
-
 def _hexagon(vertices: tuple) -> Hexagon:
     """A Hexagon on a tuple of 6 vertices, built without __init__."""
     block = _new(Hexagon)
@@ -284,8 +325,7 @@ class Kind(Enum):
     COVERING = "covering"
 
 
-@dataclass(frozen=True)
-class Design:
+class Design(Value):
     """A list of blocks against a host, with an optional leave or padding.
 
     Decompositions use the blocks exactly; packings additionally name the
@@ -293,20 +333,12 @@ class Design:
     Construction does not validate; the verifier reports on any Design.
     """
 
-    host: Host
-    kind: Kind
-    blocks: tuple[Block, ...]
-    leave: frozenset[Edge] = frozenset()
-    padding: tuple[Edge, ...] = ()
+    __slots__ = ("host", "kind", "blocks", "leave", "padding")
 
-    def __post_init__(self):
-        object.__setattr__(self, "blocks", tuple(self.blocks))
-        object.__setattr__(
-            self, "leave", frozenset(edge(u, v) for u, v in self.leave)
-        )
-        object.__setattr__(
-            self, "padding", tuple(sorted(edge(u, v) for u, v in self.padding))
-        )
+    def __init__(self, host: Host, kind: Kind, blocks: tuple[Block, ...],
+                 leave: frozenset[Edge] = frozenset(), padding: tuple[Edge, ...] = ()):
+        self._assign(host, kind, tuple(blocks), frozenset(edge(u, v) for u, v in leave),
+                     tuple(sorted(edge(u, v) for u, v in padding)))
 
     @property
     def hexagon_count(self) -> int:

@@ -8,7 +8,7 @@ and what the extremal leave and padding sizes are.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .core import Value
 
 EXCEPTIONAL_ORDERS = (7, 9, 10)
 
@@ -26,15 +26,15 @@ class UnsupportedOrderError(ValueError):
     """Raised for orders below 6, where no design with both shapes fits."""
 
 
-@dataclass(frozen=True)
-class FeasibilityReport:
-    n: int
-    decomposition_exists: bool
-    min_leave: int
-    min_padding: int
-    block_solutions: frozenset[tuple[int, int]]
-    degree_solutions: frozenset[tuple[int, int]]
-    annotation: str | None = None
+class FeasibilityReport(Value):
+    __slots__ = ("n", "decomposition_exists", "min_leave", "min_padding", "block_solutions",
+                 "degree_solutions", "annotation")
+
+    def __init__(self, n: int, decomposition_exists: bool, min_leave: int, min_padding: int,
+                 block_solutions: frozenset[tuple[int, int]],
+                 degree_solutions: frozenset[tuple[int, int]], annotation: str | None = None):
+        self._assign(n, decomposition_exists, min_leave, min_padding, block_solutions,
+                     degree_solutions, annotation)
 
 
 def block_count_solutions(edge_count: int, require_both: bool) -> set[tuple[int, int]]:

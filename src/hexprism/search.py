@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache, partial, reduce
 from operator import and_, or_
@@ -43,6 +42,7 @@ from .core import (
     Host,
     Kind,
     Prism,
+    Value,
     block_vertices,
     host_edges,
     host_vertices,
@@ -65,8 +65,7 @@ class Status(Enum):
     BUDGET = "budget"
 
 
-@dataclass(frozen=True)
-class SearchConfig:
+class SearchConfig(Value):
     """Knobs for one search run.
 
     target_counts pins the exact (hexagons, prisms) block counts; the minima
@@ -83,45 +82,46 @@ class SearchConfig:
     exhaustion by raw placement enumeration use that.
     """
 
-    hexagons: bool = True
-    prisms: bool = True
-    min_hexagons: int = 0
-    min_prisms: int = 0
-    target_counts: tuple[int, int] | None = None
-    node_budget: int | None = None
-    symmetry_breaking: bool = False
-    degree_prunes: bool = True
+    __slots__ = ("hexagons", "prisms", "min_hexagons", "min_prisms", "target_counts",
+                 "node_budget", "symmetry_breaking", "degree_prunes")
 
-    def __post_init__(self):
-        if self.node_budget is not None and self.node_budget < 0:
-            raise ValueError(f"node_budget must be non-negative, got {self.node_budget}")
+    def __init__(self, hexagons: bool = True, prisms: bool = True, min_hexagons: int = 0,
+                 min_prisms: int = 0, target_counts: tuple[int, int] | None = None,
+                 node_budget: int | None = None, symmetry_breaking: bool = False,
+                 degree_prunes: bool = True):
+        self._assign(hexagons, prisms, min_hexagons, min_prisms, target_counts, node_budget,
+                     symmetry_breaking, degree_prunes)
+        if node_budget is not None and node_budget < 0:
+            raise ValueError(f"node_budget must be non-negative, got {node_budget}")
 
 
-@dataclass
-class SearchStats:
+class SearchStats(Value):
     """nodes counts the root and every child the cuts examined, including
     children cut before placement, which are never built.  pruned_* count
     nodes cut by the block-count equation, the odd-degree bound and the
     per-vertex degree bound; skipped_padding_budget counts covering
     candidates that would overspend the padding budget.  elapsed_s is time
     in the engine, without leave-class enumeration.  A packing's runs, one
-    per leave class, add up: max_depth is the deepest, the rest sum."""
+    per leave class, add up: max_depth is the deepest, the rest sum.  The
+    counters change in place, so stats are neither frozen nor hashable."""
 
-    nodes: int = 0
-    placements: int = 0
-    max_depth: int = 0
-    pruned_block_count: int = 0
-    pruned_odd_degree: int = 0
-    pruned_vertex_degree: int = 0
-    skipped_padding_budget: int = 0
-    elapsed_s: float = 0.0
+    __slots__ = ("nodes", "placements", "max_depth", "pruned_block_count", "pruned_odd_degree",
+                 "pruned_vertex_degree", "skipped_padding_budget", "elapsed_s")
+    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
+
+    def __init__(self, nodes: int = 0, placements: int = 0, max_depth: int = 0,
+                 pruned_block_count: int = 0, pruned_odd_degree: int = 0,
+                 pruned_vertex_degree: int = 0, skipped_padding_budget: int = 0,
+                 elapsed_s: float = 0.0):
+        self._assign(nodes, placements, max_depth, pruned_block_count, pruned_odd_degree,
+                     pruned_vertex_degree, skipped_padding_budget, elapsed_s)
 
 
-@dataclass(frozen=True)
-class SearchOutcome:
-    status: Status
-    design: Design | None
-    stats: SearchStats
+class SearchOutcome(Value):
+    __slots__ = ("status", "design", "stats")
+
+    def __init__(self, status: Status, design: Design | None, stats: SearchStats):
+        self._assign(status, design, stats)
 
 
 # ---------------------------------------------------------------------------
@@ -702,8 +702,7 @@ def find_extremal(
 # nonexistence certification for the exceptional orders
 
 
-@dataclass(frozen=True)
-class NonexistenceReport:
+class NonexistenceReport(Value):
     """Two independent elimination branches for every block-count case.
 
     The analytic branch applies incidence-arithmetic rules; the enumerative
@@ -714,13 +713,14 @@ class NonexistenceReport:
     ruled out.
     """
 
-    n: int
-    cases: tuple[tuple[int, int], ...]
-    analytic_eliminated: dict
-    enumerative_eliminated: dict
-    stats: dict
-    nonexistent: bool
-    branches_agree: bool
+    __slots__ = ("n", "cases", "analytic_eliminated", "enumerative_eliminated", "stats",
+                 "nonexistent", "branches_agree")
+
+    def __init__(self, n: int, cases: tuple[tuple[int, int], ...], analytic_eliminated: dict,
+                 enumerative_eliminated: dict, stats: dict, nonexistent: bool,
+                 branches_agree: bool):
+        self._assign(n, cases, analytic_eliminated, enumerative_eliminated, stats,
+                     nonexistent, branches_agree)
 
     @property
     def analytic_complete(self) -> bool:

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
 from itertools import chain
 from operator import add
 
@@ -39,28 +38,30 @@ from .core import (
     Hexagon,
     Kind,
     Prism,
+    Value,
 )
 
 
-@dataclass(frozen=True)
-class Finding:
+class Finding(Value):
     """One verification failure: a code, a message, and the offending data."""
 
-    code: str
-    message: str
-    blocks: tuple[int, ...] = ()
-    edges: tuple[Edge, ...] = ()
+    __slots__ = ("code", "message", "blocks", "edges")
+
+    def __init__(self, code: str, message: str, blocks: tuple[int, ...] = (),
+                 edges: tuple[Edge, ...] = ()):
+        self._assign(code, message, blocks, edges)
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    valid: bool
-    failures: tuple[Finding, ...]
-    hexagon_count: int
-    prism_count: int
-    leave: frozenset
-    padding: tuple
-    incidence: dict = field(compare=False)
+class VerificationReport(Value):
+    __slots__ = ("valid", "failures", "hexagon_count", "prism_count", "leave", "padding",
+                 "incidence")
+
+    def __init__(self, valid: bool, failures: tuple[Finding, ...], hexagon_count: int,
+                 prism_count: int, leave: frozenset, padding: tuple, incidence: dict):
+        self._assign(valid, failures, hexagon_count, prism_count, leave, padding, incidence)
+
+    def _compared(self) -> tuple:
+        return self._values()[:-1]  # all but the incidence table
 
 
 # ranks per slice when a count mismatch is located

@@ -296,6 +296,38 @@ def test_cli_import_leaves_the_search_engine_unloaded():
     assert proc.returncode == 0, proc.stderr
 
 
+@pytest.mark.parametrize("argv, exit_code, loads, unloaded", [
+    (["construct", "--n", "13", "--kind", "packing"], 0,
+     {"constructions", "verifier", "designfile"}, {"search"}),
+    (["verify", "{design}"], 0,
+     {"designfile", "verifier"}, {"constructions", "catalog", "bases", "bipartite", "search"}),
+    (["classify", "--n", "13"], 0,
+     {"feasibility"}, {"verifier", "designfile", "constructions", "catalog", "bases", "search"}),
+    (["catalog", "covering:17"], 0, {"catalog"}, {"constructions", "search"}),
+    (["catalog"], 0, {"catalog"}, {"constructions", "search"}),
+    (["search", "--n", "9"], 1,
+     {"search"}, {"constructions", "catalog", "bases", "bipartite", "verifier"}),
+], ids=["construct", "verify", "classify", "catalog-export", "catalog-list", "search"])
+def test_each_command_loads_only_what_it_runs(tmp_path, argv, exit_code, loads, unloaded):
+    # each command, run through main in a fresh process, imports the modules
+    # it runs on first call and no others, and none imports dataclasses
+    design = tmp_path / "k13.json"
+    design.write_text(dumps_design(catalog_get("decomposition:13")), encoding="utf-8")
+    program = (
+        "import sys\n"
+        "from hexprism import cli\n"
+        "code = cli.main(sys.argv[1:])\n"
+        "print(code, *sorted(sys.modules), file=sys.stderr)\n"
+    )
+    argv = [arg.format(design=design) for arg in argv]
+    proc = subprocess.run([sys.executable, "-c", program, *argv], capture_output=True, text=True)
+    code, *loaded = proc.stderr.splitlines()[-1].split()
+    assert int(code) == exit_code, proc.stderr
+    assert "dataclasses" not in loaded
+    assert {f"hexprism.{name}" for name in loads} <= set(loaded)
+    assert not {f"hexprism.{name}" for name in unloaded} & set(loaded)
+
+
 def test_every_name_the_benchmark_tracer_wraps_is_there():
     # perfbench/spans.py wraps names in cli, designfile, bases, catalog and
     # search by getattr, so a rename there fails here, not in a traced run;

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import copy
 import itertools
+import pickle
 import random
 
 import pytest
@@ -24,6 +26,9 @@ from hexprism.core import (
     relabel_block,
     relabel_design,
 )
+from hexprism.feasibility import FeasibilityReport
+from hexprism.search import NonexistenceReport, SearchConfig, SearchOutcome, SearchStats, Status
+from hexprism.verifier import Finding, VerificationReport
 
 
 def test_edge_normalizes_order():
@@ -238,3 +243,132 @@ def test_bipartite_host_validation():
         CompleteBipartite(frozenset({0, 1}), frozenset({1, 2}))
     with pytest.raises(ValueError):
         CompleteBipartite(frozenset(), frozenset({1}))
+
+
+# ---------------------------------------------------------------------------
+# the value-type contract: each former frozen dataclass keeps its behaviour
+
+_HEX = Hexagon((0, 1, 2, 3, 4, 5))
+_HEX_TEXT = "Hexagon(vertices=(0, 1, 2, 3, 4, 5))"
+_STATS_TEXT = ("SearchStats(nodes=2, placements=0, max_depth=0, pruned_block_count=0, "
+               "pruned_odd_degree=0, pruned_vertex_degree=0, skipped_padding_budget=0, "
+               "elapsed_s=0.0)")
+# one value of each type, a design of each kind, and the literal repr of each
+_VALUES = [
+    (Complete(6), "Complete(n=6)"),
+    (CompleteBipartite([0, 1], {2}),
+     "CompleteBipartite(left=frozenset({0, 1}), right=frozenset({2}))"),
+    (Explicit([(1, 0), (2, 1)]), "Explicit(edges=((0, 1), (1, 2)))"),
+    (Hexagon([0, 1, 2, 3, 4, 5]), _HEX_TEXT),
+    (Prism([0, 1, 2], [3, 4, 5]), "Prism(first=(0, 1, 2), second=(3, 4, 5))"),
+    (Design(Complete(6), Kind.DECOMPOSITION, [_HEX]),
+     "Design(host=Complete(n=6), kind=<Kind.DECOMPOSITION: 'decomposition'>, "
+     f"blocks=({_HEX_TEXT},), leave=frozenset(), padding=())"),
+    (Design(Complete(8), Kind.PACKING, [_HEX], leave=[(7, 6)]),
+     "Design(host=Complete(n=8), kind=<Kind.PACKING: 'packing'>, "
+     f"blocks=({_HEX_TEXT},), leave=frozenset({{(6, 7)}}), padding=())"),
+    (Design(Complete(6), Kind.COVERING, [_HEX], padding=[(1, 0)]),
+     "Design(host=Complete(n=6), kind=<Kind.COVERING: 'covering'>, "
+     f"blocks=({_HEX_TEXT},), leave=frozenset(), padding=((0, 1),))"),
+    (Finding("c", "text", (1,), ((0, 1),)),
+     "Finding(code='c', message='text', blocks=(1,), edges=((0, 1),))"),
+    (VerificationReport(True, (), 1, 0, frozenset(), (), {0: (1, 0)}),
+     "VerificationReport(valid=True, failures=(), hexagon_count=1, prism_count=0, "
+     "leave=frozenset(), padding=(), incidence={0: (1, 0)})"),
+    (FeasibilityReport(9, False, 3, 3, frozenset({(3, 2)}), frozenset({(4, 0)})),
+     "FeasibilityReport(n=9, decomposition_exists=False, min_leave=3, min_padding=3, "
+     "block_solutions=frozenset({(3, 2)}), degree_solutions=frozenset({(4, 0)}), "
+     "annotation=None)"),
+    (SearchConfig(node_budget=5),
+     "SearchConfig(hexagons=True, prisms=True, min_hexagons=0, min_prisms=0, "
+     "target_counts=None, node_budget=5, symmetry_breaking=False, degree_prunes=True)"),
+    (SearchStats(nodes=2), _STATS_TEXT),
+    (SearchOutcome(Status.EXHAUSTED, None, SearchStats(nodes=2)),
+     f"SearchOutcome(status=<Status.EXHAUSTED: 'exhausted'>, design=None, stats={_STATS_TEXT})"),
+    (NonexistenceReport(7, ((1, 1),), {}, {(1, 1): "why"}, {"nodes": 3}, True, True),
+     "NonexistenceReport(n=7, cases=((1, 1),), analytic_eliminated={}, "
+     "enumerative_eliminated={(1, 1): 'why'}, stats={'nodes': 3}, nonexistent=True, "
+     "branches_agree=True)"),
+]
+# all but the stats, whose counters change in place
+_FROZEN = [(value, text) for value, text in _VALUES if not isinstance(value, SearchStats)]
+# these hold a dict or the mutable stats, as their dataclasses did
+_UNHASHABLE = (SearchStats, SearchOutcome, NonexistenceReport)
+
+
+def _ids(values) -> list[str]:
+    return [f"{type(v).__name__}-{v.kind.value}" if isinstance(v, Design) else type(v).__name__
+            for v, _ in values]
+
+
+@pytest.mark.parametrize("value, text", _VALUES, ids=_ids(_VALUES))
+def test_value_types_compare_hash_and_print_as_frozen_dataclasses(value, text):
+    twin = value.replace()
+    assert twin == value and twin is not value
+    assert not twin != value
+    if isinstance(value, _UNHASHABLE):
+        with pytest.raises(TypeError):
+            hash(value)
+    else:
+        assert hash(twin) == hash(value)
+    fields = tuple(getattr(value, name) for name in value.__slots__)
+    assert value != fields
+    assert all(value != other for other, _ in _VALUES if type(other) is not type(value))
+    assert repr(value) == text
+    with pytest.raises(TypeError):
+        value.replace(no_such_field=1)
+
+
+@pytest.mark.parametrize("value, text", _FROZEN, ids=_ids(_FROZEN))
+def test_value_fields_cannot_be_assigned_or_deleted(value, text):
+    for name in value.__slots__:
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    with pytest.raises(AttributeError):
+        value.extra = None
+    assert repr(value) == text
+
+
+@pytest.mark.parametrize("value, text", _VALUES, ids=_ids(_VALUES))
+def test_value_types_pickle_and_copy(value, text):
+    for twin in (pickle.loads(pickle.dumps(value)), pickle.loads(pickle.dumps(value, 0)),
+                 copy.copy(value), copy.deepcopy(value)):
+        assert type(twin) is type(value) and twin == value
+        assert repr(twin) == text
+
+
+def test_replace_rebuilds_through_init():
+    design = Design(Complete(8), Kind.PACKING, [_HEX], leave=[(7, 6)])
+    changed = design.replace(leave=[(5, 4), (7, 6)], padding=[(3, 2), (1, 0)])
+    assert changed.leave == frozenset({(4, 5), (6, 7)})
+    assert changed.padding == ((0, 1), (2, 3))
+    assert changed.blocks == (_HEX,) and changed.host == Complete(8)
+    assert design.replace(blocks=[_HEX, _HEX]).blocks == (_HEX, _HEX)
+    assert design.leave == frozenset({(6, 7)}) and design.padding == ()
+    assert SearchConfig(node_budget=1).replace(symmetry_breaking=True) == SearchConfig(
+        node_budget=1, symmetry_breaking=True)
+    with pytest.raises(ValueError, match="node_budget must be non-negative"):
+        SearchConfig(node_budget=1).replace(node_budget=-1)
+    with pytest.raises(InvalidBlockError):
+        _HEX.replace(vertices=(0, 1, 2))
+    with pytest.raises(ValueError):
+        Complete(3).replace(n=0)
+
+
+def test_verification_report_equality_ignores_incidence():
+    report = VerificationReport(True, (), 1, 0, frozenset(), (), {0: (1, 0)})
+    other = report.replace(incidence={})
+    assert other == report and hash(other) == hash(report)
+    assert report.replace(valid=False) != report
+
+
+def test_search_stats_are_mutable_and_unhashable():
+    stats = SearchStats()
+    stats.nodes += 3
+    stats.max_depth = 2
+    assert stats == SearchStats(nodes=3, max_depth=2)
+    assert stats.replace(nodes=4) == SearchStats(nodes=4, max_depth=2)
+    with pytest.raises(TypeError):
+        hash(stats)

@@ -4,7 +4,6 @@ import hashlib
 import itertools
 import random
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 
@@ -352,7 +351,7 @@ def test_budget_stop_sweep_is_pinned():
             (Complete(10), SearchConfig(target_counts=(3, 3), symmetry_breaking=True),
              range(1, 11566, 250)),
             (Complete(15), _MIXED, range(500, 10001, 500))]
-    rows = [_counts(search_multidecomposition(host, replace(cfg, node_budget=budget)))
+    rows = [_counts(search_multidecomposition(host, cfg.replace(node_budget=budget)))
             for host, cfg, budgets in runs for budget in budgets]
     assert len(rows) == 546
     assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
@@ -559,7 +558,7 @@ _PRISM_AND_FAN = Explicit(((0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), (0, 3
      # every reuse class below the padding budget, and a budget stop inside a run
      lambda: find_extremal(Complete(7), Kind.COVERING, 3, node_budget=2000),
      # hexagon runs cut by the odd-degree bound, and a budget stop inside one
-     lambda: search_multidecomposition(Complete(13), replace(_MIXED, node_budget=3000)),
+     lambda: search_multidecomposition(Complete(13), _MIXED.replace(node_budget=3000)),
      lambda: search_multidecomposition(_PRISM_AND_FAN, SearchConfig(degree_prunes=False))],
     ids=["k9-mixed", "k8-pack1", "cert-n7-raw", "k7-cover6", "k9-cover3-5000", "k7-cover3-2000",
          "k13-mixed-3000", "prism-count-cut"],

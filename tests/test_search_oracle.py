@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import replace
 from functools import lru_cache
 
 import pytest
@@ -161,7 +160,7 @@ def test_symmetry_breaking_keeps_the_oracle_answer(host, cfg):
     # the oracle fixes no root block; the budget only bounds a broken engine
     expected = _oracle(set(host_edges(host)), cfg)
     for symmetric in (False, True):
-        run = replace(cfg, symmetry_breaking=symmetric, node_budget=100_000)
+        run = cfg.replace(symmetry_breaking=symmetric, node_budget=100_000)
         _agree(search_multidecomposition(host, run), expected, cfg)
 
 

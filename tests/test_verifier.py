@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import itertools
 import random
@@ -47,9 +46,7 @@ def test_k6_pair_is_valid():
 def test_deleting_a_block_reports_its_edges():
     base = catalog_get("decomposition:13")
     hex_index = next(i for i, b in enumerate(base.blocks) if isinstance(b, Hexagon))
-    damaged = dataclasses.replace(
-        base, blocks=base.blocks[:hex_index] + base.blocks[hex_index + 1 :]
-    )
+    damaged = base.replace(blocks=base.blocks[:hex_index] + base.blocks[hex_index + 1 :])
     report = verify_design(damaged)
     assert not report.valid
     finding = next(f for f in report.failures if f.code == "uncovered-edges")
@@ -68,7 +65,7 @@ def test_mutated_vertex_breaks_partition():
         first = list(blk.first)
         first[0] = blk.second[0]
         blocks[0] = Prism(tuple(first), blk.second)
-    report = verify_design(dataclasses.replace(base, blocks=tuple(blocks)))
+    report = verify_design(base.replace(blocks=tuple(blocks)))
     assert not report.valid
     assert "repeated-vertex" in _codes(report)
 
@@ -76,7 +73,7 @@ def test_mutated_vertex_breaks_partition():
 def test_duplicated_block_overcovers():
     base = _k6_pair()
     report = verify_design(
-        dataclasses.replace(base, blocks=base.blocks + base.blocks[:1])
+        base.replace(blocks=base.blocks + base.blocks[:1])
     )
     assert not report.valid
     assert "overcovered-edges" in _codes(report)
@@ -114,7 +111,7 @@ def test_malformed_block_object_is_a_bad_block_finding():
     for design in (catalog_get("decomposition:6"), catalog_get("bipartite:4x6")):
         i = len(design.blocks)
         for block in malformed:
-            bad = dataclasses.replace(design, blocks=design.blocks + (block,))
+            bad = design.replace(blocks=design.blocks + (block,))
             report = verify_design(bad, require_both_types=False)
             assert report.failures == (
                 Finding("bad-block", f"block {i} is not a hexagon or prism", blocks=(i,)),
@@ -145,7 +142,7 @@ def test_missing_shape_findings():
 def test_non_integer_vertex_is_a_finding():
     base = _k6_pair()
     bad = Hexagon((0, 1, 2, 3, 4, "x"))
-    report = verify_design(dataclasses.replace(base, blocks=(bad,) + base.blocks[1:]))
+    report = verify_design(base.replace(blocks=(bad,) + base.blocks[1:]))
     assert not report.valid
     finding = next(f for f in report.failures if f.code == "non-integer-vertex")
     assert finding.blocks == (0,)
@@ -163,38 +160,38 @@ def test_non_integer_host_is_a_finding():
 
 def test_unexpected_leave_and_padding():
     base = _k6_pair()
-    with_leave = dataclasses.replace(base, leave=frozenset({(0, 1)}))
+    with_leave = base.replace(leave=frozenset({(0, 1)}))
     assert "unexpected-leave" in _codes(verify_design(with_leave))
-    with_padding = dataclasses.replace(base, padding=((0, 1),))
+    with_padding = base.replace(padding=((0, 1),))
     assert "unexpected-padding" in _codes(verify_design(with_padding))
 
 
 def test_leave_overlap_and_outside_host():
     packing = catalog_get("packing:8")
     covered = min(block_edges(packing.blocks[0]))
-    overlapping = dataclasses.replace(packing, leave=packing.leave | {covered})
+    overlapping = packing.replace(leave=packing.leave | {covered})
     assert "leave-overlap" in _codes(verify_design(overlapping))
 
-    outside = dataclasses.replace(packing, leave=packing.leave | {(0, 99)})
+    outside = packing.replace(leave=packing.leave | {(0, 99)})
     assert "leave-outside-host" in _codes(verify_design(outside))
 
 
 def test_padding_outside_host():
     covering = catalog_get("covering:8")
-    damaged = dataclasses.replace(covering, padding=covering.padding + ((3, 88),))
+    damaged = covering.replace(padding=covering.padding + ((3, 88),))
     assert "padding-outside-host" in _codes(verify_design(damaged))
 
 
 def test_packing_missing_leave_edge_detected():
     packing = catalog_get("packing:8")
-    report = verify_design(dataclasses.replace(packing, leave=frozenset()))
+    report = verify_design(packing.replace(leave=frozenset()))
     assert not report.valid
     assert "uncovered-edges" in _codes(report)
 
 
 def test_covering_with_wrong_padding_detected():
     covering = catalog_get("covering:8")
-    report = verify_design(dataclasses.replace(covering, padding=()))
+    report = verify_design(covering.replace(padding=()))
     assert not report.valid
     assert "overcovered-edges" in _codes(report)
 
@@ -240,7 +237,7 @@ def test_verification_invariant_under_block_reexpression():
     rolled = Hexagon(t[2:] + t[:2])
     swapped = Prism(prism.second, prism.first)
     report = verify_design(
-        dataclasses.replace(base, blocks=(swapped, rolled))
+        base.replace(blocks=(swapped, rolled))
     )
     assert report.valid
 
@@ -259,8 +256,8 @@ def test_bipartite_host_verification():
     fill = c6_decompose_bipartite(CompleteBipartite(range(12), range(12, 30)))
     assert verify_design(fill, require_both_types=False).valid
     dropped = fill.blocks[7]
-    broken = dataclasses.replace(fill, kind=Kind.PACKING, leave=frozenset({(1, 0)}),
-                                 blocks=fill.blocks[:7] + fill.blocks[8:])
+    broken = fill.replace(kind=Kind.PACKING, leave=frozenset({(1, 0)}),
+                          blocks=fill.blocks[:7] + fill.blocks[8:])
     report = verify_design(broken, require_both_types=False)
     assert [(f.code, f.edges) for f in report.failures] == [
         ("leave-outside-host", ((0, 1),)),
@@ -304,7 +301,7 @@ def test_host_beyond_the_blocks_reach_counts_blocks_and_leave():
     rest = sorted(set(itertools.combinations(range(7), 2)) - block_edges(prism))
     full = Design(host=Complete(7), kind=Kind.PACKING, blocks=(prism,), leave=frozenset(rest))
     assert "uncovered-edges" not in _codes(verify_design(full))
-    short = dataclasses.replace(full, leave=frozenset(rest[1:]))
+    short = full.replace(leave=frozenset(rest[1:]))
     (finding,) = verify_design(short).failures
     assert finding.code == "uncovered-edges"
     assert "21 host edges" in finding.message and "at most 20" in finding.message
@@ -312,7 +309,7 @@ def test_host_beyond_the_blocks_reach_counts_blocks_and_leave():
 
 def test_non_integer_leave_edge_is_outside_the_host():
     packing = catalog_get("packing:8")
-    report = verify_design(dataclasses.replace(packing, leave=packing.leave | {(0, 1.5)}))
+    report = verify_design(packing.replace(leave=packing.leave | {(0, 1.5)}))
     assert [(f.code, f.message, f.edges) for f in report.failures] == [
         ("leave-outside-host", "leave edges not in the host: [(0, 1.5)]", ((0, 1.5),)),
         ("overcovered-edges", "1 edge uses beyond the host: ((0, 1.5),)", ((0, 1.5),)),
@@ -321,7 +318,7 @@ def test_non_integer_leave_edge_is_outside_the_host():
 
 def test_non_integer_padding_edge_is_outside_the_host():
     covering = catalog_get("covering:8")
-    report = verify_design(dataclasses.replace(covering, padding=covering.padding + ((0, 2.5),)))
+    report = verify_design(covering.replace(padding=covering.padding + ((0, 2.5),)))
     assert [(f.code, f.message, f.edges) for f in report.failures] == [
         ("padding-outside-host", "padding edges not in the host: [(0, 2.5)]", ((0, 2.5),)),
         ("uncovered-edges", "1 host edge uses not covered: ((0, 2.5),)", ((0, 2.5),)),
@@ -330,7 +327,7 @@ def test_non_integer_padding_edge_is_outside_the_host():
 
 def _explicit_k6():
     k6 = catalog_get("decomposition:6")
-    return dataclasses.replace(k6, host=Explicit(tuple(itertools.combinations(range(6), 2))))
+    return k6.replace(host=Explicit(tuple(itertools.combinations(range(6), 2))))
 
 
 @pytest.mark.parametrize(
@@ -354,7 +351,7 @@ def test_float_or_bool_leave_and_padding_vertex_is_outside_every_host(base):
           ("overcovered-edges", "1 edge uses beyond the host: ((True, 5),)")]),
     ]
     for kind, change, expected in cases:
-        report = verify_design(dataclasses.replace(design, kind=kind, **change),
+        report = verify_design(design.replace(kind=kind, **change),
                                require_both_types=False)
         assert [(f.code, f.message) for f in report.failures] == expected
 
@@ -387,7 +384,7 @@ def _rebuild(block, vs):
 
 
 def _replace_block(design, i, block):
-    return dataclasses.replace(design, blocks=design.blocks[:i] + (block,) + design.blocks[i + 1 :])
+    return design.replace(blocks=design.blocks[:i] + (block,) + design.blocks[i + 1 :])
 
 
 def _mutations(rng, design):
@@ -403,8 +400,8 @@ def _mutations(rng, design):
     block = blocks[i]
     vs = list(block_vertices(block))
     j, k = rng.sample(range(6), 2)
-    yield "drop", dataclasses.replace(design, blocks=blocks[:i] + blocks[i + 1 :])
-    yield "duplicate", dataclasses.replace(design, blocks=blocks[:i] + (block,) + blocks[i:])
+    yield "drop", design.replace(blocks=blocks[:i] + blocks[i + 1 :])
+    yield "duplicate", design.replace(blocks=blocks[:i] + (block,) + blocks[i:])
     others = [v for v in vs_host if v not in vs]
     if others:
         moved = vs[:]
@@ -423,14 +420,14 @@ def _mutations(rng, design):
     repeated[j] = repeated[k]
     yield "repeat", _replace_block(design, i, _rebuild(block, repeated))
     stray = rng.choice(host_pairs)
-    yield "leave", dataclasses.replace(design, leave=design.leave | {stray})
-    yield "padding", dataclasses.replace(design, padding=design.padding + (stray,))
-    yield "leave-non-int", dataclasses.replace(design, leave=design.leave | {(vs[0], 0.5)})
-    yield "padding-non-int", dataclasses.replace(design, padding=design.padding + ((vs[0], 1.5),))
+    yield "leave", design.replace(leave=design.leave | {stray})
+    yield "padding", design.replace(padding=design.padding + (stray,))
+    yield "leave-non-int", design.replace(leave=design.leave | {(vs[0], 0.5)})
+    yield "padding-non-int", design.replace(padding=design.padding + ((vs[0], 1.5),))
     copies = rng.randrange(256, 300)
-    yield "copies", dataclasses.replace(design, blocks=blocks + (block,) * copies)
-    yield "huge-host", dataclasses.replace(design, host=Complete(10**6))
-    yield "larger-host", dataclasses.replace(design, host=Complete(top + 3))
+    yield "copies", design.replace(blocks=blocks + (block,) * copies)
+    yield "huge-host", design.replace(host=Complete(10**6))
+    yield "larger-host", design.replace(host=Complete(top + 3))
 
 
 def _fingerprint(report) -> str:
@@ -487,8 +484,8 @@ def _large_design(build):
         again = design.blocks[:40]
         edges = [*itertools.combinations(range(int(size)), 2),
                  *itertools.chain.from_iterable(map(block_edges, again))]
-        return dataclasses.replace(design, host=Explicit(tuple(edges)),
-                                   blocks=design.blocks + again)
+        return design.replace(host=Explicit(tuple(edges)),
+                              blocks=design.blocks + again)
     return getattr(constructions, name)(int(size))
 
 
@@ -526,8 +523,8 @@ def _large_mutations(design, shape):
     host_vs = host_vertices(design.host)
     blocks = design.blocks
     yield "valid", design, complete
-    yield "drop", dataclasses.replace(design, blocks=blocks[:-1]), complete
-    yield "duplicate", dataclasses.replace(design, blocks=blocks + blocks[-1:]), complete
+    yield "drop", design.replace(blocks=blocks[:-1]), complete
+    yield "duplicate", design.replace(blocks=blocks + blocks[-1:]), complete
     i = next(i for i, b in enumerate(blocks) if isinstance(b, shape))
     vs = list(block_vertices(blocks[i]))
     others = sorted(set(host_vs) - set(vs))
