@@ -9,8 +9,6 @@ program loads only the modules it uses: the CLI, say, loads the search
 engine only for `hexprism search`.
 """
 
-from importlib import import_module
-
 __version__ = "0.1.0"
 
 # each submodule and the public names it defines
@@ -47,11 +45,13 @@ _SUBMODULES = {"bases", "catalog", *_MODULES}
 
 
 def __getattr__(name: str):
+    # __import__ imports as the import statement does, so -X importtime lists
+    # the submodule, as it does not for importlib.import_module
     if name in _SUBMODULES:
-        return import_module(f".{name}", __name__)
+        return __import__(f"{__name__}.{name}", fromlist=["__name__"])
     if name not in _EXPORTS:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(import_module(f".{_EXPORTS[name]}", __name__), name)
+    value = getattr(__import__(f"{__name__}.{_EXPORTS[name]}", fromlist=[name]), name)
     globals()[name] = value  # later lookups skip this hook
     return value
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import accumulate, combinations
 from operator import itemgetter
-from typing import NamedTuple
 
 from .bases import load_base
 from .bipartite import c6_decompose_bipartite
@@ -25,6 +24,7 @@ from .core import (
     Hexagon,
     Kind,
     Prism,
+    Value,
     _hexagon,
     _prism,
     canonical_form,
@@ -41,7 +41,7 @@ class InfeasibleOrderError(ValueError):
         self.report = report
 
 
-class Recipe(NamedTuple):
+class Recipe(Value):
     """How one residue class of n is built: head parts, then equal tail parts.
 
     head_entry (when set) is placed across all head parts; tail_entry on each
@@ -49,11 +49,11 @@ class Recipe(NamedTuple):
     over, apart from those on a single-vertex part, gets a bipartite fill.
     """
 
-    head: tuple[int, ...]
-    head_entry: str | None
-    tail: int
-    tail_entry: str
-    joined: bool
+    __slots__ = ("head", "head_entry", "tail", "tail_entry", "joined")
+
+    def __init__(self, head: tuple[int, ...], head_entry: str | None, tail: int,
+                 tail_entry: str, joined: bool):
+        self._assign(head, head_entry, tail, tail_entry, joined)
 
 
 _D, _P, _C = Kind.DECOMPOSITION, Kind.PACKING, Kind.COVERING
@@ -87,13 +87,11 @@ def join_layout(n: int, kind: Kind) -> tuple[range, ...]:
     ranges that tile 0..n-1.  Orders handled monolithically (and orders where
     the kind does not apply) have no layout and raise with the feasibility
     report."""
-    exists = has_decomposition(n)
+    reason = nonexistence_reason(n)
     if kind is Kind.DECOMPOSITION:
-        if not exists:
-            raise InfeasibleOrderError(
-                classify(n), f"no decomposition of order {n}: {nonexistence_reason(n)}"
-            )
-    elif exists:
+        if reason is not None:
+            raise InfeasibleOrderError(classify(n), f"no decomposition of order {n}: {reason}")
+    elif reason is None:
         raise InfeasibleOrderError(
             classify(n),
             f"order {n} admits a decomposition; {kind.value}s of it have no join layout",
@@ -234,13 +232,7 @@ def _assemble(n: int, kind: Kind) -> Design:
         if (i, j) not in consumed and len(parts[i]) > 1 and len(parts[j]) > 1:
             place(_fill(len(parts[i]), len(parts[j])), (i, j))
 
-    return Design(
-        host=Complete(n),
-        kind=kind,
-        blocks=tuple(blocks),
-        leave=leave,
-        padding=padding,
-    )
+    return Design(Complete(n), kind, blocks, leave, padding)
 
 
 def _extremal(n: int, kind: Kind) -> Design:

@@ -47,8 +47,8 @@ from .core import (
     host_edges,
     host_vertices,
 )
-from .feasibility import EXCEPTIONAL_ORDERS, block_count_solutions, degree_solutions
-from .feasibility import UNBUDGETED_VERTEX_LIMIT
+from .feasibility import EXCEPTIONAL_ORDERS, UNBUDGETED_VERTEX_LIMIT, _analytic_eliminations
+from .feasibility import block_count_solutions, degree_solutions
 
 
 class MultigraphHostError(ValueError):
@@ -705,12 +705,12 @@ def find_extremal(
 class NonexistenceReport(Value):
     """Two independent elimination branches for every block-count case.
 
-    The analytic branch applies incidence-arithmetic rules; the enumerative
-    branch exhausts actual placements: one raw run over all cases for n = 7,
-    one engine run per case for n = 9 and n = 10.  nonexistent means every
-    case fell to at least one branch with the enumeration covering all of
-    them, and branches_agree means no branch produced a design the other
-    ruled out.
+    The analytic branch is the incidence arithmetic of feasibility; the
+    enumerative branch exhausts actual placements: one raw run over all
+    cases for n = 7, one engine run per case for n = 9 and n = 10.
+    nonexistent means every case fell to at least one branch with the
+    enumeration covering all of them, and branches_agree means no branch
+    produced a design the other ruled out.
     """
 
     __slots__ = ("n", "cases", "analytic_eliminated", "enumerative_eliminated", "stats",
@@ -729,29 +729,6 @@ class NonexistenceReport(Value):
     @property
     def enumerative_complete(self) -> bool:
         return set(self.enumerative_eliminated) == set(self.cases)
-
-
-def _analytic_case(n: int, x: int, y: int) -> str | None:
-    """Incidence-arithmetic elimination of one (x, y) case, if it applies."""
-    allowed_q = {q for _, q in degree_solutions(n - 1)}
-    in_prism = sorted(q for q in allowed_q if 1 <= q <= y)
-    if not in_prism:
-        return (
-            f"every prism vertex would need a prism count q with 1 <= q <= {y} "
-            f"and 2p + 3q = {n - 1} solvable, but the admissible counts are "
-            f"{sorted(allowed_q)}"
-        )
-    if in_prism == [y] and 9 * y > 15:
-        return (
-            f"every prism vertex must lie in all {y} prisms, so the prisms share "
-            f"one 6-vertex support, yet {9 * y} edges exceed the 15 available there"
-        )
-    if 6 * y < n and 0 not in allowed_q:
-        return (
-            f"{y} prism(s) touch at most {6 * y} of the {n} vertices, and a vertex "
-            f"outside every prism would need 2p = {n - 1}, which is odd"
-        )
-    return None
 
 
 # perfbench/spans.py looks these names up to wrap the prism scans that the
@@ -775,7 +752,7 @@ def confirm_nonexistence(n: int) -> NonexistenceReport:
     if n not in EXCEPTIONAL_ORDERS:
         raise ValueError(f"only the exceptional orders {EXCEPTIONAL_ORDERS} are certified here")
     cases = tuple(sorted(block_count_solutions(n * (n - 1) // 2, True)))
-    analytic = {c: r for c in cases if (r := _analytic_case(n, *c)) is not None}
+    analytic = _analytic_eliminations(n)
 
     enumerative = {}
     stats: dict = {}

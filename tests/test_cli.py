@@ -296,9 +296,22 @@ def test_cli_import_leaves_the_search_engine_unloaded():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_package_hook_imports_show_in_importtime():
+    # the package's lazy hook imports as the import statement does, so
+    # -X importtime reports each submodule it loads
+    code = "import hexprism; hexprism.catalog"
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    names = {line.rpartition("|")[2].strip() for line in proc.stderr.splitlines()}
+    assert "hexprism.catalog" in names
+
+
 @pytest.mark.parametrize("argv, exit_code, loads, unloaded", [
     (["construct", "--n", "13", "--kind", "packing"], 0,
      {"constructions", "verifier", "designfile"}, {"search"}),
+    (["construct", "--n", "10", "--kind", "decomposition"], 1,
+     {"constructions", "feasibility"}, {"search"}),
     (["verify", "{design}"], 0,
      {"designfile", "verifier"}, {"constructions", "catalog", "bases", "bipartite", "search"}),
     (["classify", "--n", "13"], 0,
@@ -307,7 +320,8 @@ def test_cli_import_leaves_the_search_engine_unloaded():
     (["catalog"], 0, {"catalog"}, {"constructions", "search"}),
     (["search", "--n", "9"], 1,
      {"search"}, {"constructions", "catalog", "bases", "bipartite", "verifier"}),
-], ids=["construct", "verify", "classify", "catalog-export", "catalog-list", "search"])
+], ids=["construct", "construct-nonexistent", "verify", "classify", "catalog-export",
+        "catalog-list", "search"])
 def test_each_command_loads_only_what_it_runs(tmp_path, argv, exit_code, loads, unloaded):
     # each command, run through main in a fresh process, imports the modules
     # it runs on first call and no others, and none imports dataclasses

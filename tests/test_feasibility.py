@@ -12,6 +12,7 @@ from hexprism.feasibility import (
     nonexistence_reason,
     padding_lower_bound,
 )
+from hexprism.search import confirm_nonexistence
 
 
 def _brute_block_solutions(edge_count, require_both):
@@ -100,13 +101,14 @@ def test_leave_and_padding_sizes():
 
 
 def test_arithmetic_bounds_track_true_minima():
-    """The counting bound matches the realized minimum except at order 7,
+    """classify reads its minima off the counting bounds, except at order 7,
     where arithmetic allows padding 3 but no such covering exists."""
-    for n in range(6, 201):
-        assert leave_lower_bound(n) == classify(n).min_leave, n
-    for n in range(6, 201):
-        want = 3 if n == 7 else classify(n).min_padding
-        assert padding_lower_bound(n) == want, n
+    for n in range(6, 401):
+        report = classify(n)
+        assert report.min_leave == leave_lower_bound(n), n
+        if n != 7:
+            assert report.min_padding == padding_lower_bound(n), n
+    assert (classify(7).min_padding, padding_lower_bound(7)) == (6, 3)
 
 
 def test_leave_matches_edge_arithmetic():
@@ -119,12 +121,14 @@ def test_leave_matches_edge_arithmetic():
 
 
 def test_annotation_only_on_mod3_exceptions():
+    # 9 and 10 explain their mod-3 padding, and 7 its padding above the bound
     for n in range(6, 60):
         report = classify(n)
-        if n in (9, 10):
+        if n in (7, 9, 10):
             assert report.annotation, n
         else:
             assert report.annotation is None, n
+    assert "find_extremal(Complete(7), COVERING, 3) exhausts" in classify(7).annotation
 
 
 def test_nonexistence_reason():
@@ -136,6 +140,22 @@ def test_nonexistence_reason():
         assert reason is not None
     for n in (6, 12, 13, 15):
         assert nonexistence_reason(n) is None
+    for n in range(6):
+        with pytest.raises(UnsupportedOrderError):
+            nonexistence_reason(n)
+
+
+def test_nonexistence_reason_names_what_arithmetic_rules_out():
+    # the reason splits each exceptional order's cases as the certificate
+    # does: arithmetic first, then the cases only the search rules out
+    for n in (7, 9, 10):
+        report = confirm_nonexistence(n)
+        arithmetic, _, searched = nonexistence_reason(n).partition("only the exhaustive search")
+        for case in report.cases:
+            assert (str(case) in arithmetic) is (case in report.analytic_eliminated), (n, case)
+            assert (str(case) in searched) is (case not in report.analytic_eliminated), (n, case)
+    assert "(6, 1), and only the exhaustive search in confirm_nonexistence(10) rules out (3, 3)" \
+        in nonexistence_reason(10)
 
 
 def test_report_solution_sets():
