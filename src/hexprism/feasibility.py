@@ -121,32 +121,36 @@ def has_decomposition(n: int) -> bool:
 def classify(n: int) -> FeasibilityReport:
     """Existence and extremal leave/padding sizes for K_n, n >= 6: the
     arithmetic bounds, apart from K7's padding."""
+    exists = has_decomposition(n)
     return FeasibilityReport(
         n=n,
-        decomposition_exists=has_decomposition(n),
-        min_leave=leave_lower_bound(n),
-        min_padding=6 if n == 7 else padding_lower_bound(n),
+        decomposition_exists=exists,
+        min_leave=_least_change(n, -1, exists),
+        min_padding=6 if n == 7 else _least_change(n, 1, exists),
         block_solutions=frozenset(block_count_solutions(n * (n - 1) // 2, True)),
         degree_solutions=frozenset(degree_solutions(n - 1)),
         annotation=_ANNOTATIONS.get(n),
     )
 
 
-def _least_change(n: int, sign: int) -> int:
-    """Least r, nonzero unless K_n has a decomposition, for which
-    n(n-1)/2 + sign * r edges admit block counts with both shapes."""
+def _least_change(n: int, sign: int, exists: bool) -> int:
+    """Least r for which n(n-1)/2 + sign * r edges admit block counts with
+    both shapes: 0 if K_n has a decomposition (exists), else positive."""
+    if exists:
+        return 0
     edge_count = n * (n - 1) // 2
-    r = 0 if has_decomposition(n) else 1
+    # every block spends a multiple of 3 edges, so only every third r can fit
+    r = 1 + -(edge_count + sign) * sign % 3
     while not block_count_solutions(edge_count + sign * r, True):
-        r += 1
+        r += 3
     return r
 
 
 def leave_lower_bound(n: int) -> int:
     """Least leave size consistent with the block-count equation for K_n."""
-    return _least_change(n, -1)
+    return _least_change(n, -1, has_decomposition(n))
 
 
 def padding_lower_bound(n: int) -> int:
     """Least padding size consistent with the block-count equation for K_n."""
-    return _least_change(n, 1)
+    return _least_change(n, 1, has_decomposition(n))

@@ -21,6 +21,12 @@ walking mask bits upwards visits labels in ascending order.  Candidate
 vertex tuples are generated lazily and only survivors get edge ids and a
 mask, so node_budget bounds time as well as nodes; in covering mode the
 blocks through each branch edge are listed once and judged per node in bulk.
+
+Different block orders reach the same placed state, whose subtree depends on
+the state alone, so a state met again after its subtree exhausted adds what
+that subtree counted instead of being expanded, as component caching in model
+counting (Sang et al., SAT 2004) and transposition tables in game-tree search
+reuse a solved subproblem; counts stay those of the full tree.
 """
 
 from __future__ import annotations
@@ -102,8 +108,10 @@ class SearchStats(Value):
     per-vertex degree bound; skipped_padding_budget counts covering
     candidates that would overspend the padding budget.  elapsed_s is time
     in the engine, without leave-class enumeration.  A packing's runs, one
-    per leave class, add up: max_depth is the deepest, the rest sum.  The
-    counters change in place, so stats are neither frozen nor hashable."""
+    per leave class, add up: max_depth is the deepest, the rest sum.  All
+    count the full tree, as a repeat of an exhausted state adds what its
+    first expansion counted.  They change in place, so stats are neither
+    frozen nor hashable."""
 
     __slots__ = ("nodes", "placements", "max_depth", "pruned_block_count", "pruned_odd_degree",
                  "pruned_vertex_degree", "skipped_padding_budget", "elapsed_s")
@@ -148,6 +156,11 @@ def _index(edges):
         eid[a][b] = eid[b][a] = i
     return labels, idx, nbr, eid
 
+
+# the counters a repeat of an exhausted state replays, and the most it keeps
+_REPLAYED = ("nodes", "pruned_block_count", "pruned_odd_degree", "pruned_vertex_degree",
+             "skipped_padding_budget")
+_REPLAY_CAP = 1 << 15
 
 _BIT = (1).__lshift__  # i -> 1 << i
 _ODD = (1).__and__  # d -> d & 1
@@ -255,7 +268,7 @@ class _Engine:
     design of the kind, in plain ints and lists.  A vertex the leave isolates
     keeps its index at remaining degree 0, where no block reaches.  A run
     reads nothing of the run before it but stats, which adds up, and the
-    caches _cuts and memo, which only the host and the config fix.
+    caches _cuts, memo and exhausted, which only the host and the config fix.
 
     Bit i of avail is set while edge i is unmet, and nbr[v] has bit w set
     while edge vw is unmet, so the remaining degree of v is
@@ -277,6 +290,15 @@ class _Engine:
     The config's counts become one range, lo <= (hexagons, prisms) <= hi:
     a target sets hi and raises lo to itself, a disabled shape gets hi = 0,
     and otherwise hi is the edge-use total, which no count can reach.
+
+    exhausted maps each placed state whose subtree exhausted, keyed by avail
+    packed over pad_used, hex_placed and prism_placed (nbr and rd follow from
+    avail), to what that subtree added to the _REPLAYED counters: nodes and
+    placements grow alike, and max_depth, which never falls, covers it
+    already.  _node replays an entry only if its nodes fit the budget, so a
+    budget stop lands where expansion puts it, and keeps no subtree that found
+    a design or hit the budget, nor any past _REPLAY_CAP, which changes speed,
+    never a count.  Leave-class runs share it, keyed by one unmet-edge mask.
     """
 
     def __init__(self, host: Host, kind: Kind, cfg: SearchConfig, padding_budget: int = 0):
@@ -294,6 +316,8 @@ class _Engine:
         idx = self.idx
         self.flips = [(idx[a], 1 << idx[b], idx[b], 1 << idx[a]) for a, b in self.order]
         self.memo: dict = {}
+        self.exhausted: dict = {}
+        self.width = cap.bit_length()  # of each packed count in an exhausted key
         self.stats = SearchStats()
         self._cuts: dict = {}
 
@@ -500,6 +524,22 @@ class _Engine:
         return not self._verdict(rd) and self._node(depth)
 
     def _node(self, depth: int) -> bool:
+        """Replay a placed state's counts if its subtree exhausted before and
+        they fit the budget, else expand it and keep them if it exhausts."""
+        stats, w = self.stats, self.width
+        key = ((self.avail << w | self.pad_used) << w | self.hex_placed) << w | self.prism_placed
+        if (seen := self.exhausted.get(key)) and stats.nodes + seen[0] <= self.limit:
+            stats.placements += seen[0]
+            for name, d in zip(_REPLAYED, seen):
+                setattr(stats, name, getattr(stats, name) + d)
+            return False
+        before = [getattr(stats, name) for name in _REPLAYED]
+        done = self._expand(depth)
+        if not (done or self.exceeded) and len(self.exhausted) < _REPLAY_CAP:
+            self.exhausted[key] = tuple(getattr(stats, n) - b for n, b in zip(_REPLAYED, before))
+        return done
+
+    def _expand(self, depth: int) -> bool:
         """Count each child of a placed state that the judges pass, then place
         it and descend; the judges count the children they cut."""
         rd = list(map(int.bit_count, self.nbr))

@@ -120,7 +120,7 @@ def test_leave_matches_edge_arithmetic():
         assert classify(n).min_leave == total % 3, n
 
 
-def test_annotation_only_on_mod3_exceptions():
+def test_annotations_only_on_7_9_and_10():
     # 9 and 10 explain their mod-3 padding, and 7 its padding above the bound
     for n in range(6, 60):
         report = classify(n)

@@ -372,6 +372,64 @@ def test_covering_budget_stop_sweep_is_pinned():
         "a6649ef9a4f7ff78c38670473e6510c91fc1e58a9d56fbb98e8c52c9e43442e2")
 
 
+_RAW = SearchConfig(min_hexagons=1, min_prisms=1, degree_prunes=False)
+
+
+def test_replay_budget_stop_sweep_is_pinned():
+    # a state whose subtree exhausted before replays its counts only if they
+    # fit the budget; over the whole of the raw n = 7 search and K7 covering-3,
+    # both sides of their last budget included, every budget stop lands where
+    # expanding each state again would put it, and the hashes are those of
+    # the engine that did
+    raw = [_counts(search_multidecomposition(Complete(7), _RAW.replace(node_budget=budget)))
+           for budget in (*range(1, 7482, 187), 7480)]
+    cover = [_counts(find_extremal(Complete(7), Kind.COVERING, 3, node_budget=budget))
+             for budget in (*range(1, 134702, 3367), 134700, 134701)]
+    assert raw[-2][0] == cover[-1][0] == "exhausted"
+    assert (len(raw), len(cover)) == (42, 43)
+    assert hashlib.sha256(repr(raw).encode()).hexdigest() == (
+        "440a5a06bfba5e4b4c4b5b11b99983ddbd039505a914f2fe16f2eb7e5aa7d4a6")
+    assert hashlib.sha256(repr(cover).encode()).hexdigest() == (
+        "47ed3471d64696b0073fc84976f42081ea98b93b4162a4a3d68e40dc67024cb9")
+
+
+@pytest.mark.parametrize(
+    "run,expanded",
+    [(lambda: find_extremal(Complete(7), Kind.COVERING, 3), 546),
+     (lambda: search_multidecomposition(Complete(7), _RAW), 1630),
+     (lambda: search_multidecomposition(Complete(15), _MIXED.replace(node_budget=1_000_000)),
+      5563),
+     (lambda: confirm_nonexistence(10), 111)],
+    ids=["k7-cover3", "cert-n7-raw", "k15-mixed-find", "cert-n10"],
+)
+def test_each_exhausted_state_is_expanded_once(run, expanded, monkeypatch):
+    # expanding every placed state as it comes takes 1,501, 4,281, 6,935 and
+    # 111 expansions; a state seen again after its subtree exhausted replays
+    from hexprism import search
+
+    expand, calls = search._Engine._expand, []
+
+    def counted(engine, depth):
+        calls.append(depth)
+        return expand(engine, depth)
+
+    monkeypatch.setattr(search._Engine, "_expand", counted)
+    run()
+    assert len(calls) == expanded
+
+
+def test_replay_cap_changes_no_count(monkeypatch):
+    # the engine find_extremal runs for K7 covering-3, keeping at most 10 states
+    from hexprism import search
+
+    monkeypatch.setattr(search, "_REPLAY_CAP", 10)
+    engine = search._Engine(Complete(7), Kind.COVERING, SearchConfig(min_hexagons=1, min_prisms=1),
+                            padding_budget=3)
+    outcome = engine.run()
+    assert _counts(outcome) == ("exhausted", 134_701, 134_700, 3, 76_480, 0, 56_720, 315_600)
+    assert len(engine.exhausted) == 10
+
+
 def test_zero_bound_on_complete_host():
     # the empty leave uses no vertices, which is the empty prefix
     assert _leave_candidates(Complete(13), 0) == [()]
