@@ -50,10 +50,16 @@ class FeasibilityReport(Value):
 
 
 def block_count_solutions(edge_count: int, require_both: bool) -> set[tuple[int, int]]:
-    """All (x, y) with 6x + 9y = edge_count; x, y >= 1 when require_both."""
+    """All (x, y) with 6x + 9y = edge_count; x, y >= 1 when require_both.
+
+    A solution needs 3 | edge_count and 2x + 3y = edge_count / 3, so y has
+    the parity of edge_count / 3: only every other y from the first such one
+    is tried."""
+    if edge_count % 3:
+        return set()
     low = 1 if require_both else 0
-    return {((edge_count - 9 * y) // 6, y) for y in range(low, edge_count // 9 + 1)
-            if (edge_count - 9 * y) % 6 == 0 and edge_count - 9 * y >= 6 * low}
+    first, last = low + (edge_count // 3 - low) % 2, (edge_count - 6 * low) // 9
+    return {((edge_count - 9 * y) // 6, y) for y in range(first, last + 1, 2)}
 
 
 def degree_solutions(degree: int) -> set[tuple[int, int]]:

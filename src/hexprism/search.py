@@ -34,7 +34,7 @@ from __future__ import annotations
 import itertools
 import math
 from enum import Enum
-from functools import lru_cache, partial, reduce
+from functools import lru_cache, reduce
 from operator import and_, or_
 from time import perf_counter
 
@@ -281,8 +281,9 @@ class _Engine:
     whose requirement is already met, (mask & ~avail).bit_count() of them,
     spending one unit of budget per reuse.  Candidates are then the blocks
     in the host's full adjacency, which never changes, listed once per
-    branch edge in memo and judged per node by _judged_covers; in exact mode
-    _judged walks them from the live masks, which every placement restores.
+    branch edge in memo, hexagons then prisms.  _fold folds the met edges
+    once per node, lws[w] those at w at most once, for both shapes, and
+    _judged_covers walks one shape's bits; exact mode walks the live masks.
     Either judge counts each run of children it cuts through _count and
     yields the survivors as (shape, vertex indices), and only those that
     _node places get edge ids and a mask.
@@ -400,8 +401,10 @@ class _Engine:
                                  (Prism, self.prism_placed < self.hi[1])) if w]
         if Prism in shapes and self.prism_placed < self.lo[1]:
             shapes.reverse()  # place the scarcer shape first while it is still owed
-        return itertools.chain(*[self._judged_covers(s, u, v, rd, depth) if self.pad_budget
-                                 else self._judged(s, u, v, rd, odd, depth) for s in shapes])
+        if not self.pad_budget:
+            return itertools.chain(*[self._judged(s, u, v, rd, odd, depth) for s in shapes])
+        ge, lws = self._fold(u, v, shapes), {}
+        return itertools.chain(*[self._judged_covers(s, u, v, ge, lws, rd, depth) for s in shapes])
 
     def _judged(self, shape, u: int, v: int, rd: list, odd: int, depth: int):
         """Yield as (shape, vs) the exact-mode children of the shape through
@@ -440,63 +443,65 @@ class _Engine:
             if why is None or not self._count(1, why, depth):
                 yield shape, vs
 
-    def _judged_covers(self, shape, u: int, v: int, rd: list, depth: int):
-        """Count the covering children of the shape through (u, v) that would
-        overspend the padding left, then return a walk like _judged's over the
-        rest.  memo keeps, per (shape, edge), the blocks in _through's order
-        and the bitsets of their positions on each host edge and vertex; ge[r]
-        holds those reusing at least r met edges."""
-        eid, stats, avail, pad = self.eid, self.stats, self.avail, self.pad_used
-        if (shape, u, v) not in self.memo:
-            tups = list(_through(shape, self.host_nbr, u, v))
+    def _fold(self, u: int, v: int, shapes: list):
+        """ge for the node, over the enabled shapes' bits, after counting the
+        blocks that reuse more met edges than the padding left."""
+        eid, host_nbr = self.eid, self.host_nbr
+        if (u, v) not in self.memo:
+            hexagons = list(_through(Hexagon, host_nbr, u, v))
+            tups, split = hexagons + list(_through(Prism, host_nbr, u, v)), len(hexagons)
             bits = [bytearray(b"0") * (len(tups) + 1) for _ in self.order]
             for i, vs in enumerate(tups):  # bit strings, read as ints once, are cheaper to set
-                for a, b in EDGE_POSITIONS[shape]:
+                for a, b in EDGE_POSITIONS[Hexagon if i < split else Prism]:
                     bits[eid[vs[a]][vs[b]]][i] = 49
             ecol = [int(col[::-1], 2) for col in bits]
             vcol = [reduce(or_, map(ecol.__getitem__, map(row.__getitem__, _bits(m))), 0)
-                    for row, m in zip(eid, self.host_nbr)]  # a block on w has edges at w
-            self.memo[shape, u, v] = tups, ecol, vcol
-        tups, ecol, vcol = self.memo[shape, u, v]
-        met = itertools.compress(ecol, map(_ODD, map((~avail).__rshift__, range(len(ecol)))))
-        ge = _at_least(met, (1 << len(tups)) - 1, self.pad_budget - pad + 1)
-        stats.skipped_padding_budget += ge[-1].bit_count()
-        unmet, (size, loss) = avail.bit_count(), (6, 2) if shape is Hexagon else (9, 3)
+                    for row, m in zip(eid, host_nbr)]  # a block on w has edges at w
+            own = {Hexagon: (1 << split) - 1, Prism: (1 << len(tups)) - (1 << split)}
+            self.memo[u, v] = tups, own, ecol, vcol
+        _, own, ecol, _ = self.memo[u, v]
+        met = itertools.compress(ecol, map(_ODD, map((~self.avail).__rshift__, range(len(ecol)))))
+        ge = _at_least(met, sum(map(own.__getitem__, shapes)), self.pad_budget - self.pad_used + 1)
+        self.stats.skipped_padding_budget += ge[-1].bit_count()
+        return ge
+
+    def _judged_covers(self, shape, u: int, v: int, ge: list, lws: dict, rd: list, depth: int):
+        """Yield as (shape, vs) the shape's covering children that survive, as _judged does."""
+        tups, own, ecol, vcol = self.memo[u, v]
+        stats, eid, unmet, pad = self.stats, self.eid, self.avail.bit_count(), self.pad_used
+        size, loss = (6, 2) if shape is Hexagon else (9, 3)
         placed = (self.hex_placed + (shape is Hexagon), self.prism_placed + (shape is Prism))
-
-        def walk():
-            surv = block_count = 0
-            for r in range(len(ge) - 1):  # the blocks reusing exactly r share one key
-                keep = ge[r] & ~ge[r + 1]
-                cut = keep and (rest := unmet - size + r) and self._cut((rest, *placed, pad + r))
-                if cut is None:
-                    block_count, keep = block_count | keep, 0
-                rejected = cut and self.cfg.degree_prunes and sum(map(_BIT, cut[1])) << loss
-                bad = [rejected >> d & (2 << loss) - 1 for d in rd] if rejected else ()
-                # bit k of bad[w]: rd[w] - loss + k is rejected; k = loss keeps w off the block
-                keep &= reduce(and_, (vcol[w] for w, b in enumerate(bad) if b >> loss), -1)
-                for w, b in enumerate(bad):
-                    if b and keep & vcol[w]:  # lw[k]: the blocks with k or more met edges at w
+        surv = block_count = 0
+        for r in range(len(ge) - 1):  # the blocks reusing exactly r share one key
+            keep = ge[r] & ~ge[r + 1] & own[shape]
+            cut = keep and (rest := unmet - size + r) and self._cut((rest, *placed, pad + r))
+            if cut is None:
+                block_count, keep = block_count | keep, 0
+            rejected = cut and self.cfg.degree_prunes and sum(map(_BIT, cut[1])) << loss
+            bad = [rejected >> d & (2 << loss) - 1 for d in rd] if rejected else ()
+            # bit k of bad[w]: rd[w] - loss + k is rejected; k = loss keeps w off the block
+            keep &= reduce(and_, (vcol[w] for w, b in enumerate(bad) if b >> loss), -1)
+            for w, b in enumerate(bad):
+                if b and keep & vcol[w]:  # lw[k]: the blocks with k or more met edges at w
+                    if (lw := lws.get(w)) is None:
                         met_at = map(eid[w].__getitem__, _bits(self.host_nbr[w] & ~self.nbr[w]))
-                        lw = _at_least(map(ecol.__getitem__, met_at), vcol[w], loss) + [0]
-                        keep = reduce(and_, [~lw[k] | lw[k + 1] for k in _bits(b)], keep)
-                surv |= keep
-            cuts, low = ge[0] & ~ge[-1] & ~surv, -1
-            while low:
-                low = surv & -surv
-                run = cuts & (low - 1 if low else -1)
-                # a run can mix both reasons, so the budget stop is placed in order first
-                while run.bit_count() > self.limit - stats.nodes:
-                    run ^= (low := 1 << run.bit_length() - 1)
-                if bc := run & block_count:
-                    self._count(bc.bit_count(), "pruned_block_count", depth)
-                if run ^ bc:
-                    self._count((run ^ bc).bit_count(), "pruned_vertex_degree", depth)
-                if low:  # a survivor, or the child past the budget: _node counts it and stops
-                    yield shape, tups[low.bit_length() - 1]
-                cuts, surv = cuts & ~run, surv ^ low
-
-        return walk()
+                        lw = lws[w] = _at_least(map(ecol.__getitem__, met_at), vcol[w], 3) + [0]
+                    keep = reduce(and_, [~lw[k] | lw[k + 1] for k in _bits(b)], keep)
+            surv |= keep
+        cuts, low = own[shape] & ~ge[-1] & ~surv, -1
+        while low:
+            low = surv & -surv
+            run = cuts & (low - 1 if low else -1)
+            # a run can mix both reasons, so the budget stop is placed in order first
+            while run.bit_count() > self.limit - stats.nodes:
+                run ^= (low := 1 << run.bit_length() - 1)
+            if bc := run & block_count:
+                self._count(bc.bit_count(), "pruned_block_count", depth)
+            if run ^ bc:
+                self._count((run ^ bc).bit_count(), "pruned_vertex_degree", depth)
+            if low:  # a survivor, or the child past the budget: _node counts it and stops
+                yield shape, tups[low.bit_length() - 1]
+            cuts, surv = cuts & ~run, surv ^ low
 
     # -- the search proper
 
@@ -633,8 +638,7 @@ def _isomorphic(g: dict, labels: dict, h: dict, h_labels: dict) -> bool:
     """Backtracking search for a label-keeping bijection of g onto h that
     maps edges to edges and non-edges to non-edges."""
     order = sorted(g, key=labels.__getitem__)
-    image: dict = {}
-    taken: set = set()
+    image, taken = {}, set()
 
     def extend(i: int) -> bool:
         if i == len(order):
@@ -658,52 +662,48 @@ def _isomorphic(g: dict, labels: dict, h: dict, h_labels: dict) -> bool:
 def _leave_candidates(host: Host, bound: int):
     """Candidate leave edge sets of the given size, one per equivalence class.
 
-    On a complete host any single edge is equivalent to any other, and larger
-    subsets are grouped by graph isomorphism, which matches the host's full
-    symmetry; a subset is tested only against the class representatives with
-    the same (degree, neighbour degrees) vertex labels.  Other hosts get the
-    raw subsets.
+    On a complete host subsets are grouped by graph isomorphism, which
+    matches the host's full symmetry; each class keeps its first member in
+    combinations order, and a subset is tested only against the kept ones
+    with the same (degree, neighbour degrees) vertex labels.  Other hosts
+    get the raw subsets.  The 200k guard on the raw subset count stays.
 
-    Only subsets whose vertices are exactly 0..k-1 are tested, read off the
-    OR m of their edges' vertex bitmasks as m & (m + 1) == 0.  If label
-    i < j is unused and j is used, swapping i and j maps every edge to an
-    earlier one, so the subset comes after its swap in combinations order
-    and is never the first of its class, which is the one kept.
+    Only subsets that can come first are tested.  Their vertices are exactly
+    0..k-1: if i < j, i unused and j used, swapping i and j maps every edge
+    to an earlier one.  Vertex 0 has the top degree D and neighbours 1..D:
+    relabel a degree-D vertex to 0 and its neighbours to 1..D, and the sorted
+    edges start (0, 1)..(0, D), ahead of any member with a lower degree at 0
+    or a gap among its neighbours.  So for D from the bound down the star
+    (0, 1)..(0, D) takes the tails off 0 with no degree over D, in order.
     """
     edges = sorted(host_edges(host))
-    if isinstance(host, Complete) and bound == 1:
-        return [(edges[0],)]
+    if isinstance(host, Complete) and bound < 2:
+        return list(itertools.combinations(edges[:1], bound))  # the empty leave or one edge
     if math.comb(len(edges), bound) > 200_000:
-        raise ValueError(
-            f"leave enumeration over {len(edges)} edges at size {bound} is too large"
-        )
+        raise ValueError(f"leave enumeration over {len(edges)} edges at size {bound} is too large")
     if not isinstance(host, Complete):
         return list(itertools.combinations(edges, bound))
-    classes = []
-    buckets: dict = {}
-    masks = [1 << u | 1 << v for u, v in edges]
-    unions = map(partial(reduce, or_), itertools.combinations(masks, bound), itertools.repeat(0))
-    for subset, m in zip(itertools.combinations(edges, bound), unions):
-        if m & (m + 1):
-            continue
-        g: dict = {}
-        for u, v in subset:
-            g.setdefault(u, set()).add(v)
-            g.setdefault(v, set()).add(u)
-        labels = {v: (len(ns), tuple(sorted(len(g[w]) for w in ns))) for v, ns in g.items()}
-        reps = buckets.setdefault(tuple(sorted(labels.values())), [])
-        if not any(_isomorphic(h, h_labels, g, labels) for h, h_labels in reps):
-            reps.append((g, labels))
-            classes.append(subset)
+    classes, buckets, masks = [], {}, [1 << u | 1 << v for u, v in edges]
+    for top in range(min(bound, host.n - 1), 0, -1):
+        for tail in itertools.combinations(range(host.n - 1, len(edges)), bound - top):
+            if (m := reduce(or_, map(masks.__getitem__, tail), (2 << top) - 1)) & (m + 1):
+                continue
+            g: dict = {}
+            for u, v in (subset := (*edges[:top], *map(edges.__getitem__, tail))):
+                g.setdefault(u, set()).add(v)
+                g.setdefault(v, set()).add(u)
+            if max(map(len, g.values())) > top:
+                continue
+            labels = {v: (len(ns), tuple(sorted(len(g[w]) for w in ns))) for v, ns in g.items()}
+            reps = buckets.setdefault(tuple(sorted(labels.values())), [])
+            if not any(_isomorphic(h, h_labels, g, labels) for h, h_labels in reps):
+                reps.append((g, labels))
+                classes.append(subset)
     return classes
 
 
-def find_extremal(
-    host: Host,
-    kind: Kind,
-    bound: int,
-    node_budget: int | None = None,
-) -> SearchOutcome:
+def find_extremal(host: Host, kind: Kind, bound: int,
+                  node_budget: int | None = None) -> SearchOutcome:
     """Search for a packing with the given leave size or a covering with the
     given padding size, both shapes required.
 

@@ -39,6 +39,8 @@ from hexprism.search import (
 )
 from hexprism.verifier import verify_design
 
+from _leave_reference import full_scan_leave_classes
+
 
 def _complete_adjacency(n):
     return {v: set(range(n)) - {v} for v in range(n)}
@@ -448,6 +450,16 @@ def test_extremal_packing_finds_k8_leave_one():
     assert verify_design(design).valid
 
 
+def test_extremal_packing_finds_k7_leave_six():
+    # the order-7 maximum packing: K7 has 41 leave classes of six edges, and
+    # the first, the star at vertex 0, leaves a K6 that a hexagon and a prism
+    # decompose, found at once
+    outcome = find_extremal(Complete(7), Kind.PACKING, 6)
+    assert _counts(outcome) == ("found", 3, 2, 2, 0, 0, 0, 0)
+    assert outcome.design.leave == {(0, v) for v in range(1, 7)}
+    assert verify_design(outcome.design).valid
+
+
 def test_extremal_packing_tries_every_raw_leave_off_complete_hosts(monkeypatch):
     # C(24, 3) = 2,024 leave subsets of K_{4,6}, each cut at its root, all on
     # one engine that indexes the host's 24 edges once
@@ -628,8 +640,8 @@ def test_child_verdict_matches_the_full_degree_check(run, monkeypatch, request):
     # must be those of the cuts applied to all of the state's remaining degrees
     from hexprism import search
 
-    verdict, judge, judge_covers = (
-        search._Engine._verdict, search._Engine._judged, search._Engine._judged_covers)
+    verdict, judge, fold_node, judge_covers = (search._Engine._verdict, search._Engine._judged,
+                                           search._Engine._fold, search._Engine._judged_covers)
     reasons = ("pruned_block_count", "pruned_odd_degree", "pruned_vertex_degree")
 
     def full_check(engine, key, child):
@@ -688,17 +700,28 @@ def test_child_verdict_matches_the_full_degree_check(run, monkeypatch, request):
         yield from checked_runs(engine, shape, judge(engine, shape, u, v, rd, odd, depth),
                                 children)
 
-    def checked_covers(engine, shape, u, v, rd, depth):
-        # the blocks through (u, v) in the host, less those reusing more met
-        # edges than the padding left, which are counted at once, are the
-        # children; each loses its block's newly met edges
+    def checked_fold(engine, u, v, shapes):
+        # the node's blocks of the enabled shapes through (u, v) in the host
+        # that reuse more met edges than the padding left are counted at once
+        met, left, over = ~engine.avail, engine.pad_budget - engine.pad_used, 0
+        for shape in shapes:
+            for vs in _through(shape, engine.host_nbr, u, v):
+                reused = sum(met >> engine.eid[vs[i]][vs[j]] & 1 for i, j in EDGE_POSITIONS[shape])
+                over += reused > left
+        skipped = engine.stats.skipped_padding_budget
+        ge = fold_node(engine, u, v, shapes)
+        assert engine.stats.skipped_padding_budget - skipped == over
+        return ge
+
+    def checked_covers(engine, shape, u, v, ge, lws, rd, depth):
+        # the shape's blocks through (u, v) in the host, less those over the
+        # padding left, are the children; each loses its block's newly met edges
         met, unmet, children = ~engine.avail, engine.avail.bit_count(), []
-        left, over = engine.pad_budget - engine.pad_used, 0
+        left = engine.pad_budget - engine.pad_used
         for vs in _through(shape, engine.host_nbr, u, v):
             pairs = [(vs[i], vs[j]) for i, j in EDGE_POSITIONS[shape]]
             new = [(x, y) for x, y in pairs if not met >> engine.eid[x][y] & 1]
             reused = len(pairs) - len(new)
-            over += reused > left
             child = list(rd)
             for x, y in new:
                 child[x] -= 1
@@ -707,10 +730,8 @@ def test_child_verdict_matches_the_full_degree_check(run, monkeypatch, request):
                    engine.prism_placed + (shape is Prism), engine.pad_used + reused)
             if reused <= left:
                 children.append((vs, len(new) != unmet and full_check(engine, key, child)))
-        skipped = engine.stats.skipped_padding_budget
-        walk = judge_covers(engine, shape, u, v, rd, depth)
-        assert engine.stats.skipped_padding_budget - skipped == over
         covered.append(shape)
+        walk = judge_covers(engine, shape, u, v, ge, lws, rd, depth)
         return checked_runs(engine, shape, walk, children)
 
     judged: list = []
@@ -718,6 +739,7 @@ def test_child_verdict_matches_the_full_degree_check(run, monkeypatch, request):
     roots: list = []
     monkeypatch.setattr(search._Engine, "_verdict", checked_root)
     monkeypatch.setattr(search._Engine, "_judged", checked)
+    monkeypatch.setattr(search._Engine, "_fold", checked_fold)
     monkeypatch.setattr(search._Engine, "_judged_covers", checked_covers)
     run()
     assert judged and roots
@@ -894,6 +916,17 @@ def test_leave_classes_match_networkx(n, bound):
             bucket.append(g)
             expected.append(subset)
     assert _leave_candidates(Complete(n), bound) == expected
+
+
+@pytest.mark.parametrize(
+    "n,bound",
+    [(7, 0)] + [(n, b) for n in (6, 7) for b in range(1, 7)] + [(8, b) for b in range(1, 6)]
+    + [(9, 4), (10, 4)],
+)
+def test_leave_classes_match_the_full_scan(n, bound):
+    # the star-first walk keeps exactly the classes, and the representatives,
+    # of the scan over every subset in combinations order
+    assert _leave_candidates(Complete(n), bound) == full_scan_leave_classes(n, bound)
 
 
 def test_nonexistence_rejects_other_orders():
