@@ -1,15 +1,17 @@
-"""The bundled designs: one ordered table from catalog key to data file.
+"""The bundled design catalog: one ordered table from key to data file.
 
 Each file under data/ holds a whole 0-based design, frozen so builds never
-pay the search cost.  load_base verifies an entry on first access and caches
-it; a failing file is a packaging defect and raises.  Decompositions,
-packings and coverings must use both block shapes; the other entries use one.
+pay the search cost.  It is read through the package's own loader, as
+pkgutil.get_data does, so the package works from a directory or a zip.
+get verifies an entry on first access and caches it; a failing file is a
+packaging defect and raises.  Decompositions, packings and coverings must
+use both block shapes; the other entries use one.
 """
 
 from __future__ import annotations
 
-import threading
-from importlib import resources
+import os
+from _thread import allocate_lock
 
 from .core import Design
 from .designfile import loads_design
@@ -39,14 +41,17 @@ FILES = {
 _MIXED = ("decomposition", "packing", "covering")
 
 _cache: dict[str, Design] = {}
-_lock = threading.Lock()
+_lock = allocate_lock()  # the type threading.Lock returns
+
+
+def keys() -> tuple[str, ...]:
+    return tuple(FILES)
 
 
 def load_data_design(key: str) -> Design:
     """The design in the key's data file; raises unless it verifies."""
-    name = FILES[key]
-    text = resources.files("hexprism").joinpath("data", f"{name}.json").read_text()
-    design = loads_design(text)
+    path = os.path.join(os.path.dirname(__file__), "data", f"{FILES[key]}.json")
+    design = loads_design(__loader__.get_data(path))
     mixed = key.partition(":")[0] in _MIXED
     report = verify_design(design, require_both_types=mixed)
     if not report.valid:
@@ -57,9 +62,14 @@ def load_data_design(key: str) -> Design:
     return design
 
 
-def load_base(key: str) -> Design:
+def get(key: str) -> Design:
     """The key's catalog entry, loaded and verified once, then cached."""
     with _lock:
         if key not in _cache:
+            if key not in FILES:
+                raise KeyError(f"no catalog entry for {key!r}")
             _cache[key] = load_data_design(key)
         return _cache[key]
+
+
+load_base = get

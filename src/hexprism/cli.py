@@ -46,7 +46,7 @@ _CONSTRUCTORS = {
     "covering": _lazy("constructions", "min_multicover"),
 }
 catalog_get = _lazy("catalog", "get")
-catalog_keys = _lazy("catalog", "keys")
+catalog_keys = _lazy("bases", "keys")
 verify_design = _lazy("verifier", "verify_design")
 load_design = _lazy("designfile", "load_design")
 save_design = _lazy("designfile", "save_design")

@@ -14,9 +14,8 @@ from functools import lru_cache
 from itertools import accumulate, combinations
 from operator import itemgetter
 
-from .bases import load_base
+from .bases import get as catalog_get, load_base
 from .bipartite import c6_decompose_bipartite
-from .catalog import get as catalog_get
 from .core import (
     Complete,
     CompleteBipartite,

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import ast
 import gc
 import json
 import subprocess
 import sys
+import zipfile
 from pathlib import Path
 
 import pytest
@@ -307,6 +309,23 @@ def test_package_hook_imports_show_in_importtime():
     assert "hexprism.catalog" in names
 
 
+def _main_in_a_fresh_process(argv, *flags):
+    """The exit code of cli.main(argv) run by a new interpreter with src/ first
+    on sys.path, and the names of the modules loaded when it returns."""
+    program = (
+        "import sys\n"
+        "sys.path.insert(0, sys.argv.pop(1))\n"
+        "from hexprism import cli\n"
+        "code = cli.main(sys.argv[1:])\n"
+        "print(code, *sorted(sys.modules), file=sys.stderr)\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, *flags, "-c", program, str(src), *argv],
+                          capture_output=True, text=True)
+    code, *loaded = proc.stderr.splitlines()[-1].split()
+    return int(code), set(loaded)
+
+
 @pytest.mark.parametrize("argv, exit_code, loads, unloaded", [
     (["construct", "--n", "13", "--kind", "packing"], 0,
      {"constructions", "verifier", "designfile"}, {"search"}),
@@ -317,7 +336,7 @@ def test_package_hook_imports_show_in_importtime():
     (["classify", "--n", "13"], 0,
      {"feasibility"}, {"verifier", "designfile", "constructions", "catalog", "bases", "search"}),
     (["catalog", "covering:17"], 0, {"catalog"}, {"constructions", "search"}),
-    (["catalog"], 0, {"catalog"}, {"constructions", "search"}),
+    (["catalog"], 0, {"bases"}, {"catalog", "bipartite", "constructions", "search"}),
     (["search", "--n", "9"], 1,
      {"search"}, {"constructions", "catalog", "bases", "bipartite", "verifier"}),
 ], ids=["construct", "construct-nonexistent", "verify", "classify", "catalog-export",
@@ -327,19 +346,60 @@ def test_each_command_loads_only_what_it_runs(tmp_path, argv, exit_code, loads, 
     # it runs on first call and no others, and none imports dataclasses
     design = tmp_path / "k13.json"
     design.write_text(dumps_design(catalog_get("decomposition:13")), encoding="utf-8")
+    code, loaded = _main_in_a_fresh_process([arg.format(design=design) for arg in argv])
+    assert code == exit_code
+    assert "dataclasses" not in loaded
+    assert {f"hexprism.{name}" for name in loads} <= loaded
+    assert not {f"hexprism.{name}" for name in unloaded} & loaded
+
+
+@pytest.mark.parametrize("argv", [
+    ["catalog", "covering:17"], ["construct", "--n", "30", "--kind", "covering"],
+], ids=["catalog-export", "construct"])
+def test_a_clean_interpreter_loads_neither_resources_nor_threading(argv):
+    # under -S no site-packages .pth file imports anything first, so what is
+    # in sys.modules afterwards is what the command imported: the bundled
+    # files come through the package loader and the catalog lock from _thread
+    code, loaded = _main_in_a_fresh_process(argv, "-S")
+    assert code == 0
+    assert not {"importlib.resources", "threading"} & loaded
+
+
+def test_the_catalog_loads_from_a_zipped_package(tmp_path):
+    # with only a zip of the package on sys.path, the zip importer serves the
+    # bundled files, which load, verify and equal the directory's
+    package = Path(__file__).resolve().parents[1] / "src" / "hexprism"
+    archive = tmp_path / "hexprism.zip"
+    with zipfile.ZipFile(archive, "w") as zf:
+        for path in sorted(package.rglob("*")):
+            if path.is_file() and "__pycache__" not in path.parts:
+                zf.write(path, path.relative_to(package.parent).as_posix())
     program = (
         "import sys\n"
-        "from hexprism import cli\n"
-        "code = cli.main(sys.argv[1:])\n"
-        "print(code, *sorted(sys.modules), file=sys.stderr)\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "from hexprism import catalog\n"
+        "from hexprism.designfile import dumps_design\n"
+        "from hexprism.verifier import verify_design\n"
+        "assert catalog.__file__.startswith(sys.argv[1]), catalog.__file__\n"
+        "assert type(catalog.__loader__).__name__ == 'zipimporter'\n"
+        "design = catalog.get('covering:17')\n"
+        "assert verify_design(design).valid\n"
+        "sys.stdout.write(dumps_design(design))\n"
     )
-    argv = [arg.format(design=design) for arg in argv]
-    proc = subprocess.run([sys.executable, "-c", program, *argv], capture_output=True, text=True)
-    code, *loaded = proc.stderr.splitlines()[-1].split()
-    assert int(code) == exit_code, proc.stderr
-    assert "dataclasses" not in loaded
-    assert {f"hexprism.{name}" for name in loads} <= set(loaded)
-    assert not {f"hexprism.{name}" for name in unloaded} & set(loaded)
+    # -I leaves PYTHONPATH and the working directory off sys.path
+    proc = subprocess.run([sys.executable, "-I", "-S", "-c", program, str(archive)],
+                          capture_output=True, text=True, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == dumps_design(catalog_get("covering:17"))
+
+
+def test_every_source_file_parses_as_python_3_10():
+    # the package supports 3.10, so no file may use newer syntax
+    root = Path(__file__).resolve().parents[1]
+    files = [path for part in ("src", "tests", "perfbench") for path in (root / part).rglob("*.py")]
+    assert len(files) > 20
+    for path in files:
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
 
 
 def test_every_name_the_benchmark_tracer_wraps_is_there():

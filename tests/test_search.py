@@ -627,11 +627,14 @@ _PRISM_AND_FAN = Explicit(((0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), (0, 3
      lambda: find_extremal(Complete(9), Kind.COVERING, 3, node_budget=5000),
      # every reuse class below the padding budget, and a budget stop inside a run
      lambda: find_extremal(Complete(7), Kind.COVERING, 3, node_budget=2000),
+     # prism walks that read a vertex's level-3 fold, built by the hexagon
+     # walk of the same node
+     lambda: find_extremal(Complete(8), Kind.COVERING, 5),
      # hexagon runs cut by the odd-degree bound, and a budget stop inside one
      lambda: search_multidecomposition(Complete(13), _MIXED.replace(node_budget=3000)),
      lambda: search_multidecomposition(_PRISM_AND_FAN, SearchConfig(degree_prunes=False))],
     ids=["k9-mixed", "k8-pack1", "cert-n7-raw", "k7-cover6", "k9-cover3-5000", "k7-cover3-2000",
-         "k13-mixed-3000", "prism-count-cut"],
+         "k8-cover5", "k13-mixed-3000", "prism-count-cut"],
 )
 def test_child_verdict_matches_the_full_degree_check(run, monkeypatch, request):
     # a child is judged per node and shape from its parent's degrees and its
