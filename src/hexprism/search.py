@@ -27,12 +27,21 @@ the state alone, so a state met again after its subtree exhausted adds what
 that subtree counted instead of being expanded, as component caching in model
 counting (Sang et al., SAT 2004) and transposition tables in game-tree search
 reuse a solved subproblem; counts stay those of the full tree.
+
+That holds whoever counted the subtree, so a long run takes a helper process
+under the Young Brothers Wait rule of parallel game-tree search (Feldmann,
+Monien, Mysliwietz and Vornberger, ICCA J. 12(2), 1989): only after one child
+of a node has exhausted are its younger children exhausted in parallel, and
+the ordinary in-order loop then replays them, so every count, design and
+budget stop is that of the sequential run.
 """
 
 from __future__ import annotations
 
+import _thread
 import itertools
 import math
+import os
 from enum import Enum
 from functools import lru_cache, reduce
 from operator import and_, or_
@@ -106,12 +115,12 @@ class SearchStats(Value):
     children cut before placement, which are never built.  pruned_* count
     nodes cut by the block-count equation, the odd-degree bound and the
     per-vertex degree bound; skipped_padding_budget counts covering
-    candidates that would overspend the padding budget.  elapsed_s is time
-    in the engine, without leave-class enumeration.  A packing's runs, one
-    per leave class, add up: max_depth is the deepest, the rest sum.  All
-    count the full tree, as a repeat of an exhausted state adds what its
-    first expansion counted.  They change in place, so stats are neither
-    frozen nor hashable."""
+    candidates that would overspend the padding budget.  elapsed_s is wall
+    time in the engine, in the calling process, without leave-class
+    enumeration.  A packing's runs, one per leave class, add up: max_depth
+    is the deepest, the rest sum.  All count the full tree, as a repeat of
+    an exhausted state adds what its first expansion counted.  They change
+    in place, so stats are neither frozen nor hashable."""
 
     __slots__ = ("nodes", "placements", "max_depth", "pruned_block_count", "pruned_odd_degree",
                  "pruned_vertex_degree", "skipped_padding_budget", "elapsed_s")
@@ -161,6 +170,9 @@ def _index(edges):
 _REPLAYED = ("nodes", "pruned_block_count", "pruned_odd_degree", "pruned_vertex_degree",
              "skipped_padding_budget")
 _REPLAY_CAP = 1 << 15
+# the nodes a run counts before a node may share its later children with a helper
+_HELP_AFTER = 2000
+_MAIN, _HELPER = 1, 2  # who took a child, in the claims shared with a helper
 
 _BIT = (1).__lshift__  # i -> 1 << i
 _ODD = (1).__and__  # d -> d & 1
@@ -262,6 +274,39 @@ def needs_budget(host: Host) -> bool:
     return len(host_vertices(host)) > UNBUDGETED_VERTEX_LIMIT
 
 
+def _can_help() -> bool:
+    """Whether a helper may be forked: fork exists, more than one CPU is
+    ours, and no thread runs beside this one."""
+    cpus = getattr(os, "sched_getaffinity", lambda pid: ())(0)
+    return hasattr(os, "fork") and len(cpus) > 1 and not _thread._count()
+
+
+def _claim(claims, who: int):
+    """Mark the first unclaimed child as who's and return its index, or None
+    once claiming has stopped or none is left.  A child two processes take
+    in the same instant is exhausted twice, which costs time, not counts."""
+    i = 0 if claims[0] else claims.find(b"\0", 1)
+    if i > 0:
+        claims[i] = who
+        return i - 1
+    return None
+
+
+def _records(pipe):
+    """The length-prefixed marshal records read from the pipe until it closes."""
+    import marshal
+
+    while len(head := pipe.read(4)) == 4:
+        yield marshal.loads(pipe.read(int.from_bytes(head, "little")))
+
+
+def _unheard(claims, known: dict) -> bool:
+    """Whether the helper has yet to report a child it claimed before the
+    first one known not to exhaust."""
+    stop = min([i for i, exhausted in known.items() if not exhausted], default=len(claims))
+    return any(who == _HELPER and i not in known for i, who in enumerate(claims[1:stop + 1]))
+
+
 class _Engine:
     """A simple host indexed once, and backtracking runs over it, each from
     the host less a leave, whose edges start met, to the SearchOutcome for a
@@ -294,12 +339,22 @@ class _Engine:
 
     exhausted maps each placed state whose subtree exhausted, keyed by avail
     packed over pad_used, hex_placed and prism_placed (nbr and rd follow from
-    avail), to what that subtree added to the _REPLAYED counters: nodes and
-    placements grow alike, and max_depth, which never falls, covers it
-    already.  _node replays an entry only if its nodes fit the budget, so a
+    avail), to what that subtree added to the _REPLAYED counters, nodes and
+    placements growing alike, then the deepest depth it reached, which a
+    replay raises max_depth to, since a helper's subtree was never expanded
+    here.  _node replays an entry only if its nodes fit the budget, so a
     budget stop lands where expansion puts it, and keeps no subtree that found
     a design or hit the budget, nor any past _REPLAY_CAP, which changes speed,
     never a count.  Leave-class runs share it, keyed by one unmet-edge mask.
+
+    Once a run has counted _HELP_AFTER nodes, a node one of whose children
+    has just exhausted becomes the split node if it is shallower than every
+    earlier one of the run.  If a helper can run, the split node and one
+    forked helper claim its later children in order and exhaust them into
+    their own exhausted, each on a copy of stats; the helper sends what it
+    adds over a pipe.  Claiming stops at the first child that does not
+    exhaust; main waits for the helper's claims before it, kills the helper
+    and resumes its loop, which replays or expands every child as before.
     """
 
     def __init__(self, host: Host, kind: Kind, cfg: SearchConfig, padding_budget: int = 0):
@@ -537,11 +592,15 @@ class _Engine:
             stats.placements += seen[0]
             for name, d in zip(_REPLAYED, seen):
                 setattr(stats, name, getattr(stats, name) + d)
+            stats.max_depth = max(stats.max_depth, seen[-1])
             return False
         before = [getattr(stats, name) for name in _REPLAYED]
+        top, stats.max_depth = stats.max_depth, depth  # the subtree's own deepest, for its entry
         done = self._expand(depth)
+        deepest, stats.max_depth = stats.max_depth, max(top, stats.max_depth)
         if not (done or self.exceeded) and len(self.exhausted) < _REPLAY_CAP:
-            self.exhausted[key] = tuple(getattr(stats, n) - b for n, b in zip(_REPLAYED, before))
+            self.exhausted[key] = (*[getattr(stats, n) - b for n, b in zip(_REPLAYED, before)],
+                                   deepest)
         return done
 
     def _expand(self, depth: int) -> bool:
@@ -550,8 +609,8 @@ class _Engine:
         rd = list(map(int.bit_count, self.nbr))
         odd = sum(map(_ODD, rd)) if self.cfg.degree_prunes else 0
         stats, limit, eid = self.stats, self.limit, self.eid
-        depth += 1
-        for shape, vs in self._candidates(*self._branch_edge(rd), rd, odd, depth):
+        edge, depth = self._branch_edge(rd), depth + 1
+        for shape, vs in self._candidates(*edge, rd, odd, depth):
             stats.placements += 1
             stats.nodes += 1
             if depth > stats.max_depth:
@@ -564,7 +623,108 @@ class _Engine:
             self._unplace()
             if done or self.exceeded:
                 return done
+            if depth < self.split_below and stats.nodes >= self.help_from:
+                self._split(edge, rd, odd, depth, (shape, vs))
         return False
+
+    # -- a helper for a node's later children
+
+    def _split(self, edge, rd: list, odd: int, depth: int, last) -> None:
+        """Make this node the split node and, if a helper can run, share the
+        children after last with one; they are listed into scratch stats with
+        no limit, so no counter moves."""
+        self.split_below = depth if _can_help() else 0
+        if not self.split_below:
+            return
+        stats, limit = self.stats, self.limit
+        self.stats, self.limit = SearchStats(), math.inf
+        children = list(self._candidates(*edge, rd, odd, depth))
+        self.stats, self.limit = stats, limit
+        if len(todo := children[children.index(last) + 1:]) > 1:
+            self._share(todo, depth)
+
+    def _exhaust(self, child, depth: int) -> bool:
+        """Place the child, search below it, and say whether it exhausted."""
+        self._place(_candidate(*child, self.eid))
+        done = self._node(depth) if self.avail else self._complete()
+        self._unplace()
+        exhausted, self.exceeded = not (done or self.exceeded), False
+        return exhausted
+
+    def _share(self, todo: list, depth: int) -> None:
+        """Exhaust the children in todo as main and one forked helper claim
+        them, until one does not exhaust; main then holds the entries of all
+        those before it, and kills and reaps the helper."""
+        import fcntl
+        import mmap
+        import select
+        import signal
+
+        claims = mmap.mmap(-1, len(todo) + 1)  # byte 0 stops claiming, byte i + 1 takes child i
+        read, write = os.pipe()
+        try:  # a full pipe would stall the helper while main is busy with a child
+            fcntl.fcntl(write, fcntl.F_SETPIPE_SZ, 1 << 20)
+        except (AttributeError, OSError):
+            pass
+        try:
+            parent, pid = os.getpid(), os.fork()
+        except OSError:  # no process to spare: the run goes on alone
+            os.close(read)
+            os.close(write)
+            claims.close()
+            return
+        if not pid:
+            try:
+                os.close(read)
+                self.split_below = 0
+                self._help(todo, depth, claims, write, parent)
+            finally:
+                os._exit(0)
+        os.close(write)
+        stats, self.stats = self.stats, self.stats.replace()
+        pipe, known = os.fdopen(read, "rb"), {}
+        records = _records(pipe)
+        try:
+            while all(known.values()) and (i := _claim(claims, _MAIN)) is not None:
+                known[i] = self._exhaust(todo[i], depth)
+                while select.select([pipe], [], [], 0)[0] and self._take(records, known):
+                    pass
+            claims[0] = 1
+            while _unheard(claims, known) and self._take(records, known):
+                pass
+        finally:
+            self.stats = stats
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pipe.close()
+            claims.close()
+
+    def _take(self, records, known: dict) -> bool:
+        """Note whether the helper's next child exhausted and store the entries
+        it added while under _REPLAY_CAP; False once the helper is gone."""
+        if (record := next(records, None)) is None:
+            return False
+        i, known[i], entries = record
+        self.exhausted.update(entries[:_REPLAY_CAP - len(self.exhausted)])
+        return True
+
+    def _help(self, todo: list, depth: int, claims, fd: int, parent: int) -> None:
+        """As the helper, exhaust each child claimed while the parent lives,
+        writing one record (index, exhausted, the entries added) per child to
+        fd; stop after the first that does not exhaust."""
+        import marshal
+
+        while os.getppid() == parent and (i := _claim(claims, _HELPER)) is not None:
+            size = len(self.exhausted)
+            if not (exhausted := self._exhaust(todo[i], depth)):
+                claims[0] = 1
+            added = list(itertools.islice(self.exhausted.items(), size, None))
+            record = marshal.dumps((i, exhausted, added))
+            data = memoryview(len(record).to_bytes(4, "little") + record)
+            while data:
+                data = data[os.write(fd, data):]
+            if not exhausted:
+                return
 
     def _complete(self) -> bool:
         counts = (self.hex_placed, self.prism_placed)
@@ -597,6 +757,7 @@ class _Engine:
         self.nbr, self.avail = list(self.host_nbr), (1 << len(self.order)) - 1
         self.hex_placed = self.prism_placed = self.pad_used = 0
         self.placed, self.exceeded = [], False
+        self.split_below, self.help_from = len(self.order) + 2, stats.nodes + _HELP_AFTER
         for x, y in ((self.idx[a], self.idx[b]) for a, b in leave):
             self.avail ^= 1 << self.eid[x][y]
             self.nbr[x] ^= 1 << y

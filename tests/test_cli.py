@@ -339,18 +339,23 @@ def _main_in_a_fresh_process(argv, *flags):
     (["catalog"], 0, {"bases"}, {"catalog", "bipartite", "constructions", "search"}),
     (["search", "--n", "9"], 1,
      {"search"}, {"constructions", "catalog", "bases", "bipartite", "verifier"}),
+    # 479 nodes start no helper, so what a helper needs stays unloaded
+    (["search", "--n", "9"], 1, {"search"}, {"mmap", "select"}),
 ], ids=["construct", "construct-nonexistent", "verify", "classify", "catalog-export",
-        "catalog-list", "search"])
+        "catalog-list", "search", "search-no-helper"])
 def test_each_command_loads_only_what_it_runs(tmp_path, argv, exit_code, loads, unloaded):
     # each command, run through main in a fresh process, imports the modules
-    # it runs on first call and no others, and none imports dataclasses
+    # it runs on first call and no others, and none imports dataclasses;
+    # names outside the standard library are the package's own
     design = tmp_path / "k13.json"
     design.write_text(dumps_design(catalog_get("decomposition:13")), encoding="utf-8")
     code, loaded = _main_in_a_fresh_process([arg.format(design=design) for arg in argv])
+    qualified = {name: name if name in sys.stdlib_module_names else f"hexprism.{name}"
+                 for name in loads | unloaded}
     assert code == exit_code
     assert "dataclasses" not in loaded
-    assert {f"hexprism.{name}" for name in loads} <= loaded
-    assert not {f"hexprism.{name}" for name in unloaded} & loaded
+    assert {qualified[name] for name in loads} <= loaded
+    assert not {qualified[name] for name in unloaded} & loaded
 
 
 @pytest.mark.parametrize("argv", [

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import math
+import os
 import random
 from collections import Counter
 
@@ -327,7 +329,7 @@ def test_extremal_covering_bound_three_exhausts_on_k7():
 
 # budget stops land mid-loop, after children were counted and cut before
 # placement, so every counter pins where the look-ahead stops
-@pytest.mark.parametrize(
+_BUDGET_STOPS = pytest.mark.parametrize(
     "run,expected",
     [(lambda: find_extremal(Complete(7), Kind.COVERING, 3, node_budget=1000),
       ("budget", 1001, 1000, 3, 568, 0, 417, 2994)),
@@ -341,40 +343,70 @@ def test_extremal_covering_bound_three_exhausts_on_k7():
       ("budget", 5001, 5000, 13, 0, 683, 4228, 0))],
     ids=["k7-cover3-1000", "k15-mixed-1000", "k15-mixed-5000"],
 )
+
+
+@_BUDGET_STOPS
 def test_budget_stop_counts_are_pinned(run, expected):
     assert _counts(run()) == expected
+
+
+def _digest(rows) -> tuple:
+    return len(rows), hashlib.sha256(repr(rows).encode()).hexdigest()
+
+
+def _budget_stop_sweep():
+    runs = [(Complete(9), _MIXED, range(1, 480)),
+            (Complete(10), SearchConfig(target_counts=(3, 3), symmetry_breaking=True),
+             range(1, 11566, 250)),
+            (Complete(15), _MIXED, range(500, 10001, 500))]
+    return _digest([_counts(search_multidecomposition(host, cfg.replace(node_budget=budget)))
+                    for host, cfg, budgets in runs for budget in budgets])
+
+
+_BUDGET_STOP_SWEEP = (546, "5b2fc0ed09d54a22a01f8db192b1929972f84b064f880f0e3aab4bedf2d63f51")
 
 
 def test_budget_stop_sweep_is_pinned():
     # a budget stop can land inside a run of hexagon children counted without
     # being built; at every budget here the counters are those of the
     # per-child loop, hashed over all 546 runs
-    runs = [(Complete(9), _MIXED, range(1, 480)),
-            (Complete(10), SearchConfig(target_counts=(3, 3), symmetry_breaking=True),
-             range(1, 11566, 250)),
-            (Complete(15), _MIXED, range(500, 10001, 500))]
-    rows = [_counts(search_multidecomposition(host, cfg.replace(node_budget=budget)))
-            for host, cfg, budgets in runs for budget in budgets]
-    assert len(rows) == 546
-    assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
-        "5b2fc0ed09d54a22a01f8db192b1929972f84b064f880f0e3aab4bedf2d63f51")
+    assert _budget_stop_sweep() == _BUDGET_STOP_SWEEP
+
+
+def _covering_budget_stop_sweep():
+    runs = [(Complete(7), 3, range(1, 3000, 61)), (Complete(8), 2, range(1, 71)),
+            (Complete(9), 3, (1000, 5000)), (Complete(10), 3, (1000, 3000)),
+            (Complete(11), 2, (1000, 3000))]
+    return _digest([_counts(find_extremal(host, Kind.COVERING, bound, node_budget=budget))
+                    for host, bound, budgets in runs for budget in budgets])
+
+
+_COVERING_BUDGET_STOP_SWEEP = (
+    126, "a6649ef9a4f7ff78c38670473e6510c91fc1e58a9d56fbb98e8c52c9e43442e2")
 
 
 def test_covering_budget_stop_sweep_is_pinned():
     # extremal coverings judge their children per node in bulk, and a budget
     # stop can land inside a run of them counted without being built; the
     # counters are hashed over all 126 runs, statuses included
-    runs = [(Complete(7), 3, range(1, 3000, 61)), (Complete(8), 2, range(1, 71)),
-            (Complete(9), 3, (1000, 5000)), (Complete(10), 3, (1000, 3000)),
-            (Complete(11), 2, (1000, 3000))]
-    rows = [_counts(find_extremal(host, Kind.COVERING, bound, node_budget=budget))
-            for host, bound, budgets in runs for budget in budgets]
-    assert len(rows) == 126
-    assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
-        "a6649ef9a4f7ff78c38670473e6510c91fc1e58a9d56fbb98e8c52c9e43442e2")
+    assert _covering_budget_stop_sweep() == _COVERING_BUDGET_STOP_SWEEP
 
 
 _RAW = SearchConfig(min_hexagons=1, min_prisms=1, degree_prunes=False)
+
+
+def _replay_budget_stop_sweeps():
+    raw = [_counts(search_multidecomposition(Complete(7), _RAW.replace(node_budget=budget)))
+           for budget in (*range(1, 7482, 187), 7480)]
+    cover = [_counts(find_extremal(Complete(7), Kind.COVERING, 3, node_budget=budget))
+             for budget in (*range(1, 134702, 3367), 134700, 134701)]
+    assert raw[-2][0] == cover[-1][0] == "exhausted"
+    return _digest(raw), _digest(cover)
+
+
+_REPLAY_BUDGET_STOP_SWEEPS = (
+    (42, "440a5a06bfba5e4b4c4b5b11b99983ddbd039505a914f2fe16f2eb7e5aa7d4a6"),
+    (43, "47ed3471d64696b0073fc84976f42081ea98b93b4162a4a3d68e40dc67024cb9"))
 
 
 def test_replay_budget_stop_sweep_is_pinned():
@@ -383,16 +415,7 @@ def test_replay_budget_stop_sweep_is_pinned():
     # both sides of their last budget included, every budget stop lands where
     # expanding each state again would put it, and the hashes are those of
     # the engine that did
-    raw = [_counts(search_multidecomposition(Complete(7), _RAW.replace(node_budget=budget)))
-           for budget in (*range(1, 7482, 187), 7480)]
-    cover = [_counts(find_extremal(Complete(7), Kind.COVERING, 3, node_budget=budget))
-             for budget in (*range(1, 134702, 3367), 134700, 134701)]
-    assert raw[-2][0] == cover[-1][0] == "exhausted"
-    assert (len(raw), len(cover)) == (42, 43)
-    assert hashlib.sha256(repr(raw).encode()).hexdigest() == (
-        "440a5a06bfba5e4b4c4b5b11b99983ddbd039505a914f2fe16f2eb7e5aa7d4a6")
-    assert hashlib.sha256(repr(cover).encode()).hexdigest() == (
-        "47ed3471d64696b0073fc84976f42081ea98b93b4162a4a3d68e40dc67024cb9")
+    assert _replay_budget_stop_sweeps() == _REPLAY_BUDGET_STOP_SWEEPS
 
 
 @pytest.mark.parametrize(
@@ -406,9 +429,11 @@ def test_replay_budget_stop_sweep_is_pinned():
 )
 def test_each_exhausted_state_is_expanded_once(run, expanded, monkeypatch):
     # expanding every placed state as it comes takes 1,501, 4,281, 6,935 and
-    # 111 expansions; a state seen again after its subtree exhausted replays
+    # 111 expansions; a state seen again after its subtree exhausted replays.
+    # A helper's expansions happen in its own process, so it is kept off
     from hexprism import search
 
+    monkeypatch.setattr(search, "_HELP_AFTER", math.inf)
     expand, calls = search._Engine._expand, []
 
     def counted(engine, depth):
@@ -515,85 +540,89 @@ _BIPARTITE_6X6 = CompleteBipartite(frozenset(range(6)), frozenset(range(6, 12)))
 # every _counts field, then the sha256 of dumps_design of the found design;
 # status, nodes, placements and max_depth are as the dict-of-sets engine
 # reported them
-@pytest.mark.parametrize(
-    "run,expected",
-    [
-        pytest.param(
-            lambda: search_multidecomposition(
-                Complete(15), SearchConfig(min_hexagons=1, min_prisms=1, symmetry_breaking=True,
-                                           node_budget=1_000_000)),
-            ("found", 133_090, 133_089, 15, 0, 42_606, 83_547, 0,
-             "5a9211391a7f9178b1e6b94504122d3517975f978e889d7f3be7503e08d5f542"),
-            id="k15-mixed-find"),
-        pytest.param(
-            lambda: search_multidecomposition(
-                Complete(12), SearchConfig(min_hexagons=1, min_prisms=1, symmetry_breaking=True,
-                                           node_budget=200_000)),
-            ("found", 26, 25, 10, 2, 0, 13, 0,
-             "36e7a525dd7014ff5c68ec6bcb1e362e91c975f40da3614f7cc7e4be3f316e42"),
-            id="k12-mixed-find"),
-        pytest.param(
-            lambda: search_multidecomposition(Complete(9), _MIXED),
-            ("exhausted", 479, 478, 2, 0, 0, 477, 0, None),
-            id="k9-mixed-exhaust"),
-        pytest.param(
-            # the engine run behind the (3, 3) case of confirm_nonexistence(10)
-            lambda: search_multidecomposition(
-                Complete(10), SearchConfig(target_counts=(3, 3), symmetry_breaking=True)),
-            ("exhausted", 11_565, 11_564, 4, 0, 0, 11_453, 0, None),
-            id="k10-case33-exhaust"),
-        pytest.param(
-            lambda: search_multidecomposition(
-                Complete(9), SearchConfig(prisms=False, symmetry_breaking=True)),
-            ("found", 13, 12, 6, 0, 0, 6, 0,
-             "547ffbb2070fa414014282bd6736006074f4e3b0ea4bf9eae5af11715701d9ea"),
-            id="k9-hex-find"),
-        pytest.param(
-            lambda: search_multidecomposition(
-                Complete(10), SearchConfig(hexagons=False, symmetry_breaking=True)),
-            ("found", 6, 5, 5, 0, 0, 0, 0,
-             "ae00ea8038eb9c4982f115ac9e544151fa697fbf862bbe361c0b390bbd37aa3f"),
-            id="k10-prism-find"),
-        pytest.param(
-            lambda: search_multidecomposition(
-                _BIPARTITE_6X6,
-                SearchConfig(prisms=False, symmetry_breaking=True, node_budget=50_000)),
-            ("found", 10, 9, 6, 0, 0, 3, 0,
-             "dba1663326e1c1c7a93b48e79a6848d047738a7023b6e96ba1b9df979c393c62"),
-            id="b6x6-hex-find"),
-        pytest.param(
-            lambda: find_extremal(Complete(8), Kind.PACKING, 1),
-            ("found", 402, 401, 4, 0, 384, 13, 0,
-             "bc8adfc7e5c36b4f5cd8e391fc0ed399b73d4f807acc71e5167daa0872c120b5"),
-            id="k8-pack1-find"),
-        pytest.param(
-            lambda: find_extremal(Complete(8), Kind.COVERING, 2, node_budget=200_000),
-            ("found", 70, 69, 4, 5, 0, 60, 2096,
-             "2d8031363dcc7dbc2661f50e16edbf045348e20b5854968d228535ee3ef8f6de"),
-            id="k8-cover2-find"),
-        pytest.param(
-            lambda: find_extremal(Complete(8), Kind.PACKING, 4),
-            ("exhausted", 291, 280, 1, 0, 0, 290, 0, None),
-            id="k8-pack4-exhaust"),
-        pytest.param(
-            # the raw placement enumeration behind confirm_nonexistence(7)
-            lambda: search_multidecomposition(
-                Complete(7), SearchConfig(min_hexagons=1, min_prisms=1, degree_prunes=False)),
-            ("exhausted", 7481, 7480, 3, 3200, 0, 0, 0, None),
-            id="cert-n7-raw"),
-    ],
-)
-def test_engine_fingerprint_is_pinned(run, expected):
-    outcome = run()
+_FINGERPRINTS = [
+    pytest.param(
+        lambda: search_multidecomposition(
+            Complete(15), SearchConfig(min_hexagons=1, min_prisms=1, symmetry_breaking=True,
+                                       node_budget=1_000_000)),
+        ("found", 133_090, 133_089, 15, 0, 42_606, 83_547, 0,
+         "5a9211391a7f9178b1e6b94504122d3517975f978e889d7f3be7503e08d5f542"),
+        id="k15-mixed-find"),
+    pytest.param(
+        lambda: search_multidecomposition(
+            Complete(12), SearchConfig(min_hexagons=1, min_prisms=1, symmetry_breaking=True,
+                                       node_budget=200_000)),
+        ("found", 26, 25, 10, 2, 0, 13, 0,
+         "36e7a525dd7014ff5c68ec6bcb1e362e91c975f40da3614f7cc7e4be3f316e42"),
+        id="k12-mixed-find"),
+    pytest.param(
+        lambda: search_multidecomposition(Complete(9), _MIXED),
+        ("exhausted", 479, 478, 2, 0, 0, 477, 0, None),
+        id="k9-mixed-exhaust"),
+    pytest.param(
+        # the engine run behind the (3, 3) case of confirm_nonexistence(10)
+        lambda: search_multidecomposition(
+            Complete(10), SearchConfig(target_counts=(3, 3), symmetry_breaking=True)),
+        ("exhausted", 11_565, 11_564, 4, 0, 0, 11_453, 0, None),
+        id="k10-case33-exhaust"),
+    pytest.param(
+        lambda: search_multidecomposition(
+            Complete(9), SearchConfig(prisms=False, symmetry_breaking=True)),
+        ("found", 13, 12, 6, 0, 0, 6, 0,
+         "547ffbb2070fa414014282bd6736006074f4e3b0ea4bf9eae5af11715701d9ea"),
+        id="k9-hex-find"),
+    pytest.param(
+        lambda: search_multidecomposition(
+            Complete(10), SearchConfig(hexagons=False, symmetry_breaking=True)),
+        ("found", 6, 5, 5, 0, 0, 0, 0,
+         "ae00ea8038eb9c4982f115ac9e544151fa697fbf862bbe361c0b390bbd37aa3f"),
+        id="k10-prism-find"),
+    pytest.param(
+        lambda: search_multidecomposition(
+            _BIPARTITE_6X6,
+            SearchConfig(prisms=False, symmetry_breaking=True, node_budget=50_000)),
+        ("found", 10, 9, 6, 0, 0, 3, 0,
+         "dba1663326e1c1c7a93b48e79a6848d047738a7023b6e96ba1b9df979c393c62"),
+        id="b6x6-hex-find"),
+    pytest.param(
+        lambda: find_extremal(Complete(8), Kind.PACKING, 1),
+        ("found", 402, 401, 4, 0, 384, 13, 0,
+         "bc8adfc7e5c36b4f5cd8e391fc0ed399b73d4f807acc71e5167daa0872c120b5"),
+        id="k8-pack1-find"),
+    pytest.param(
+        lambda: find_extremal(Complete(8), Kind.COVERING, 2, node_budget=200_000),
+        ("found", 70, 69, 4, 5, 0, 60, 2096,
+         "2d8031363dcc7dbc2661f50e16edbf045348e20b5854968d228535ee3ef8f6de"),
+        id="k8-cover2-find"),
+    pytest.param(
+        lambda: find_extremal(Complete(8), Kind.PACKING, 4),
+        ("exhausted", 291, 280, 1, 0, 0, 290, 0, None),
+        id="k8-pack4-exhaust"),
+    pytest.param(
+        # the raw placement enumeration behind confirm_nonexistence(7)
+        lambda: search_multidecomposition(
+            Complete(7), SearchConfig(min_hexagons=1, min_prisms=1, degree_prunes=False)),
+        ("exhausted", 7481, 7480, 3, 3200, 0, 0, 0, None),
+        id="cert-n7-raw"),
+]
+
+
+def _fingerprint(outcome):
+    """_counts, then the sha256 of dumps_design of the design or None."""
     digest = None
     if outcome.design is not None:
         digest = hashlib.sha256(dumps_design(outcome.design).encode()).hexdigest()
-    assert (*_counts(outcome), digest) == expected
+    return (*_counts(outcome), digest)
+
+
+@pytest.mark.parametrize("run,expected", _FINGERPRINTS)
+def test_engine_fingerprint_is_pinned(run, expected):
+    assert _fingerprint(run()) == expected
 
 
 # covering finds off the benchmark workload, at a 300k budget: every _counts
 # field, then the sha256 of dumps_design of the found design, which verifies
-@pytest.mark.parametrize(
+_COVERING_FINDS = pytest.mark.parametrize(
     "n,bound,expected",
     [(9, 3, ("found", 53_480, 53_479, 5, 35, 0, 51_131, 4_799_690,
              "4becc6bd2147ddf384e9f119fd53b4979578cbf9d81f5757e0a562b360a2bd00")),
@@ -603,11 +632,144 @@ def test_engine_fingerprint_is_pinned(run, expected):
               "6b78c3aced36076ba686ce57fbc40a15472aaa438975ef1776af2c017ef1f5f7"))],
     ids=["k9-cover3", "k10-cover3", "k11-cover2"],
 )
+
+
+@_COVERING_FINDS
 def test_covering_finds_are_pinned(n, bound, expected):
     outcome = find_extremal(Complete(n), Kind.COVERING, bound, node_budget=300_000)
-    digest = hashlib.sha256(dumps_design(outcome.design).encode()).hexdigest()
-    assert (*_counts(outcome), digest) == expected
+    assert _fingerprint(outcome) == expected
     assert verify_design(outcome.design).valid
+
+
+@pytest.fixture
+def helper_from_the_first_backtrack(monkeypatch):
+    """Let a run fork its helper at its first backtrack, and list the forks."""
+    from hexprism import search
+
+    fork, forks = os.fork, []
+
+    def counted():
+        pid = fork()
+        forks.extend([pid] if pid else [])
+        return pid
+
+    monkeypatch.setattr(search, "_HELP_AFTER", 0)
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+# a helper exhausts some node's later children into the replay memo; every
+# count, every design and where each budget stop lands stay those pinned
+# above for the run without one
+@pytest.mark.parametrize("run,expected", _FINGERPRINTS)
+def test_a_helper_keeps_every_fingerprint(run, expected, helper_from_the_first_backtrack):
+    assert _fingerprint(run()) == expected
+
+
+@_COVERING_FINDS
+def test_a_helper_keeps_the_covering_finds(n, bound, expected, helper_from_the_first_backtrack):
+    assert _fingerprint(find_extremal(Complete(n), Kind.COVERING, bound,
+                                      node_budget=300_000)) == expected
+    assert helper_from_the_first_backtrack
+
+
+@_BUDGET_STOPS
+def test_a_helper_keeps_the_budget_stops(run, expected, helper_from_the_first_backtrack):
+    assert _counts(run()) == expected
+
+
+def test_a_helper_keeps_the_budget_stop_sweeps(helper_from_the_first_backtrack):
+    assert _budget_stop_sweep() == _BUDGET_STOP_SWEEP
+    assert _covering_budget_stop_sweep() == _COVERING_BUDGET_STOP_SWEEP
+    assert _replay_budget_stop_sweeps() == _REPLAY_BUDGET_STOP_SWEEPS
+    assert helper_from_the_first_backtrack
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("run", [
+    lambda: search_multidecomposition(Complete(15), _MIXED.replace(node_budget=1_000_000)),
+    lambda: find_extremal(Complete(7), Kind.COVERING, 3),
+    lambda: search_multidecomposition(Complete(13), _MIXED.replace(node_budget=20_000)),
+], ids=["found", "exhausted", "budget"])
+def test_no_process_outlives_a_search(run, request, helper_from_the_first_backtrack):
+    assert run().status.value == request.node.callspec.id
+    assert helper_from_the_first_backtrack
+    _assert_no_child_left()
+
+
+def test_no_process_outlives_a_search_that_raises(monkeypatch, helper_from_the_first_backtrack):
+    # the calling process fails inside the first child it claims, with its
+    # helper running; the helper is killed and reaped on the way out
+    from hexprism import search
+
+    node, main = search._Engine._node, os.getpid()
+
+    def failing(engine, depth):
+        if helper_from_the_first_backtrack and os.getpid() == main:
+            raise RuntimeError("node failed")
+        return node(engine, depth)
+
+    monkeypatch.setattr(search._Engine, "_node", failing)
+    with pytest.raises(RuntimeError, match="node failed"):
+        find_extremal(Complete(7), Kind.COVERING, 3)
+    assert len(helper_from_the_first_backtrack) == 1
+    _assert_no_child_left()
+    with pytest.raises(ProcessLookupError):
+        os.kill(helper_from_the_first_backtrack[0], 0)
+
+
+def test_a_helper_stops_when_its_parent_or_its_pipe_is_gone():
+    # between children a helper checks that its parent is the one that forked
+    # it, and a write to a pipe nobody reads raises, which ends the helper
+    import mmap
+
+    from hexprism import search
+
+    engine = search._Engine(Complete(7), Kind.COVERING, SearchConfig(min_hexagons=1, min_prisms=1),
+                            padding_budget=3)
+    engine.run()  # back at the root, with a limit
+    rd = list(map(int.bit_count, engine.nbr))
+    children = list(engine._candidates(*engine._branch_edge(rd), rd, 0, 1))
+    claims = mmap.mmap(-1, len(children) + 1)
+    read, write = os.pipe()
+    engine._help(children, 1, claims, write, parent=os.getpid())
+    assert claims[:] == bytes(len(claims))
+    os.close(read)
+    with pytest.raises(BrokenPipeError):
+        engine._help(children, 1, claims, write, parent=os.getppid())
+    assert claims[:3] == bytes([0, search._HELPER, 0])
+    os.close(write)
+
+
+@pytest.mark.parametrize("absent", ["fork", "cpus", "threads", "processes"])
+def test_no_helper_starts_where_none_can_run(absent, monkeypatch, helper_from_the_first_backtrack):
+    # no helper without os.fork, with one CPU to run on or beside a thread,
+    # and a fork that fails leaves the run to go on alone
+    import threading
+
+    def refused():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    if absent == "fork":
+        monkeypatch.delattr(os, "fork")
+    elif absent == "processes":
+        monkeypatch.setattr(os, "fork", refused)
+    elif absent == "cpus":
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    if absent == "threads":
+        thread.start()
+    try:
+        outcome = find_extremal(Complete(7), Kind.COVERING, 3)
+    finally:
+        stop.set()
+    assert _counts(outcome) == ("exhausted", 134_701, 134_700, 3, 76_480, 0, 56_720, 315_600)
+    assert not helper_from_the_first_backtrack
 
 
 # a prism with a triangle's vertices joined to a seventh vertex: the branch
@@ -640,9 +802,11 @@ def test_child_verdict_matches_the_full_degree_check(run, monkeypatch, request):
     # a child is judged per node and shape from its parent's degrees and its
     # block's vertices, and the root on its own; each verdict, and the
     # odd-degree count the exact-mode judge is given with degree prunes on,
-    # must be those of the cuts applied to all of the state's remaining degrees
+    # must be those of the cuts applied to all of the state's remaining degrees;
+    # a helper would judge some children in its own process, so it is kept off
     from hexprism import search
 
+    monkeypatch.setattr(search, "_HELP_AFTER", math.inf)
     verdict, judge, fold_node, judge_covers = (search._Engine._verdict, search._Engine._judged,
                                            search._Engine._fold, search._Engine._judged_covers)
     reasons = ("pruned_block_count", "pruned_odd_degree", "pruned_vertex_degree")
