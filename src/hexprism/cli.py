@@ -45,7 +45,7 @@ _CONSTRUCTORS = {
     "packing": _lazy("constructions", "max_multipack"),
     "covering": _lazy("constructions", "min_multicover"),
 }
-catalog_get = _lazy("catalog", "get")
+catalog_get = _lazy("bases", "get")
 catalog_keys = _lazy("bases", "keys")
 verify_design = _lazy("verifier", "verify_design")
 load_design = _lazy("designfile", "load_design")

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import _thread
 import itertools
+import marshal
 import math
 import os
 from enum import Enum
@@ -112,7 +113,8 @@ class SearchConfig(Value):
 
 class SearchStats(Value):
     """nodes counts the root and every child the cuts examined, including
-    children cut before placement, which are never built.  pruned_* count
+    children cut before placement, which are never built.  placements is
+    nodes less one per run, the state the run starts from.  pruned_* count
     nodes cut by the block-count equation, the odd-degree bound and the
     per-vertex degree bound; skipped_padding_budget counts covering
     candidates that would overspend the padding budget.  elapsed_s is wall
@@ -274,13 +276,6 @@ def needs_budget(host: Host) -> bool:
     return len(host_vertices(host)) > UNBUDGETED_VERTEX_LIMIT
 
 
-def _can_help() -> bool:
-    """Whether a helper may be forked: fork exists, more than one CPU is
-    ours, and no thread runs beside this one."""
-    cpus = getattr(os, "sched_getaffinity", lambda pid: ())(0)
-    return hasattr(os, "fork") and len(cpus) > 1 and not _thread._count()
-
-
 def _claim(claims, who: int):
     """Mark the first unclaimed child as who's and return its index, or None
     once claiming has stopped or none is left.  A child two processes take
@@ -290,14 +285,6 @@ def _claim(claims, who: int):
         claims[i] = who
         return i - 1
     return None
-
-
-def _records(pipe):
-    """The length-prefixed marshal records read from the pipe until it closes."""
-    import marshal
-
-    while len(head := pipe.read(4)) == 4:
-        yield marshal.loads(pipe.read(int.from_bytes(head, "little")))
 
 
 def _unheard(claims, known: dict) -> bool:
@@ -339,22 +326,23 @@ class _Engine:
 
     exhausted maps each placed state whose subtree exhausted, keyed by avail
     packed over pad_used, hex_placed and prism_placed (nbr and rd follow from
-    avail), to what that subtree added to the _REPLAYED counters, nodes and
-    placements growing alike, then the deepest depth it reached, which a
-    replay raises max_depth to, since a helper's subtree was never expanded
-    here.  _node replays an entry only if its nodes fit the budget, so a
-    budget stop lands where expansion puts it, and keeps no subtree that found
-    a design or hit the budget, nor any past _REPLAY_CAP, which changes speed,
-    never a count.  Leave-class runs share it, keyed by one unmet-edge mask.
+    avail), to what that subtree added to the _REPLAYED counters, then the
+    deepest depth it reached, which a replay raises max_depth to, since a
+    helper's subtree was never expanded here.  _node replays an entry only
+    if its nodes fit the budget, so a budget stop lands where expansion puts
+    it, and keeps no subtree that found a design or hit the budget, nor any
+    past _REPLAY_CAP, which changes speed, never a count.  Leave-class runs
+    share it, keyed by one unmet-edge mask.
 
     Once a run has counted _HELP_AFTER nodes, a node one of whose children
-    has just exhausted becomes the split node if it is shallower than every
-    earlier one of the run.  If a helper can run, the split node and one
-    forked helper claim its later children in order and exhaust them into
-    their own exhausted, each on a copy of stats; the helper sends what it
-    adds over a pipe.  Claiming stops at the first child that does not
-    exhaust; main waits for the helper's claims before it, kills the helper
-    and resumes its loop, which replays or expands every child as before.
+    has just exhausted calls _share, and becomes the split node if it is
+    shallower than every earlier one of the run.  If a helper can run,
+    _share forks one, and each process runs _claimed: it claims the split
+    node's later children in order and exhausts each into its own
+    exhausted, on a copy of stats; the helper sends each child's entries
+    over a pipe.  Claiming stops at the first child that does not exhaust;
+    main waits for the helper's claims before it, kills the helper and
+    resumes its loop, which replays or expands every child as before.
     """
 
     def __init__(self, host: Host, kind: Kind, cfg: SearchConfig, padding_budget: int = 0):
@@ -444,7 +432,6 @@ class _Engine:
         n = min(n, self.limit - stats.nodes)
         if n:
             stats.nodes += n
-            stats.placements += n
             stats.max_depth = max(stats.max_depth, depth)
             setattr(stats, reason, getattr(stats, reason) + n)
         return n
@@ -589,7 +576,6 @@ class _Engine:
         stats, w = self.stats, self.width
         key = ((self.avail << w | self.pad_used) << w | self.hex_placed) << w | self.prism_placed
         if (seen := self.exhausted.get(key)) and stats.nodes + seen[0] <= self.limit:
-            stats.placements += seen[0]
             for name, d in zip(_REPLAYED, seen):
                 setattr(stats, name, getattr(stats, name) + d)
             stats.max_depth = max(stats.max_depth, seen[-1])
@@ -611,7 +597,6 @@ class _Engine:
         stats, limit, eid = self.stats, self.limit, self.eid
         edge, depth = self._branch_edge(rd), depth + 1
         for shape, vs in self._candidates(*edge, rd, odd, depth):
-            stats.placements += 1
             stats.nodes += 1
             if depth > stats.max_depth:
                 stats.max_depth = depth
@@ -624,37 +609,28 @@ class _Engine:
             if done or self.exceeded:
                 return done
             if depth < self.split_below and stats.nodes >= self.help_from:
-                self._split(edge, rd, odd, depth, (shape, vs))
+                self._share(edge, rd, odd, depth, (shape, vs))
         return False
 
     # -- a helper for a node's later children
 
-    def _split(self, edge, rd: list, odd: int, depth: int, last) -> None:
-        """Make this node the split node and, if a helper can run, share the
-        children after last with one; they are listed into scratch stats with
-        no limit, so no counter moves."""
-        self.split_below = depth if _can_help() else 0
-        if not self.split_below:
+    def _share(self, edge, rd: list, odd: int, depth: int, last) -> None:
+        """Make this node the split node and, where a helper can run (fork
+        exists, more than one CPU is ours and no other thread runs), exhaust
+        the children after last as this process and one forked helper claim
+        them, until one does not exhaust; this process then holds the entries
+        of all those before it, and kills and reaps the helper.  The children
+        are listed into scratch stats with no limit, so no counter moves."""
+        cpus = getattr(os, "sched_getaffinity", lambda pid: ())(0)
+        if not (hasattr(os, "fork") and len(cpus) > 1 and not _thread._count()):
+            self.split_below = 0
             return
-        stats, limit = self.stats, self.limit
+        self.split_below, stats, limit = depth, self.stats, self.limit
         self.stats, self.limit = SearchStats(), math.inf
         children = list(self._candidates(*edge, rd, odd, depth))
         self.stats, self.limit = stats, limit
-        if len(todo := children[children.index(last) + 1:]) > 1:
-            self._share(todo, depth)
-
-    def _exhaust(self, child, depth: int) -> bool:
-        """Place the child, search below it, and say whether it exhausted."""
-        self._place(_candidate(*child, self.eid))
-        done = self._node(depth) if self.avail else self._complete()
-        self._unplace()
-        exhausted, self.exceeded = not (done or self.exceeded), False
-        return exhausted
-
-    def _share(self, todo: list, depth: int) -> None:
-        """Exhaust the children in todo as main and one forked helper claim
-        them, until one does not exhaust; main then holds the entries of all
-        those before it, and kills and reaps the helper."""
+        if len(todo := children[children.index(last) + 1:]) < 2:
+            return
         import fcntl
         import mmap
         import select
@@ -681,16 +657,12 @@ class _Engine:
             finally:
                 os._exit(0)
         os.close(write)
-        stats, self.stats = self.stats, self.stats.replace()
-        pipe, known = os.fdopen(read, "rb"), {}
-        records = _records(pipe)
+        self.stats, pipe, known = stats.replace(), os.fdopen(read, "rb"), {}
         try:
-            while all(known.values()) and (i := _claim(claims, _MAIN)) is not None:
-                known[i] = self._exhaust(todo[i], depth)
-                while select.select([pipe], [], [], 0)[0] and self._take(records, known):
+            for i, known[i], _ in self._claimed(todo, depth, claims, _MAIN):
+                while select.select([pipe], [], [], 0)[0] and self._take(pipe, known):
                     pass
-            claims[0] = 1
-            while _unheard(claims, known) and self._take(records, known):
+            while _unheard(claims, known) and self._take(pipe, known):
                 pass
         finally:
             self.stats = stats
@@ -699,32 +671,43 @@ class _Engine:
             pipe.close()
             claims.close()
 
-    def _take(self, records, known: dict) -> bool:
-        """Note whether the helper's next child exhausted and store the entries
-        it added while under _REPLAY_CAP; False once the helper is gone."""
-        if (record := next(records, None)) is None:
+    def _claimed(self, todo: list, depth: int, claims, who: int):
+        """Claim the children in todo as who, one at a time, exhaust each and
+        yield (index, whether it exhausted, the entries it added); the first
+        that does not exhaust stops claiming.  The entries are read from
+        exhausted lazily, so they must be taken before the next claim."""
+        while (i := _claim(claims, who)) is not None:
+            size = len(self.exhausted)
+            self._place(_candidate(*todo[i], self.eid))
+            done = self._node(depth) if self.avail else self._complete()
+            self._unplace()
+            exhausted, self.exceeded = not (done or self.exceeded), False
+            if not exhausted:
+                claims[0] = 1
+            yield i, exhausted, itertools.islice(self.exhausted.items(), size, None)
+
+    def _take(self, pipe, known: dict) -> bool:
+        """Read the helper's next record, note whether its child exhausted and
+        store the entries it added while under _REPLAY_CAP; False once the
+        helper is gone, or if it died inside the record."""
+        size = int.from_bytes(head := pipe.read(4), "little")
+        if len(head) < 4 or len(body := pipe.read(size)) < size:
             return False
-        i, known[i], entries = record
+        i, known[i], entries = marshal.loads(body)
         self.exhausted.update(entries[:_REPLAY_CAP - len(self.exhausted)])
         return True
 
     def _help(self, todo: list, depth: int, claims, fd: int, parent: int) -> None:
         """As the helper, exhaust each child claimed while the parent lives,
         writing one record (index, exhausted, the entries added) per child to
-        fd; stop after the first that does not exhaust."""
-        import marshal
-
-        while os.getppid() == parent and (i := _claim(claims, _HELPER)) is not None:
-            size = len(self.exhausted)
-            if not (exhausted := self._exhaust(todo[i], depth)):
-                claims[0] = 1
-            added = list(itertools.islice(self.exhausted.items(), size, None))
-            record = marshal.dumps((i, exhausted, added))
-            data = memoryview(len(record).to_bytes(4, "little") + record)
+        fd."""
+        claimed = self._claimed(todo, depth, claims, _HELPER)
+        while os.getppid() == parent and (record := next(claimed, None)):
+            i, exhausted, added = record
+            body = marshal.dumps((i, exhausted, list(added)))
+            data = memoryview(len(body).to_bytes(4, "little") + body)
             while data:
                 data = data[os.write(fd, data):]
-            if not exhausted:
-                return
 
     def _complete(self) -> bool:
         counts = (self.hex_placed, self.prism_placed)
@@ -753,6 +736,7 @@ class _Engine:
         """Search the host with the leave edges met from the start; the run may
         expand node_budget nodes beyond those stats already counts."""
         start, stats, budget = perf_counter(), self.stats, self.cfg.node_budget
+        first = stats.nodes + 1  # placements counts each node after the run's start state
         self.limit = math.inf if budget is None else stats.nodes + budget
         self.nbr, self.avail = list(self.host_nbr), (1 << len(self.order)) - 1
         self.hex_placed = self.prism_placed = self.pad_used = 0
@@ -767,10 +751,10 @@ class _Engine:
         root = self._root_block(self.host) if symmetric else None
         if root is not None:
             stats.nodes += 1
-            stats.placements += 1
             vs = tuple(self.idx[x] for x in block_vertices(root))
             self._place(_candidate(type(root), vs, self.eid))
         found = self._root()
+        stats.placements += stats.nodes - first
         stats.elapsed_s += perf_counter() - start
         if not found:
             return SearchOutcome(Status.BUDGET if self.exceeded else Status.EXHAUSTED, None, stats)

@@ -335,7 +335,8 @@ def _main_in_a_fresh_process(argv, *flags):
      {"designfile", "verifier"}, {"constructions", "catalog", "bases", "bipartite", "search"}),
     (["classify", "--n", "13"], 0,
      {"feasibility"}, {"verifier", "designfile", "constructions", "catalog", "bases", "search"}),
-    (["catalog", "covering:17"], 0, {"catalog"}, {"constructions", "search"}),
+    (["catalog", "covering:17"], 0,
+     {"bases"}, {"catalog", "bipartite", "constructions", "search"}),
     (["catalog"], 0, {"bases"}, {"catalog", "bipartite", "constructions", "search"}),
     (["search", "--n", "9"], 1,
      {"search"}, {"constructions", "catalog", "bases", "bipartite", "verifier"}),

@@ -745,6 +745,29 @@ def test_a_helper_stops_when_its_parent_or_its_pipe_is_gone():
     os.close(write)
 
 
+def test_a_record_cut_short_reads_as_the_helper_gone():
+    # a helper killed inside a record leaves its 4-byte header and part of
+    # its body; the calling process reads the whole records before it, then
+    # goes on alone, storing nothing of the cut one
+    import marshal
+
+    from hexprism import search
+
+    engine = search._Engine(Complete(7), Kind.COVERING, SearchConfig(min_hexagons=1, min_prisms=1),
+                            padding_budget=3)
+    records = [len(body).to_bytes(4, "little") + body
+               for body in (marshal.dumps((i, True, [(i, (5, 1, 0, 2, 0, 3))])) for i in (0, 1))]
+    read, write = os.pipe()
+    os.write(write, records[0] + records[1][:-1])
+    os.close(write)
+    known = {}
+    with os.fdopen(read, "rb") as pipe:
+        assert engine._take(pipe, known)
+        assert not engine._take(pipe, known)
+    assert known == {0: True}
+    assert engine.exhausted == {0: (5, 1, 0, 2, 0, 3)}
+
+
 @pytest.mark.parametrize("absent", ["fork", "cpus", "threads", "processes"])
 def test_no_helper_starts_where_none_can_run(absent, monkeypatch, helper_from_the_first_backtrack):
     # no helper without os.fork, with one CPU to run on or beside a thread,
