@@ -32,15 +32,14 @@ That holds whoever counted the subtree, so a long run takes a helper process
 under the Young Brothers Wait rule of parallel game-tree search (Feldmann,
 Monien, Mysliwietz and Vornberger, ICCA J. 12(2), 1989): only after one child
 of a node has exhausted are its younger children exhausted in parallel, and
-the ordinary in-order loop then replays them, so every count, design and
-budget stop is that of the sequential run.
+the ordinary in-order loop then replays the helper's from a shared table, so
+every count, design and budget stop is that of the sequential run.
 """
 
 from __future__ import annotations
 
 import _thread
 import itertools
-import marshal
 import math
 import os
 from enum import Enum
@@ -87,15 +86,15 @@ class SearchConfig(Value):
     target_counts pins the exact (hexagons, prisms) block counts; the minima
     only set lower bounds.  A disabled shape caps its count at 0, even under
     target_counts, so a target that asks for a disabled shape, like one
-    below a minimum, exhausts at the root.  node_budget limits expanded
-    nodes and defaults to unbounded, which is only permitted on hosts with
-    at most UNBUDGETED_VERTEX_LIMIT vertices.  symmetry_breaking fixes the
-    block covering the smallest edge to one canonical placement; on complete
-    and complete bipartite hosts every design can be relabeled onto such a
-    placement, so the reduction keeps existence answers intact.
-    degree_prunes turns the per-vertex incidence feasibility cuts off,
-    leaving only the plain edge-count arithmetic; runs meant to certify
-    exhaustion by raw placement enumeration use that.
+    below a minimum, exhausts at the root.  node_budget bounds nodes, every
+    child the cuts examined, placed or not; unbounded, the default, is only
+    permitted on hosts with at most UNBUDGETED_VERTEX_LIMIT vertices.
+    symmetry_breaking fixes the block covering the smallest edge to one
+    canonical placement; on complete and complete bipartite hosts every
+    design can be relabeled onto such a placement, so the reduction keeps
+    existence answers intact.  degree_prunes turns the per-vertex incidence
+    feasibility cuts off, leaving only the plain edge-count arithmetic; runs
+    meant to certify exhaustion by raw placement enumeration use that.
     """
 
     __slots__ = ("hexagons", "prisms", "min_hexagons", "min_prisms", "target_counts",
@@ -174,7 +173,8 @@ _REPLAYED = ("nodes", "pruned_block_count", "pruned_odd_degree", "pruned_vertex_
 _REPLAY_CAP = 1 << 15
 # the nodes a run counts before a node may share its later children with a helper
 _HELP_AFTER = 2000
-_MAIN, _HELPER = 1, 2  # who took a child, in the claims shared with a helper
+_MAIN, _HELPER, _IN_SLOT, _EXHAUSTED, _OPEN = 1, 2, 3, 4, 5  # who took a child, how it ended
+_COUNT_BITS = 64  # of each count in a slot of that table
 
 _BIT = (1).__lshift__  # i -> 1 << i
 _ODD = (1).__and__  # d -> d & 1
@@ -276,22 +276,15 @@ def needs_budget(host: Host) -> bool:
     return len(host_vertices(host)) > UNBUDGETED_VERTEX_LIMIT
 
 
-def _claim(claims, who: int):
-    """Mark the first unclaimed child as who's and return its index, or None
-    once claiming has stopped or none is left.  A child two processes take
-    in the same instant is exhausted twice, which costs time, not counts."""
-    i = 0 if claims[0] else claims.find(b"\0", 1)
+def _claim(table, n: int, who: int):
+    """Mark the first unclaimed of the table's n children as who's and return
+    its index, or None once claiming has stopped or none is left.  A child two
+    processes take at once is exhausted twice, which costs time, not counts."""
+    i = 0 if table[0] else table.find(b"\0", 1, n + 1)
     if i > 0:
-        claims[i] = who
+        table[i] = who
         return i - 1
     return None
-
-
-def _unheard(claims, known: dict) -> bool:
-    """Whether the helper has yet to report a child it claimed before the
-    first one known not to exhaust."""
-    stop = min([i for i, exhausted in known.items() if not exhausted], default=len(claims))
-    return any(who == _HELPER and i not in known for i, who in enumerate(claims[1:stop + 1]))
 
 
 class _Engine:
@@ -338,10 +331,10 @@ class _Engine:
     has just exhausted calls _share, and becomes the split node if it is
     shallower than every earlier one of the run.  If a helper can run,
     _share forks one, and each process runs _claimed: it claims the split
-    node's later children in order and exhausts each into its own
-    exhausted, on a copy of stats; the helper sends each child's entries
-    over a pipe.  Claiming stops at the first child that does not exhaust;
-    main waits for the helper's claims before it, kills the helper and
+    node's later children in order in a shared table and exhausts each into
+    its own exhausted, on a copy of stats; the helper writes each child's own
+    entry into the child's slot of the table.  Claiming stops at the first
+    child that does not exhaust; main reaps the helper, stores its slots and
     resumes its loop, which replays or expands every child as before.
     """
 
@@ -362,6 +355,8 @@ class _Engine:
         self.memo: dict = {}
         self.exhausted: dict = {}
         self.width = cap.bit_length()  # of each packed count in an exhausted key
+        # bytes of a slot in a helper's table: the widest key over an entry's counts
+        self.slot = (len(self.order) + 3 * self.width + (len(_REPLAYED) + 1) * _COUNT_BITS + 7) // 8
         self.stats = SearchStats()
         self._cuts: dict = {}
 
@@ -573,8 +568,7 @@ class _Engine:
     def _node(self, depth: int) -> bool:
         """Replay a placed state's counts if its subtree exhausted before and
         they fit the budget, else expand it and keep them if it exhausts."""
-        stats, w = self.stats, self.width
-        key = ((self.avail << w | self.pad_used) << w | self.hex_placed) << w | self.prism_placed
+        stats, key = self.stats, self._key()
         if (seen := self.exhausted.get(key)) and stats.nodes + seen[0] <= self.limit:
             for name, d in zip(_REPLAYED, seen):
                 setattr(stats, name, getattr(stats, name) + d)
@@ -588,6 +582,11 @@ class _Engine:
             self.exhausted[key] = (*[getattr(stats, n) - b for n, b in zip(_REPLAYED, before)],
                                    deepest)
         return done
+
+    def _key(self) -> int:
+        """The placed state's key in exhausted."""
+        w = self.width
+        return ((self.avail << w | self.pad_used) << w | self.hex_placed) << w | self.prism_placed
 
     def _expand(self, depth: int) -> bool:
         """Count each child of a placed state that the judges pass, then place
@@ -618,9 +617,10 @@ class _Engine:
         """Make this node the split node and, where a helper can run (fork
         exists, more than one CPU is ours and no other thread runs), exhaust
         the children after last as this process and one forked helper claim
-        them, until one does not exhaust; this process then holds the entries
-        of all those before it, and kills and reaps the helper.  The children
-        are listed into scratch stats with no limit, so no counter moves."""
+        them in a shared table, until one does not exhaust.  This process then
+        waits for the helper if it holds a child before that one, else kills
+        it, and once it is reaped stores its finished slots.  The children are
+        listed into scratch stats with no limit, so no counter moves."""
         cpus = getattr(os, "sched_getaffinity", lambda pid: ())(0)
         if not (hasattr(os, "fork") and len(cpus) > 1 and not _thread._count()):
             self.split_below = 0
@@ -631,83 +631,70 @@ class _Engine:
         self.stats, self.limit = stats, limit
         if len(todo := children[children.index(last) + 1:]) < 2:
             return
-        import fcntl
         import mmap
-        import select
         import signal
 
-        claims = mmap.mmap(-1, len(todo) + 1)  # byte 0 stops claiming, byte i + 1 takes child i
-        read, write = os.pipe()
-        try:  # a full pipe would stall the helper while main is busy with a child
-            fcntl.fcntl(write, fcntl.F_SETPIPE_SZ, 1 << 20)
-        except (AttributeError, OSError):
-            pass
-        try:
-            parent, pid = os.getpid(), os.fork()
-        except OSError:  # no process to spare: the run goes on alone
-            os.close(read)
-            os.close(write)
-            claims.close()
-            return
-        if not pid:
+        n = len(todo)
+        # byte 0 stops claiming, byte i + 1 is child i's, then one slot per child
+        with mmap.mmap(-1, 1 + n * (1 + self.slot)) as table:
             try:
-                os.close(read)
-                self.split_below = 0
-                self._help(todo, depth, claims, write, parent)
+                parent, pid = os.getpid(), os.fork()
+            except OSError:  # no process to spare: the run goes on alone
+                return
+            if not pid:
+                try:
+                    self.split_below = 0
+                    self._claimed(todo, depth, table, parent)
+                finally:
+                    os._exit(0)
+            self.stats = stats.replace()
+            try:
+                self._claimed(todo, depth, table)
+                if _HELPER in table[1:n + 1].partition(bytes([_OPEN]))[0]:
+                    os.waitpid(pid, 0)  # claiming has stopped, so the helper ends after its child
+                    pid = 0
             finally:
-                os._exit(0)
-        os.close(write)
-        self.stats, pipe, known = stats.replace(), os.fdopen(read, "rb"), {}
-        try:
-            for i, known[i], _ in self._claimed(todo, depth, claims, _MAIN):
-                while select.select([pipe], [], [], 0)[0] and self._take(pipe, known):
-                    pass
-            while _unheard(claims, known) and self._take(pipe, known):
-                pass
-        finally:
-            self.stats = stats
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-            pipe.close()
-            claims.close()
+                self.stats = stats
+                if pid:  # not yet reaped
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
+            self._read_slots(table, n)
 
-    def _claimed(self, todo: list, depth: int, claims, who: int):
-        """Claim the children in todo as who, one at a time, exhaust each and
-        yield (index, whether it exhausted, the entries it added); the first
-        that does not exhaust stops claiming.  The entries are read from
-        exhausted lazily, so they must be taken before the next claim."""
-        while (i := _claim(claims, who)) is not None:
-            size = len(self.exhausted)
+    def _claimed(self, todo: list, depth: int, table, parent: int | None = None) -> None:
+        """Claim the children in todo in the table, as the calling process or,
+        given its parent, as the helper while that parent lives, until
+        claiming stops, and exhaust each; the first that does not exhaust
+        stops claiming.  Each child finished gets a final byte, which the
+        helper sets after writing the child's own entry, if any, to its slot."""
+        n, who = len(todo), _MAIN if parent is None else _HELPER
+        while parent in (None, os.getppid()) and (i := _claim(table, n, who)) is not None:
             self._place(_candidate(*todo[i], self.eid))
+            key = self._key()
             done = self._node(depth) if self.avail else self._complete()
             self._unplace()
-            exhausted, self.exceeded = not (done or self.exceeded), False
-            if not exhausted:
-                claims[0] = 1
-            yield i, exhausted, itertools.islice(self.exhausted.items(), size, None)
+            if done or self.exceeded:
+                table[i + 1], table[0], self.exceeded = _OPEN, 1, False
+            elif who == _HELPER and (entry := self.exhausted.get(key)):
+                self._write_slot(table, n, i, key, entry)
+            else:
+                table[i + 1] = _EXHAUSTED
 
-    def _take(self, pipe, known: dict) -> bool:
-        """Read the helper's next record, note whether its child exhausted and
-        store the entries it added while under _REPLAY_CAP; False once the
-        helper is gone, or if it died inside the record."""
-        size = int.from_bytes(head := pipe.read(4), "little")
-        if len(head) < 4 or len(body := pipe.read(size)) < size:
-            return False
-        i, known[i], entries = marshal.loads(body)
-        self.exhausted.update(entries[:_REPLAY_CAP - len(self.exhausted)])
-        return True
+    def _write_slot(self, table, n: int, i: int, key: int, entry: tuple) -> None:
+        """Write child i's key over its entry, _COUNT_BITS per count, into its
+        slot of an n-child table, and only then set its final byte."""
+        at = 1 + n + i * self.slot
+        packed = reduce(lambda v, c: v << _COUNT_BITS | c, entry, key)
+        table[at:at + self.slot] = packed.to_bytes(self.slot, "little")
+        table[i + 1] = _IN_SLOT
 
-    def _help(self, todo: list, depth: int, claims, fd: int, parent: int) -> None:
-        """As the helper, exhaust each child claimed while the parent lives,
-        writing one record (index, exhausted, the entries added) per child to
-        fd."""
-        claimed = self._claimed(todo, depth, claims, _HELPER)
-        while os.getppid() == parent and (record := next(claimed, None)):
-            i, exhausted, added = record
-            body = marshal.dumps((i, exhausted, list(added)))
-            data = memoryview(len(body).to_bytes(4, "little") + body)
-            while data:
-                data = data[os.write(fd, data):]
+    def _read_slots(self, table, n: int) -> None:
+        """Store the entry in each finished slot of an n-child table while under _REPLAY_CAP."""
+        mask, counts = (1 << _COUNT_BITS) - 1, len(_REPLAYED) + 1
+        for i, at in enumerate(range(1 + n, len(table), self.slot)):
+            if table[i + 1] == _IN_SLOT and len(self.exhausted) < _REPLAY_CAP:
+                v = int.from_bytes(table[at:at + self.slot], "little")
+                self.exhausted[v >> counts * _COUNT_BITS] = tuple(
+                    v >> j * _COUNT_BITS & mask for j in reversed(range(counts)))
 
     def _complete(self) -> bool:
         counts = (self.hex_placed, self.prism_placed)

@@ -341,7 +341,7 @@ def _main_in_a_fresh_process(argv, *flags):
     (["search", "--n", "9"], 1,
      {"search"}, {"constructions", "catalog", "bases", "bipartite", "verifier"}),
     # 479 nodes start no helper, so what a helper needs stays unloaded
-    (["search", "--n", "9"], 1, {"search"}, {"mmap", "select"}),
+    (["search", "--n", "9"], 1, {"search"}, {"mmap", "signal"}),
 ], ids=["construct", "construct-nonexistent", "verify", "classify", "catalog-export",
         "catalog-list", "search", "search-no-helper"])
 def test_each_command_loads_only_what_it_runs(tmp_path, argv, exit_code, loads, unloaded):

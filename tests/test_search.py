@@ -722,11 +722,17 @@ def test_no_process_outlives_a_search_that_raises(monkeypatch, helper_from_the_f
         os.kill(helper_from_the_first_backtrack[0], 0)
 
 
-def test_a_helper_stops_when_its_parent_or_its_pipe_is_gone():
-    # between children a helper checks that its parent is the one that forked
-    # it, and a write to a pipe nobody reads raises, which ends the helper
+def _table(engine, n):
+    """A table for n children laid out as the engine's helper hand-off reads it."""
     import mmap
 
+    return mmap.mmap(-1, 1 + n * (1 + engine.slot))
+
+
+def test_a_helper_stops_when_its_parent_is_gone():
+    # between children a helper checks that its parent is the one that forked
+    # it; while it lives the helper takes every child, each child it finished
+    # carries a final byte, and the entries read back are the helper's own
     from hexprism import search
 
     engine = search._Engine(Complete(7), Kind.COVERING, SearchConfig(min_hexagons=1, min_prisms=1),
@@ -734,38 +740,36 @@ def test_a_helper_stops_when_its_parent_or_its_pipe_is_gone():
     engine.run()  # back at the root, with a limit
     rd = list(map(int.bit_count, engine.nbr))
     children = list(engine._candidates(*engine._branch_edge(rd), rd, 0, 1))
-    claims = mmap.mmap(-1, len(children) + 1)
-    read, write = os.pipe()
-    engine._help(children, 1, claims, write, parent=os.getpid())
-    assert claims[:] == bytes(len(claims))
-    os.close(read)
-    with pytest.raises(BrokenPipeError):
-        engine._help(children, 1, claims, write, parent=os.getppid())
-    assert claims[:3] == bytes([0, search._HELPER, 0])
-    os.close(write)
+    n = len(children)
+    with _table(engine, n) as table:
+        engine._claimed(children, 1, table, parent=os.getpid())
+        assert table[:] == bytes(len(table))
+        engine._claimed(children, 1, table, parent=os.getppid())
+        assert table[0] == 0
+        # every child exhausted on the run before, so each has an entry
+        assert set(table[1:n + 1]) == {search._IN_SLOT}
+        heard = search._Engine(engine.host, engine.kind, engine.cfg, padding_budget=3)
+        heard._read_slots(table, n)
+    assert heard.exhausted and heard.exhausted.items() <= engine.exhausted.items()
 
 
-def test_a_record_cut_short_reads_as_the_helper_gone():
-    # a helper killed inside a record leaves its 4-byte header and part of
-    # its body; the calling process reads the whole records before it, then
-    # goes on alone, storing nothing of the cut one
-    import marshal
-
+def test_the_table_reads_finished_slots_only_and_holds_the_widest_key():
+    # a helper killed after writing a slot but before setting its child's
+    # final byte leaves that slot unread; a finished slot gives back the
+    # widest key the host can produce, on K15 its 105 edge bits over three
+    # counts, with six counts that fill their width
     from hexprism import search
 
-    engine = search._Engine(Complete(7), Kind.COVERING, SearchConfig(min_hexagons=1, min_prisms=1),
-                            padding_budget=3)
-    records = [len(body).to_bytes(4, "little") + body
-               for body in (marshal.dumps((i, True, [(i, (5, 1, 0, 2, 0, 3))])) for i in (0, 1))]
-    read, write = os.pipe()
-    os.write(write, records[0] + records[1][:-1])
-    os.close(write)
-    known = {}
-    with os.fdopen(read, "rb") as pipe:
-        assert engine._take(pipe, known)
-        assert not engine._take(pipe, known)
-    assert known == {0: True}
-    assert engine.exhausted == {0: (5, 1, 0, 2, 0, 3)}
+    engine = search._Engine(Complete(15), Kind.DECOMPOSITION, _MIXED.replace(node_budget=1))
+    widest = (1 << len(engine.order) + 3 * engine.width) - 1
+    entries = [(1, 2, 3, 4, 5, 6), (2**64 - 1, 2**63, 2**40 + 1, 0, 7, 2**64 - 2)]
+    assert widest.bit_length() == 105 + 3 * 7
+    with _table(engine, 2) as table:
+        engine._write_slot(table, 2, 0, widest - 1, entries[0])
+        engine._write_slot(table, 2, 1, widest, entries[1])
+        table[1] = search._HELPER  # child 0's slot written, its final byte not yet
+        engine._read_slots(table, 2)
+    assert engine.exhausted == {widest: entries[1]}
 
 
 @pytest.mark.parametrize("absent", ["fork", "cpus", "threads", "processes"])
