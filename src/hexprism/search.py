@@ -31,13 +31,15 @@ reuse a solved subproblem; counts stay those of the full tree.
 That holds whoever counted the subtree, so a long run takes a helper process
 under the Young Brothers Wait rule of parallel game-tree search (Feldmann,
 Monien, Mysliwietz and Vornberger, ICCA J. 12(2), 1989): only after one child
-of a node has exhausted are its younger children exhausted in parallel, and
-the ordinary in-order loop then replays the helper's from a shared table, so
+of a node has exhausted are its younger children exhausted in parallel.  The
+calling process kills the helper once its own claiming stops, and the ordinary
+in-order loop then replays the counts the helper left in a shared table, so
 every count, design and budget stop is that of the sequential run.
 """
 
 from __future__ import annotations
 
+import _signal
 import _thread
 import itertools
 import math
@@ -173,8 +175,9 @@ _REPLAYED = ("nodes", "pruned_block_count", "pruned_odd_degree", "pruned_vertex_
 _REPLAY_CAP = 1 << 15
 # the nodes a run counts before a node may share its later children with a helper
 _HELP_AFTER = 2000
-_MAIN, _HELPER, _IN_SLOT, _EXHAUSTED, _OPEN = 1, 2, 3, 4, 5  # who took a child, how it ended
-_COUNT_BITS = 64  # of each count in a slot of that table
+_TAKEN, _IN_SLOT = 1, 2  # a child's byte in the helper's table once claimed, once in its slot
+_WORD = 8  # bytes of each count in a slot, which holds an entry of exhausted
+_SLOT = (len(_REPLAYED) + 1) * _WORD
 
 _BIT = (1).__lshift__  # i -> 1 << i
 _ODD = (1).__and__  # d -> d & 1
@@ -276,13 +279,13 @@ def needs_budget(host: Host) -> bool:
     return len(host_vertices(host)) > UNBUDGETED_VERTEX_LIMIT
 
 
-def _claim(table, n: int, who: int):
-    """Mark the first unclaimed of the table's n children as who's and return
-    its index, or None once claiming has stopped or none is left.  A child two
+def _claim(table, n: int):
+    """Mark the first unclaimed of the table's n children taken and return its
+    index, or None once claiming has stopped or none is left.  A child two
     processes take at once is exhausted twice, which costs time, not counts."""
     i = 0 if table[0] else table.find(b"\0", 1, n + 1)
     if i > 0:
-        table[i] = who
+        table[i] = _TAKEN
         return i - 1
     return None
 
@@ -333,9 +336,10 @@ class _Engine:
     _share forks one, and each process runs _claimed: it claims the split
     node's later children in order in a shared table and exhausts each into
     its own exhausted, on a copy of stats; the helper writes each child's own
-    entry into the child's slot of the table.  Claiming stops at the first
-    child that does not exhaust; main reaps the helper, stores its slots and
-    resumes its loop, which replays or expands every child as before.
+    counts into the child's slot of the table.  Claiming stops at the first
+    child that does not exhaust; main then kills and reaps the helper, stores
+    each finished slot under its child's key and resumes its loop, which
+    replays or expands every child as before.
     """
 
     def __init__(self, host: Host, kind: Kind, cfg: SearchConfig, padding_budget: int = 0):
@@ -347,7 +351,7 @@ class _Engine:
         self.lo = tuple(map(max, (cfg.min_hexagons, cfg.min_prisms), cfg.target_counts or (0, 0)))
         self.hi = tuple(h if on else 0 for h, on in zip(hi, (cfg.hexagons, cfg.prisms)))
         self.labels, self.idx, self.host_nbr, self.eid = _index(self.order)
-        if cfg.node_budget is None and len(self.labels) > UNBUDGETED_VERTEX_LIMIT:
+        if cfg.node_budget is None and needs_budget(host):
             raise ValueError("an explicit node_budget is required for hosts on more than "
                              f"{UNBUDGETED_VERTEX_LIMIT} vertices")
         idx = self.idx
@@ -355,8 +359,6 @@ class _Engine:
         self.memo: dict = {}
         self.exhausted: dict = {}
         self.width = cap.bit_length()  # of each packed count in an exhausted key
-        # bytes of a slot in a helper's table: the widest key over an entry's counts
-        self.slot = (len(self.order) + 3 * self.width + (len(_REPLAYED) + 1) * _COUNT_BITS + 7) // 8
         self.stats = SearchStats()
         self._cuts: dict = {}
 
@@ -557,8 +559,7 @@ class _Engine:
         stats, depth = self.stats, len(self.placed)
         stats.nodes += 1
         stats.max_depth = max(stats.max_depth, depth)
-        self.exceeded = stats.nodes > self.limit
-        if self.exceeded:
+        if stats.nodes > self.limit:
             return False
         if not self.avail:
             return self._complete()
@@ -578,7 +579,7 @@ class _Engine:
         top, stats.max_depth = stats.max_depth, depth  # the subtree's own deepest, for its entry
         done = self._expand(depth)
         deepest, stats.max_depth = stats.max_depth, max(top, stats.max_depth)
-        if not (done or self.exceeded) and len(self.exhausted) < _REPLAY_CAP:
+        if not (done or stats.nodes > self.limit) and len(self.exhausted) < _REPLAY_CAP:
             self.exhausted[key] = (*[getattr(stats, n) - b for n, b in zip(_REPLAYED, before)],
                                    deepest)
         return done
@@ -600,12 +601,11 @@ class _Engine:
             if depth > stats.max_depth:
                 stats.max_depth = depth
             if stats.nodes > limit:
-                self.exceeded = True
                 return False
             self._place(_candidate(shape, vs, eid))
             done = self._node(depth) if self.avail else self._complete()
             self._unplace()
-            if done or self.exceeded:
+            if done or stats.nodes > limit:
                 return done
             if depth < self.split_below and stats.nodes >= self.help_from:
                 self._share(edge, rd, odd, depth, (shape, vs))
@@ -615,14 +615,15 @@ class _Engine:
 
     def _share(self, edge, rd: list, odd: int, depth: int, last) -> None:
         """Make this node the split node and, where a helper can run (fork
-        exists, more than one CPU is ours and no other thread runs), exhaust
-        the children after last as this process and one forked helper claim
-        them in a shared table, until one does not exhaust.  This process then
-        waits for the helper if it holds a child before that one, else kills
-        it, and once it is reaped stores its finished slots.  The children are
-        listed into scratch stats with no limit, so no counter moves."""
+        exists, more than one CPU is ours, no other thread runs and SIGCHLD is
+        at its default), exhaust the children after last as this process and
+        one forked helper claim them in a shared table, until one does not
+        exhaust.  Once its own claiming stops, this process kills and reaps the
+        helper and stores its finished slots.  The children are listed into
+        scratch stats with no limit, so no counter moves."""
         cpus = getattr(os, "sched_getaffinity", lambda pid: ())(0)
-        if not (hasattr(os, "fork") and len(cpus) > 1 and not _thread._count()):
+        if not (hasattr(os, "fork") and len(cpus) > 1 and not _thread._count()
+                and _signal.getsignal(_signal.SIGCHLD) == _signal.SIG_DFL):
             self.split_below = 0
             return
         self.split_below, stats, limit = depth, self.stats, self.limit
@@ -632,11 +633,10 @@ class _Engine:
         if len(todo := children[children.index(last) + 1:]) < 2:
             return
         import mmap
-        import signal
 
         n = len(todo)
         # byte 0 stops claiming, byte i + 1 is child i's, then one slot per child
-        with mmap.mmap(-1, 1 + n * (1 + self.slot)) as table:
+        with mmap.mmap(-1, 1 + n * (1 + _SLOT)) as table:
             try:
                 parent, pid = os.getpid(), os.fork()
             except OSError:  # no process to spare: the run goes on alone
@@ -650,51 +650,39 @@ class _Engine:
             self.stats = stats.replace()
             try:
                 self._claimed(todo, depth, table)
-                if _HELPER in table[1:n + 1].partition(bytes([_OPEN]))[0]:
-                    os.waitpid(pid, 0)  # claiming has stopped, so the helper ends after its child
-                    pid = 0
             finally:
                 self.stats = stats
-                if pid:  # not yet reaped
-                    os.kill(pid, signal.SIGKILL)
-                    os.waitpid(pid, 0)
-            self._read_slots(table, n)
+                os.kill(pid, _signal.SIGKILL)
+                os.waitpid(pid, 0)
+            self._read_slots(table, todo)
 
     def _claimed(self, todo: list, depth: int, table, parent: int | None = None) -> None:
         """Claim the children in todo in the table, as the calling process or,
-        given its parent, as the helper while that parent lives, until
-        claiming stops, and exhaust each; the first that does not exhaust
-        stops claiming.  Each child finished gets a final byte, which the
-        helper sets after writing the child's own entry, if any, to its slot."""
-        n, who = len(todo), _MAIN if parent is None else _HELPER
-        while parent in (None, os.getppid()) and (i := _claim(table, n, who)) is not None:
+        given its parent, as the helper while that parent lives, until claiming
+        stops, and exhaust each; the first that does not exhaust stops claiming.
+        The helper writes each exhausted child's entry, if kept, to its slot."""
+        n = len(todo)
+        while parent in (None, os.getppid()) and (i := _claim(table, n)) is not None:
             self._place(_candidate(*todo[i], self.eid))
             key = self._key()
             done = self._node(depth) if self.avail else self._complete()
             self._unplace()
-            if done or self.exceeded:
-                table[i + 1], table[0], self.exceeded = _OPEN, 1, False
-            elif who == _HELPER and (entry := self.exhausted.get(key)):
-                self._write_slot(table, n, i, key, entry)
-            else:
-                table[i + 1] = _EXHAUSTED
+            if done or self.stats.nodes > self.limit:
+                table[0] = 1
+            elif parent and (entry := self.exhausted.get(key)):
+                at = 1 + n + i * _SLOT
+                table[at:at + _SLOT] = b"".join(c.to_bytes(_WORD, "little") for c in entry)
+                table[i + 1] = _IN_SLOT  # only once its slot is written
 
-    def _write_slot(self, table, n: int, i: int, key: int, entry: tuple) -> None:
-        """Write child i's key over its entry, _COUNT_BITS per count, into its
-        slot of an n-child table, and only then set its final byte."""
-        at = 1 + n + i * self.slot
-        packed = reduce(lambda v, c: v << _COUNT_BITS | c, entry, key)
-        table[at:at + self.slot] = packed.to_bytes(self.slot, "little")
-        table[i + 1] = _IN_SLOT
-
-    def _read_slots(self, table, n: int) -> None:
-        """Store the entry in each finished slot of an n-child table while under _REPLAY_CAP."""
-        mask, counts = (1 << _COUNT_BITS) - 1, len(_REPLAYED) + 1
-        for i, at in enumerate(range(1 + n, len(table), self.slot)):
+    def _read_slots(self, table, todo: list) -> None:
+        """Store each finished slot of the table under its child's key, while
+        under _REPLAY_CAP; the engine stands at the children's parent."""
+        for i, at in enumerate(range(1 + len(todo), len(table), _SLOT)):
             if table[i + 1] == _IN_SLOT and len(self.exhausted) < _REPLAY_CAP:
-                v = int.from_bytes(table[at:at + self.slot], "little")
-                self.exhausted[v >> counts * _COUNT_BITS] = tuple(
-                    v >> j * _COUNT_BITS & mask for j in reversed(range(counts)))
+                self._place(_candidate(*todo[i], self.eid))
+                self.exhausted[self._key()] = tuple(int.from_bytes(table[j:j + _WORD], "little")
+                                                    for j in range(at, at + _SLOT, _WORD))
+                self._unplace()
 
     def _complete(self) -> bool:
         counts = (self.hex_placed, self.prism_placed)
@@ -727,7 +715,7 @@ class _Engine:
         self.limit = math.inf if budget is None else stats.nodes + budget
         self.nbr, self.avail = list(self.host_nbr), (1 << len(self.order)) - 1
         self.hex_placed = self.prism_placed = self.pad_used = 0
-        self.placed, self.exceeded = [], False
+        self.placed = []
         self.split_below, self.help_from = len(self.order) + 2, stats.nodes + _HELP_AFTER
         for x, y in ((self.idx[a], self.idx[b]) for a, b in leave):
             self.avail ^= 1 << self.eid[x][y]
@@ -744,7 +732,8 @@ class _Engine:
         stats.placements += stats.nodes - first
         stats.elapsed_s += perf_counter() - start
         if not found:
-            return SearchOutcome(Status.BUDGET if self.exceeded else Status.EXHAUSTED, None, stats)
+            status = Status.BUDGET if stats.nodes > self.limit else Status.EXHAUSTED
+            return SearchOutcome(status, None, stats)
         blocks = tuple(_block(shape, vs, self.labels) for (shape, vs, _, _), _ in self.solution)
         padding = tuple(self.order[i] for (_, _, ids, _), new in self.solution
                         for i in ids if not new >> i & 1)

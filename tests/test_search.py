@@ -690,15 +690,42 @@ def _assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-@pytest.mark.parametrize("run", [
+_ENDINGS = pytest.mark.parametrize("run", [
     lambda: search_multidecomposition(Complete(15), _MIXED.replace(node_budget=1_000_000)),
     lambda: find_extremal(Complete(7), Kind.COVERING, 3),
     lambda: search_multidecomposition(Complete(13), _MIXED.replace(node_budget=20_000)),
 ], ids=["found", "exhausted", "budget"])
+
+
+@_ENDINGS
 def test_no_process_outlives_a_search(run, request, helper_from_the_first_backtrack):
     assert run().status.value == request.node.callspec.id
     assert helper_from_the_first_backtrack
     _assert_no_child_left()
+
+
+@_ENDINGS
+def test_a_helper_is_killed_before_it_is_reaped(run, monkeypatch, helper_from_the_first_backtrack):
+    # the calling process never waits on a live helper: each helper it forked
+    # gets SIGKILL, and only then one waitpid, before the next is forked
+    import signal
+
+    kill, waitpid, calls = os.kill, os.waitpid, []
+
+    def killed(pid, sig):
+        calls.append(("kill", pid, sig))
+        return kill(pid, sig)
+
+    def reaped(pid, options):
+        calls.append(("waitpid", pid, options))
+        return waitpid(pid, options)
+
+    monkeypatch.setattr(os, "kill", killed)
+    monkeypatch.setattr(os, "waitpid", reaped)
+    run()
+    assert helper_from_the_first_backtrack
+    assert calls == [call for pid in helper_from_the_first_backtrack
+                     for call in (("kill", pid, signal.SIGKILL), ("waitpid", pid, 0))]
 
 
 def test_no_process_outlives_a_search_that_raises(monkeypatch, helper_from_the_first_backtrack):
@@ -722,64 +749,106 @@ def test_no_process_outlives_a_search_that_raises(monkeypatch, helper_from_the_f
         os.kill(helper_from_the_first_backtrack[0], 0)
 
 
-def _table(engine, n):
+def _table(n):
     """A table for n children laid out as the engine's helper hand-off reads it."""
     import mmap
 
-    return mmap.mmap(-1, 1 + n * (1 + engine.slot))
+    from hexprism import search
+
+    return mmap.mmap(-1, 1 + n * (1 + search._SLOT))
+
+
+def _at_the_root(node_budget=None):
+    """An engine for K7 covering-3 standing at its root after one run."""
+    from hexprism import search
+
+    cfg = SearchConfig(min_hexagons=1, min_prisms=1, node_budget=node_budget)
+    engine = search._Engine(Complete(7), Kind.COVERING, cfg, padding_budget=3)
+    engine.run()
+    return engine
+
+
+def _children(engine):
+    """The root's children, listed by an engine with a limit standing at the root."""
+    rd = list(map(int.bit_count, engine.nbr))
+    return list(engine._candidates(*engine._branch_edge(rd), rd, 0, 1))
+
+
+def _keys(engine, children):
+    """The key in exhausted of each child of the node the engine stands at."""
+    from hexprism import search
+
+    keys = []
+    for shape, vs in children:
+        engine._place(search._candidate(shape, vs, engine.eid))
+        keys.append(engine._key())
+        engine._unplace()
+    return keys
 
 
 def test_a_helper_stops_when_its_parent_is_gone():
     # between children a helper checks that its parent is the one that forked
     # it; while it lives the helper takes every child, each child it finished
-    # carries a final byte, and the entries read back are the helper's own
+    # carries a final byte, and an engine standing at the split node reads back
+    # the helper's own entries under the helper's own keys
     from hexprism import search
 
-    engine = search._Engine(Complete(7), Kind.COVERING, SearchConfig(min_hexagons=1, min_prisms=1),
-                            padding_budget=3)
-    engine.run()  # back at the root, with a limit
-    rd = list(map(int.bit_count, engine.nbr))
-    children = list(engine._candidates(*engine._branch_edge(rd), rd, 0, 1))
+    engine = _at_the_root()
+    children = _children(engine)
     n = len(children)
-    with _table(engine, n) as table:
+    with _table(n) as table:
         engine._claimed(children, 1, table, parent=os.getpid())
         assert table[:] == bytes(len(table))
         engine._claimed(children, 1, table, parent=os.getppid())
         assert table[0] == 0
         # every child exhausted on the run before, so each has an entry
         assert set(table[1:n + 1]) == {search._IN_SLOT}
-        heard = search._Engine(engine.host, engine.kind, engine.cfg, padding_budget=3)
-        heard._read_slots(table, n)
-    assert heard.exhausted and heard.exhausted.items() <= engine.exhausted.items()
+        heard = _at_the_root(node_budget=0)  # stopped at the root, nothing kept
+        assert not heard.exhausted
+        heard._read_slots(table, children)
+    assert heard.exhausted == {key: engine.exhausted[key] for key in _keys(engine, children)}
 
 
-def test_the_table_reads_finished_slots_only_and_holds_the_widest_key():
+def test_the_table_reads_finished_slots_only_under_the_helpers_keys():
     # a helper killed after writing a slot but before setting its child's
-    # final byte leaves that slot unread; a finished slot gives back the
-    # widest key the host can produce, on K15 its 105 edge bits over three
-    # counts, with six counts that fill their width
+    # final byte leaves that slot unread; a finished slot gives back six
+    # counts that fill their 64 bits, stored under the key the helper's memo
+    # keeps that child's entry under
     from hexprism import search
 
-    engine = search._Engine(Complete(15), Kind.DECOMPOSITION, _MIXED.replace(node_budget=1))
-    widest = (1 << len(engine.order) + 3 * engine.width) - 1
+    engine = _at_the_root()
+    children = _children(engine)[:2]
+    keys = _keys(engine, children)
+    assert all(key in engine.exhausted for key in keys)
     entries = [(1, 2, 3, 4, 5, 6), (2**64 - 1, 2**63, 2**40 + 1, 0, 7, 2**64 - 2)]
-    assert widest.bit_length() == 105 + 3 * 7
-    with _table(engine, 2) as table:
-        engine._write_slot(table, 2, 0, widest - 1, entries[0])
-        engine._write_slot(table, 2, 1, widest, entries[1])
-        table[1] = search._HELPER  # child 0's slot written, its final byte not yet
-        engine._read_slots(table, 2)
-    assert engine.exhausted == {widest: entries[1]}
+    engine.exhausted.update(zip(keys, entries))  # the helper replays these and writes them
+    heard = _at_the_root(node_budget=0)
+    with _table(2) as table:
+        engine._claimed(children, 1, table, parent=os.getppid())
+        assert table[1:3] == bytes([search._IN_SLOT] * 2)
+        table[1] = search._TAKEN  # child 0's slot written, its final byte not yet
+        heard._read_slots(table, children)
+    assert heard.exhausted == {keys[1]: entries[1]}
 
 
-@pytest.mark.parametrize("absent", ["fork", "cpus", "threads", "processes"])
+@pytest.mark.parametrize("absent", ["fork", "cpus", "threads", "processes", "sigchld-ignored",
+                                    "sigchld-handler"])
 def test_no_helper_starts_where_none_can_run(absent, monkeypatch, helper_from_the_first_backtrack):
-    # no helper without os.fork, with one CPU to run on or beside a thread,
-    # and a fork that fails leaves the run to go on alone
+    # no helper without os.fork, with one CPU to run on, beside a thread or
+    # where SIGCHLD is not at its default, since then the kernel or a handler
+    # may reap the helper before the calling process kills it, and a fork
+    # that fails leaves the run to go on alone
+    import signal
     import threading
 
     def refused():
         raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    def reaping(signum, frame):
+        try:
+            os.waitpid(-1, os.WNOHANG)
+        except ChildProcessError:
+            pass
 
     if absent == "fork":
         monkeypatch.delattr(os, "fork")
@@ -791,11 +860,18 @@ def test_no_helper_starts_where_none_can_run(absent, monkeypatch, helper_from_th
     thread = threading.Thread(target=stop.wait)
     if absent == "threads":
         thread.start()
+    handler = {"sigchld-ignored": signal.SIG_IGN, "sigchld-handler": reaping}.get(absent)
+    before = signal.signal(signal.SIGCHLD, handler) if handler else None
     try:
         outcome = find_extremal(Complete(7), Kind.COVERING, 3)
+        found = search_multidecomposition(Complete(15), _MIXED.replace(node_budget=1_000_000))
     finally:
         stop.set()
+        if handler:
+            signal.signal(signal.SIGCHLD, before)
     assert _counts(outcome) == ("exhausted", 134_701, 134_700, 3, 76_480, 0, 56_720, 315_600)
+    assert (found.status, found.stats.nodes, found.stats.placements) == (Status.FOUND, 133_090,
+                                                                          133_089)
     assert not helper_from_the_first_backtrack
 
 
