@@ -324,22 +324,24 @@ class _Engine:
     packed over pad_used, hex_placed and prism_placed (nbr and rd follow from
     avail), to what that subtree added to the _REPLAYED counters, then the
     deepest depth it reached, which a replay raises max_depth to, since a
-    helper's subtree was never expanded here.  _node replays an entry only
-    if its nodes fit the budget, so a budget stop lands where expansion puts
-    it, and keeps no subtree that found a design or hit the budget, nor any
-    past _REPLAY_CAP, which changes speed, never a count.  Leave-class runs
-    share it, keyed by one unmet-edge mask.
+    helper's subtree was never expanded here.  _node completes a state with
+    no unmet edge and replays an entry only if its nodes fit the budget, so
+    a budget stop lands where expansion puts it, and keeps no subtree that
+    found a design or hit the budget, nor any past _REPLAY_CAP, which
+    changes speed, never a count.  Leave-class runs share it, keyed by one
+    unmet-edge mask.
 
     Once a run has counted _HELP_AFTER nodes, a node one of whose children
     has just exhausted calls _share, and becomes the split node if it is
-    shallower than every earlier one of the run.  If a helper can run,
-    _share forks one, and each process runs _claimed: it claims the split
-    node's later children in order in a shared table and exhausts each into
-    its own exhausted, on a copy of stats; the helper writes each child's own
-    counts into the child's slot of the table.  Claiming stops at the first
-    child that does not exhaust; main then kills and reaps the helper, stores
-    each finished slot under its child's key and resumes its loop, which
-    replays or expands every child as before.
+    shallower than every earlier one of the run.  If a helper can run and
+    exhausted has room, _share forks one, and each process runs _claimed: it
+    claims the split node's later children in order in a shared table and
+    exhausts each into its own exhausted, on a copy of stats; the helper
+    writes each child's own counts into the child's slot of the table.
+    Claiming stops at the first child that does not exhaust, or once no
+    entry can be kept; main then kills and reaps the helper, stores each
+    finished slot under its child's key and resumes its loop, which replays
+    or expands every child as before.
     """
 
     def __init__(self, host: Host, kind: Kind, cfg: SearchConfig, padding_budget: int = 0):
@@ -554,21 +556,12 @@ class _Engine:
                     best, best_key = (u, v), key
         return best
 
-    def _root(self) -> bool:
-        """Count the state the run starts from and judge it before branching."""
-        stats, depth = self.stats, len(self.placed)
-        stats.nodes += 1
-        stats.max_depth = max(stats.max_depth, depth)
-        if stats.nodes > self.limit:
-            return False
+    def _node(self, depth: int) -> bool:
+        """Complete a placed state with no unmet edge; else replay its counts
+        if its subtree exhausted before and they fit the budget, else expand
+        it and keep them if it exhausts."""
         if not self.avail:
             return self._complete()
-        rd = list(map(int.bit_count, self.nbr))
-        return not self._verdict(rd) and self._node(depth)
-
-    def _node(self, depth: int) -> bool:
-        """Replay a placed state's counts if its subtree exhausted before and
-        they fit the budget, else expand it and keep them if it exhausts."""
         stats, key = self.stats, self._key()
         if (seen := self.exhausted.get(key)) and stats.nodes + seen[0] <= self.limit:
             for name, d in zip(_REPLAYED, seen):
@@ -603,7 +596,7 @@ class _Engine:
             if stats.nodes > limit:
                 return False
             self._place(_candidate(shape, vs, eid))
-            done = self._node(depth) if self.avail else self._complete()
+            done = self._node(depth)
             self._unplace()
             if done or stats.nodes > limit:
                 return done
@@ -615,15 +608,16 @@ class _Engine:
 
     def _share(self, edge, rd: list, odd: int, depth: int, last) -> None:
         """Make this node the split node and, where a helper can run (fork
-        exists, more than one CPU is ours, no other thread runs and SIGCHLD is
-        at its default), exhaust the children after last as this process and
-        one forked helper claim them in a shared table, until one does not
-        exhaust.  Once its own claiming stops, this process kills and reaps the
-        helper and stores its finished slots.  The children are listed into
-        scratch stats with no limit, so no counter moves."""
+        exists, more than one CPU is ours, no other thread runs, SIGCHLD is at
+        its default and exhausted has room), exhaust the children after last
+        as this process and one forked helper claim them in a shared table,
+        until one does not exhaust.  Once its own claiming stops, this process
+        kills and reaps the helper and stores its finished slots.  The children
+        are listed into scratch stats with no limit, so no counter moves."""
         cpus = getattr(os, "sched_getaffinity", lambda pid: ())(0)
         if not (hasattr(os, "fork") and len(cpus) > 1 and not _thread._count()
-                and _signal.getsignal(_signal.SIGCHLD) == _signal.SIG_DFL):
+                and _signal.getsignal(_signal.SIGCHLD) == _signal.SIG_DFL
+                and len(self.exhausted) < _REPLAY_CAP):
             self.split_below = 0
             return
         self.split_below, stats, limit = depth, self.stats, self.limit
@@ -658,14 +652,15 @@ class _Engine:
 
     def _claimed(self, todo: list, depth: int, table, parent: int | None = None) -> None:
         """Claim the children in todo in the table, as the calling process or,
-        given its parent, as the helper while that parent lives, until claiming
-        stops, and exhaust each; the first that does not exhaust stops claiming.
-        The helper writes each exhausted child's entry, if kept, to its slot."""
+        given its parent, as the helper while that parent lives, and exhaust
+        each until claiming stops, as the first that does not exhaust makes it,
+        or exhausted is full.  The helper writes each kept entry to its slot."""
         n = len(todo)
-        while parent in (None, os.getppid()) and (i := _claim(table, n)) is not None:
+        while (len(self.exhausted) < _REPLAY_CAP and parent in (None, os.getppid())
+               and (i := _claim(table, n)) is not None):
             self._place(_candidate(*todo[i], self.eid))
             key = self._key()
-            done = self._node(depth) if self.avail else self._complete()
+            done = self._node(depth)
             self._unplace()
             if done or self.stats.nodes > self.limit:
                 table[0] = 1
@@ -728,7 +723,11 @@ class _Engine:
             stats.nodes += 1
             vs = tuple(self.idx[x] for x in block_vertices(root))
             self._place(_candidate(type(root), vs, self.eid))
-        found = self._root()
+        depth, rd = len(self.placed), list(map(int.bit_count, self.nbr))
+        stats.nodes += 1
+        stats.max_depth = max(stats.max_depth, depth)
+        found = (stats.nodes <= self.limit and not (self.avail and self._verdict(rd))
+                 and self._node(depth))
         stats.placements += stats.nodes - first
         stats.elapsed_s += perf_counter() - start
         if not found:
@@ -902,51 +901,42 @@ def confirm_nonexistence(n: int) -> NonexistenceReport:
     """Certify that K_n has no decomposition, for each exceptional order n.
 
     Every block-count case is attacked twice: by incidence arithmetic and by
-    exhaustive enumeration.  For n = 7 one raw search enumerates placements
-    cut only by the edge-count arithmetic.  For n = 9 and n = 10 the engine
-    runs once per case (x, y) with exactly those block counts and symmetry
-    breaking, which fixes the root hexagon (0, 1, 2, 3, 4, 5) as the first
-    block: every case has x >= 1 and S_n is transitive on labeled hexagons,
-    so this loses nothing.  For n = 10 the (3, 3) case is analytic only in
-    its support constraints; its elimination rests on its engine run.
+    exhaustive enumeration, a list of named engine runs that each cover some
+    cases.  For n = 7 one raw search, cut only by the edge-count arithmetic,
+    covers all.  For n = 9 and n = 10 each case (x, y) gets a run with exactly
+    those block counts and symmetry breaking, which fixes the root hexagon
+    (0, 1, 2, 3, 4, 5) as the first block: every case has x >= 1 and S_n is
+    transitive on labeled hexagons, so this loses nothing.  A run records its
+    nodes and placements under its name and, if it exhausts, a reason for
+    each case it covers.  For n = 10 the (3, 3) case is analytic only in its
+    support constraints; its elimination rests on its engine run.
     """
     if n not in EXCEPTIONAL_ORDERS:
         raise ValueError(f"only the exceptional orders {EXCEPTIONAL_ORDERS} are certified here")
     cases = tuple(sorted(block_count_solutions(n * (n - 1) // 2, True)))
     analytic = _analytic_eliminations(n)
 
-    enumerative = {}
-    stats: dict = {}
-    witnesses = []
-    if n == 7:
-        # raw placement enumeration: only the edge-count arithmetic may cut
-        outcome = search_multidecomposition(
-            Complete(7), SearchConfig(min_hexagons=1, min_prisms=1, degree_prunes=False)
-        )
-        stats["full_search_nodes"] = outcome.stats.nodes
-        stats["full_search_placements"] = outcome.stats.placements
+    # n = 7 enumerates raw placements, which only the edge-count arithmetic may cut
+    raw = SearchConfig(min_hexagons=1, min_prisms=1, degree_prunes=False)
+    runs = [("full_search", raw, cases)] if n == 7 else [
+        (f"case{x}{y}", SearchConfig(target_counts=(x, y), symmetry_breaking=True), [(x, y)])
+        for x, y in cases]
+    enumerative, stats, witnesses = {}, {}, []
+    for name, cfg, covered in runs:
+        outcome = search_multidecomposition(Complete(n), cfg)
+        stats[f"{name}_nodes"] = outcome.stats.nodes
+        stats[f"{name}_placements"] = outcome.stats.placements
         if outcome.status is Status.FOUND:
             witnesses.append(outcome.design)
-        else:
-            for case in cases:
-                enumerative[case] = "full backtracking search exhausted with no design"
-    else:
-        for x, y in cases:
-            outcome = search_multidecomposition(
-                Complete(n), SearchConfig(target_counts=(x, y), symmetry_breaking=True)
-            )
-            stats[f"case{x}{y}_nodes"] = outcome.stats.nodes
-            stats[f"case{x}{y}_placements"] = outcome.stats.placements
-            if outcome.status is Status.FOUND:
-                witnesses.append(outcome.design)
-            else:
-                enumerative[(x, y)] = (
-                    "every decomposition relabels onto one that contains the root hexagon "
-                    f"(0, 1, 2, 3, 4, 5); with it fixed, the search for exactly {x} hexagons "
-                    f"and {y} prisms, cut only by the block-count equation and the "
-                    "per-vertex degree bounds (parity and incidence), exhausted in "
-                    f"{outcome.stats.nodes} nodes"
-                )
+            continue
+        for x, y in covered:
+            enumerative[x, y] = (
+                "every decomposition relabels onto one that contains the root hexagon "
+                f"(0, 1, 2, 3, 4, 5); with it fixed, the search for exactly {x} hexagons "
+                f"and {y} prisms, cut only by the block-count equation and the "
+                "per-vertex degree bounds (parity and incidence), exhausted in "
+                f"{outcome.stats.nodes} nodes"
+            ) if cfg.symmetry_breaking else "full backtracking search exhausted with no design"
 
     return NonexistenceReport(
         n=n,

@@ -27,6 +27,7 @@ from hexprism.designfile import dumps_design
 from hexprism.search import (
     InfeasibleBoundError,
     MultigraphHostError,
+    NonexistenceReport,
     SearchConfig,
     Status,
     _block,
@@ -305,6 +306,17 @@ def test_infeasible_edge_count_exhausts_immediately():
     host = Explicit(tuple(sorted(host_edges(Complete(5)))))
     outcome = search_multidecomposition(host, SearchConfig())
     assert outcome.status is Status.EXHAUSTED
+
+
+@pytest.mark.parametrize("cfg,status", [(SearchConfig(), Status.FOUND),
+                                        (SearchConfig(min_hexagons=1), Status.EXHAUSTED)],
+                         ids=["found", "exhausted"])
+def test_an_edgeless_start_state_is_completed_unjudged(cfg, status):
+    # a run's start state with no unmet edge goes to the count range check,
+    # not to the cuts, so it is counted once and counts no prune
+    outcome = search_multidecomposition(Explicit(()), cfg)
+    assert _counts(outcome) == (status.value, 1, 0, 0, 0, 0, 0, 0)
+    assert (outcome.design is None) == (status is Status.EXHAUSTED)
 
 
 def test_extremal_packing_bound_rejected_arithmetically():
@@ -875,6 +887,46 @@ def test_no_helper_starts_where_none_can_run(absent, monkeypatch, helper_from_th
     assert not helper_from_the_first_backtrack
 
 
+@pytest.mark.parametrize("run,expected", [
+    (lambda: search_multidecomposition(Complete(15), _MIXED.replace(node_budget=1_000_000)),
+     ("found", 133_090, 133_089, 15, 0, 42_606, 83_547, 0)),
+    (lambda: find_extremal(Complete(7), Kind.COVERING, 3),
+     ("exhausted", 134_701, 134_700, 3, 76_480, 0, 56_720, 315_600)),
+], ids=["k15-mixed-find", "k7-cover3"])
+def test_no_helper_once_the_replay_memo_is_full(run, expected, monkeypatch,
+                                                helper_from_the_first_backtrack):
+    # a child exhausted once the memo holds _REPLAY_CAP states cannot be kept,
+    # so no helper is forked and neither process claims a child after that;
+    # a helper still starts while there is room, and every count stays
+    from hexprism import search
+
+    monkeypatch.setattr(search, "_REPLAY_CAP", 10)
+    engines, fork, claim, main = [], os.fork, search._claim, os.getpid()
+    run_engine = search._Engine.run
+    memo_at_fork, memo_at_claim = [], []
+
+    def running(engine, leave=()):
+        engines.append(engine)
+        return run_engine(engine, leave)
+
+    def forked():
+        memo_at_fork.append(len(engines[-1].exhausted))
+        return fork()
+
+    def claimed(table, n):
+        if os.getpid() == main:
+            memo_at_claim.append(len(engines[-1].exhausted))
+        return claim(table, n)
+
+    monkeypatch.setattr(search._Engine, "run", running)
+    monkeypatch.setattr(os, "fork", forked)
+    monkeypatch.setattr(search, "_claim", claimed)
+    assert _counts(run()) == expected
+    assert memo_at_fork and memo_at_claim
+    assert max(memo_at_fork + memo_at_claim) < 10
+    assert len(engines[-1].exhausted) == 10
+
+
 # a prism with a triangle's vertices joined to a seventh vertex: the branch
 # edge's one prism would leave 3 edges, which no block count meets
 _PRISM_AND_FAN = Explicit(((0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), (0, 3), (1, 4), (2, 5),
@@ -1097,6 +1149,45 @@ def test_certificate_reasons_name_the_root_hexagon():
             assert "relabels" in reason
             assert f"exactly {x} hexagons and {y} prisms" in reason
             assert f"exhausted in {report.stats[f'case{x}{y}_nodes']} nodes" in reason
+
+
+def _rooted(x, y, nodes):
+    """The reason a per-case run from the root hexagon gives once it exhausts."""
+    return ("every decomposition relabels onto one that contains the root hexagon "
+            f"(0, 1, 2, 3, 4, 5); with it fixed, the search for exactly {x} hexagons and {y} "
+            "prisms, cut only by the block-count equation and the per-vertex degree bounds "
+            f"(parity and incidence), exhausted in {nodes} nodes")
+
+
+@pytest.mark.parametrize("n,expected", [
+    (7, NonexistenceReport(
+        n=7, cases=((2, 1),),
+        analytic_eliminated={(2, 1): "every prism vertex would need a prism count q with "
+                             "1 <= q <= 1 and 2p + 3q = 6 solvable, but the admissible "
+                             "counts are [0, 2]"},
+        enumerative_eliminated={(2, 1): "full backtracking search exhausted with no design"},
+        stats={"full_search_nodes": 7481, "full_search_placements": 7480},
+        nonexistent=True, branches_agree=True)),
+    (9, NonexistenceReport(
+        n=9, cases=((3, 2),),
+        analytic_eliminated={(3, 2): "every prism vertex must lie in all 2 prisms, so the "
+                             "prisms share one 6-vertex support, yet 18 edges exceed the 15 "
+                             "available there"},
+        enumerative_eliminated={(3, 2): _rooted(3, 2, 479)},
+        stats={"case32_nodes": 479, "case32_placements": 478},
+        nonexistent=True, branches_agree=True)),
+    (10, NonexistenceReport(
+        n=10, cases=((3, 3), (6, 1)),
+        analytic_eliminated={(6, 1): "1 prism(s) touch at most 6 of the 10 vertices, and a "
+                             "vertex outside every prism would need 2p = 9, which is odd"},
+        enumerative_eliminated={(3, 3): _rooted(3, 3, 11565), (6, 1): _rooted(6, 1, 2)},
+        stats={"case33_nodes": 11565, "case33_placements": 11564,
+               "case61_nodes": 2, "case61_placements": 1},
+        nonexistent=True, branches_agree=True)),
+], ids=["n7", "n9", "n10"])
+def test_nonexistence_reports_are_pinned(n, expected):
+    # the whole report, every reason string and the order of each dict included
+    assert repr(confirm_nonexistence(n)) == repr(expected)
 
 
 def test_target_counts_find_exact_block_counts():
