@@ -6,7 +6,7 @@ host numbers its edges, and the counts sit in a flat list indexed by that
 rank: a complete host ranks them by arithmetic, any other host through a
 dict over its distinct edges.  Only edges outside the host have no rank;
 their uses go to a signed Counter, and leave or padding edges with an
-endpoint that is not an int to one of their own.
+endpoint that is not an int to a list of their own.
 
 On a complete host K_n, bulk passes over all blocks first test that every
 block is a plain Hexagon or Prism of 6 distinct plain ints in 0 .. n - 1.
@@ -20,14 +20,16 @@ only a mismatch is scanned, a slice at a time, to list what is missing or
 doubled.  A host with more edges than the blocks and leave can meet is
 rejected by arithmetic first, so the lists are never longer than the input
 is large.  Malformed input yields findings, never exceptions, so the
-verifier can be pointed at untrusted design files.
+verifier can be pointed at untrusted design files: any Design its
+constructor builds gets a report, whatever its kind, host, blocks, leave
+or padding hold.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from itertools import chain
+from itertools import chain, groupby
 from operator import add
 
 from .core import (
@@ -35,6 +37,7 @@ from .core import (
     CompleteBipartite,
     Design,
     Edge,
+    Explicit,
     Hexagon,
     Kind,
     Prism,
@@ -70,6 +73,12 @@ _SLICE = 1024
 
 def _norm(u, v):
     return (u, v) if u < v else (v, u)
+
+
+def _order(e):
+    """Sort key for reported edges: pairs of numbers in value order, then any
+    other pair by repr, as such pairs need not compare with each other."""
+    return (0, e) if all(isinstance(x, (int, float)) for x in e) else (1, repr(e))
 
 
 def _host_edge_count(host) -> int:
@@ -136,20 +145,17 @@ def _edge_ranks(host):
     return rank, edges.__getitem__, [multiplicity[e] for e in edges]
 
 
-def _block_pairs(block):
-    """The vertex pairs of a block's edges, straight from the tuples, with
-    no shape validation and in no particular orientation."""
-    if isinstance(block, Hexagon):
-        t = block.vertices
-        return zip(t, t[1:] + t[:1])
-    a, b, c = block.first
-    d, e, f = block.second
-    return ((a, b), (b, c), (a, c), (d, e), (e, f), (d, f), (a, d), (b, e), (c, f))
+# each shape's edges as position pairs in its six vertices, written out here
+# and not taken from core.EDGE_POSITIONS, so the check shares no edge table
+_PAIRS = {
+    Hexagon: ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)),
+    Prism: ((0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)),
+}
 
 
-def _block_fault(block) -> tuple[str, str] | None:
-    """Finding code and text for a block that cannot be checked edge by
-    edge, or None for a well-formed one."""
+def _six(block):
+    """A well-formed block's six vertices, or the finding code and text of
+    one that cannot be checked edge by edge."""
     # a block built without __init__ may lack its fields or their shape
     if isinstance(block, Hexagon):
         vs = getattr(block, "vertices", None)
@@ -166,7 +172,7 @@ def _block_fault(block) -> tuple[str, str] | None:
         return "non-integer-vertex", f"has a vertex that is not an integer: {block}"
     if len(set(vs)) != 6:
         return "repeated-vertex", f"does not have 6 distinct vertices: {block}"
-    return None
+    return vs
 
 
 def _block_by_block(blocks, host_vs, rank, claimed, stray, failures):
@@ -176,23 +182,15 @@ def _block_by_block(blocks, host_vs, rank, claimed, stray, failures):
     Edges with a rank go to claimed, the rest to stray.  Returns the
     hexagon and prism counts and the per-vertex hexagon and prism uses.
     """
-    hexagons = prisms = 0
-    hexagon_vs: list = []
-    prism_vs: list = []
+    uses: dict = {Hexagon: [], Prism: []}
     for i, block in enumerate(blocks):
-        fault = _block_fault(block)
-        if fault is not None:
-            code, text = fault
+        vs = _six(block)
+        if len(vs) == 2:  # a finding's code and text
+            code, text = vs
             failures.append(Finding(code, f"block {i} {text}", blocks=(i,)))
             continue
-        if isinstance(block, Hexagon):
-            hexagons += 1
-            vs = block.vertices
-            hexagon_vs += vs
-        else:
-            prisms += 1
-            vs = block.first + block.second
-            prism_vs += vs
+        shape = Hexagon if isinstance(block, Hexagon) else Prism
+        uses[shape] += vs
         if not host_vs.issuperset(vs):
             outside = sorted(set(vs) - host_vs)
             failures.append(
@@ -202,13 +200,15 @@ def _block_by_block(blocks, host_vs, rank, claimed, stray, failures):
                     blocks=(i,),
                 )
             )
-        for u, v in _block_pairs(block):
+        for p, q in _PAIRS[shape]:
+            u, v = vs[p], vs[q]
             r = rank(u, v)
             if r is None:
                 stray[_norm(u, v)] += 1
             else:
                 claimed[r] += 1
-    return hexagons, prisms, Counter(hexagon_vs), Counter(prism_vs)
+    hexagon_vs, prism_vs = uses[Hexagon], uses[Prism]
+    return len(hexagon_vs) // 6, len(prism_vs) // 6, Counter(hexagon_vs), Counter(prism_vs)
 
 
 def _inline_counts(blocks, n, claimed):
@@ -288,8 +288,9 @@ def _differences(claimed, expected, edge_at, *balances):
     that the claimed counts miss, or exceed, against the expected ones.
 
     The lists are compared a slice at a time, and only the slices that
-    differ are walked rank by rank, then each signed Counter, where a
-    negative count is uses missed and a positive one uses beyond.
+    differ are walked rank by rank, then each (edge, count) pair of the
+    balances, where a negative count is uses missed and a positive one uses
+    beyond.
     """
     uncovered: list = []
     extra: list = []
@@ -301,10 +302,10 @@ def _differences(claimed, expected, edge_at, *balances):
             if c != x:
                 (uncovered if c < x else extra).extend([edge_at(r)] * abs(x - c))
     for balance in balances:
-        for e, c in balance.items():
+        for e, c in balance:
             if c:
                 (uncovered if c < 0 else extra).extend([e] * abs(c))
-    return tuple(sorted(uncovered)), tuple(sorted(extra))
+    return tuple(sorted(uncovered, key=_order)), tuple(sorted(extra, key=_order))
 
 
 def verify_design(design: Design, require_both_types: bool = True) -> VerificationReport:
@@ -315,8 +316,13 @@ def verify_design(design: Design, require_both_types: bool = True) -> Verificati
     With require_both_types the design must use at least one hexagon and one
     prism; pass False for single-shape ingredient designs.  A host with more
     edges than the blocks and leave can meet gets one uncovered-edges finding
-    that lists no edges, and no incidence table.
+    that lists no edges, and no incidence table; a kind that is not a Kind
+    and a host of no host type get a lone bad-kind or bad-host finding.
     """
+    if not isinstance(design.kind, Kind):
+        return _rejected(design, Finding("bad-kind", f"kind is not a Kind: {design.kind!r}"))
+    if not isinstance(design.host, (Complete, CompleteBipartite, Explicit)):
+        return _rejected(design, Finding("bad-host", f"host is not a graph: {design.host!r}"))
     if not _integral_host(design.host):
         # no edge can be checked against a host that cannot be enumerated
         text = f"host has an order or vertex that is not an integer: {design.host}"
@@ -342,8 +348,6 @@ def verify_design(design: Design, require_both_types: bool = True) -> Verificati
         counted = _block_by_block(design.blocks, host_vs, rank, claimed, stray, failures)
     hexagons, prisms, hexagon_uses, prism_uses = counted
 
-    leave = [_norm(u, v) for u, v in design.leave] if design.kind is Kind.PACKING else []
-    padding = [_norm(u, v) for u, v in design.padding] if design.kind is Kind.COVERING else []
     for name, kind, given in (("leave", Kind.PACKING, design.leave),
                               ("padding", Kind.COVERING, design.padding)):
         if design.kind is not kind and given:
@@ -351,51 +355,44 @@ def verify_design(design: Design, require_both_types: bool = True) -> Verificati
                 Finding(
                     f"unexpected-{name}",
                     f"{design.kind.value} must not carry a {name}",
-                    edges=tuple(sorted(given)),
+                    edges=tuple(sorted(given, key=_order)),
                 )
             )
 
-    # an endpoint that is not an int lies outside every host, but 1.0 or True
-    # would count as the int it equals, so such edges are counted apart
-    def plain(e):
-        return type(e[0]) is type(e[1]) is int
-
-    def uses(e):
-        r = rank(*e)
-        return stray[e] if r is None else claimed[r]
-
-    overlap = sorted(e for e in leave if plain(e) and uses(e) > 0)
-    if overlap:
-        failures.append(
-            Finding(
-                "leave-overlap",
-                f"leave edges also covered by blocks: {overlap}",
-                edges=tuple(overlap),
-            )
-        )
     # the partition equation: blocks + leave - padding meet each host edge as
-    # often as the host has it; a padding edge outside the host is named once
-    odd: Counter = Counter()
-    for name, edges, sign in (("leave", leave, 1), ("padding", padding, -1)):
-        bad = sorted([*{e for e in edges if not plain(e)},
-                      *{e for e in edges if plain(e) and rank(*e) is None}])
-        if bad:
-            failures.append(
-                Finding(
-                    f"{name}-outside-host",
-                    f"{name} edges not in the host: {bad}",
-                    edges=tuple(bad),
-                )
-            )
+    # often as the host has it.  An endpoint that is not an int lies outside
+    # every host, but 1.0 or True would count as the int it equals, so such
+    # edges go to odd as (edge, sign), apart from stray
+    odd: list = []
+    for name, kind, edges, sign in (("leave", Kind.PACKING, design.leave, 1),
+                                    ("padding", Kind.COVERING, design.padding, -1)):
+        if design.kind is not kind:
+            continue
+        overlap, outside = [], []
         for e in edges:
-            if not plain(e):
-                odd[e] += sign
-            elif (r := rank(*e)) is None:
-                stray[e] += sign
+            u, v = e
+            if type(u) is not int or type(v) is not int:
+                odd.append((e, sign))
+                outside.append(e)
+                continue
+            r = rank(u, v)
+            if r is None:  # outside the host, counted under the edge itself
+                outside.append(e)
+                counts, r = stray, e
             else:
-                claimed[r] += sign
-    if claimed != expected or any(stray.values()) or any(odd.values()):
-        uncovered, extra = _differences(claimed, expected, edge_at, stray, odd)
+                counts = claimed
+            if sign > 0 and counts[r] > 0:  # blocks cover this leave edge
+                overlap.append(e)
+            counts[r] += sign
+        # each listed once: a padding edge outside the host may repeat
+        found = (("leave-overlap", "leave edges also covered by blocks", overlap),
+                 (f"{name}-outside-host", f"{name} edges not in the host", outside))
+        for code, text, listed in found:
+            listed = [e for e, _ in groupby(sorted(listed, key=_order))]
+            if listed:
+                failures.append(Finding(code, f"{text}: {listed}", edges=tuple(listed)))
+    if claimed != expected or any(stray.values()) or odd:
+        uncovered, extra = _differences(claimed, expected, edge_at, stray.items(), odd)
         if uncovered:
             failures.append(
                 Finding(

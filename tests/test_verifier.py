@@ -356,6 +356,64 @@ def test_float_or_bool_leave_and_padding_vertex_is_outside_every_host(base):
         assert [(f.code, f.message) for f in report.failures] == expected
 
 
+def test_mixed_type_leave_and_wrong_kind_or_host_are_findings():
+    from hexprism.constructions import max_multipack, multidecompose
+
+    packing = max_multipack(8)
+    edge_codes = {"leave-outside-host", "uncovered-edges", "overcovered-edges"}
+    cases = [
+        (packing.replace(leave=[("a", "b"), (1.0, 2.0)]), edge_codes),
+        (packing.replace(leave=[("a", "b")], blocks=packing.blocks[:1] + packing.blocks),
+         edge_codes),
+        (multidecompose(13).replace(leave=[("a", "b"), (0.5, 1)]), {"unexpected-leave"}),
+        (Design(packing.host, "packing", packing.blocks, leave=packing.leave), {"bad-kind"}),
+        (packing.replace(host=None), {"bad-host"}),
+        (packing.replace(host=(8,)), {"bad-host"}),
+    ]
+    for design, codes in cases:
+        report = verify_design(design)
+        assert _codes(report) == codes
+    # pairs of numbers come first in value order, any other pair after them
+    (outside, _, extra) = verify_design(cases[0][0]).failures
+    assert outside.edges == extra.edges == ((1.0, 2.0), ("a", "b"))
+    # the constructor sorts padding but never hashes it: an unhashable
+    # endpoint is named once as outside the host and counted once per use
+    covering = packing.replace(kind=Kind.COVERING, leave=(), padding=[([1], [2])] * 2)
+    report = verify_design(covering)
+    assert [(f.code, f.edges) for f in report.failures] == [
+        ("padding-outside-host", (([1], [2]),)),
+        ("uncovered-edges", ((0, 1), ([1], [2]), ([1], [2]))),
+    ]
+
+
+def test_seeded_leave_and_padding_of_any_type_never_raise():
+    from hexprism.constructions import max_multipack, min_multicover, multidecompose
+
+    endpoints = (0, 5, 9, -1, True, 1.0, 2.5, "a", "b")
+    bases = (max_multipack(8), min_multicover(8), multidecompose(13))
+    rng = random.Random(47)
+    checked = odd = 0
+    while checked < 2000:
+        base = rng.choice(bases)
+        kind = rng.choice(list(Kind))
+        pairs = [(rng.choice(endpoints), rng.choice(endpoints)) for _ in range(rng.randrange(4))]
+        field = rng.choice(("leave", "padding"))
+        try:
+            if rng.random() < 0.5:
+                design = Design(base.host, kind, base.blocks, **{field: pairs})
+            else:
+                design = base.replace(kind=kind, **{field: pairs})
+        except (TypeError, ValueError):  # a loop, or endpoints that do not compare
+            continue
+        report = verify_design(design)
+        assert isinstance(report, verifier.VerificationReport)
+        if any(type(x) is not int for pair in pairs for x in pair):
+            assert not report.valid, design
+            odd += 1
+        checked += 1
+    assert odd > 500
+
+
 # ---------------------------------------------------------------------------
 # seeded fuzzing: every mutation of a valid design must be flagged, and the
 # findings over the whole seeded set are pinned by one digest
