@@ -226,19 +226,21 @@ def _parse_host(args):
 
 
 def _outcome_obj(outcome) -> dict:
-    from .designfile import design_to_obj
+    design = outcome.design
+    if design is not None:
+        from .designfile import design_to_obj
 
+        design = design_to_obj(design)
     return {
         "status": outcome.status.value,
         "nodes": outcome.stats.nodes,
         "placements": outcome.stats.placements,
         "max_depth": outcome.stats.max_depth,
-        "design": None if outcome.design is None else design_to_obj(outcome.design),
+        "design": design,
     }
 
 
 def cmd_search(args) -> int:
-    from .designfile import render_text
     from .search import SearchConfig, Status, needs_budget
 
     try:
@@ -265,6 +267,8 @@ def cmd_search(args) -> int:
             f"  max depth: {outcome.stats.max_depth}"
         )
         if outcome.design is not None:
+            from .designfile import render_text
+
             sys.stdout.write(render_text(outcome.design))
     if outcome.status is Status.FOUND:
         if args.output is not None:

@@ -41,23 +41,24 @@ class InfeasibleOrderError(ValueError):
 
 
 class Recipe(Value):
-    """How one residue class of n is built: head parts, then equal tail parts.
+    """How one residue class of n is built: head parts, then tail parts.
 
-    head_entry (when set) is placed across all head parts; tail_entry on each
-    tail part, joined with part 0 when joined is set.  Every cross pair left
-    over, apart from those on a single-vertex part, gets a bipartite fill.
+    head_entry (when set) spans all head parts and alone carries a leave or
+    padding.  An even n tiles its tail with parts of 6, each taking
+    decomposition:6; an odd n with parts of 12, each taking decomposition:13
+    joined with part 0, a single vertex in every odd recipe.  Each cross pair
+    left over, unless on a single-vertex part, gets a bipartite fill.
     """
 
-    __slots__ = ("head", "head_entry", "tail", "tail_entry", "joined")
+    __slots__ = ("head", "head_entry")
 
-    def __init__(self, head: tuple[int, ...], head_entry: str | None, tail: int,
-                 tail_entry: str, joined: bool):
-        self._assign(head, head_entry, tail, tail_entry, joined)
+    def __init__(self, head: tuple[int, ...], head_entry: str | None):
+        self._assign(head, head_entry)
 
 
 _D, _P, _C = Kind.DECOMPOSITION, Kind.PACKING, Kind.COVERING
-_SIXES = Recipe((), None, 6, "decomposition:6", False)
-_TENS = Recipe((10,), "prisms:10", 6, "decomposition:6", False)
+_SIXES = Recipe((), None)
+_TENS = Recipe((10,), "prisms:10")
 
 # keyed by (kind, n % 12); the exceptional orders have no decomposition, and
 # MONOLITHIC builds their packings and coverings without a layout
@@ -66,18 +67,18 @@ RECIPES = {
     (_D, 6): _SIXES,
     (_D, 4): _TENS,
     (_D, 10): _TENS,
-    (_D, 1): Recipe((1,), None, 12, "decomposition:13", True),
-    (_D, 7): Recipe((1, 6, 12), "decomposition:19", 12, "decomposition:13", True),
-    (_D, 3): Recipe((1, 14), "decomposition:15", 12, "decomposition:13", True),
-    (_D, 9): Recipe((1, 8), "hexagons:9", 12, "decomposition:13", True),
-    (_P, 2): Recipe((2,), None, 6, "packing:8", True),
-    (_P, 8): Recipe((2,), None, 6, "packing:8", True),
-    (_P, 5): Recipe((1, 16), "packing:17", 12, "decomposition:13", True),
-    (_P, 11): Recipe((1, 10), "packing:11", 12, "decomposition:13", True),
-    (_C, 2): Recipe((8,), "covering:8", 6, "decomposition:6", False),
-    (_C, 8): Recipe((8,), "covering:8", 6, "decomposition:6", False),
-    (_C, 5): Recipe((1, 4, 12), "covering:17", 12, "decomposition:13", True),
-    (_C, 11): Recipe((1, 4, 6), "covering:11", 12, "decomposition:13", True),
+    (_D, 1): Recipe((1,), None),
+    (_D, 7): Recipe((1, 6, 12), "decomposition:19"),
+    (_D, 3): Recipe((1, 14), "decomposition:15"),
+    (_D, 9): Recipe((1, 8), "hexagons:9"),
+    (_P, 2): Recipe((8,), "packing:8"),
+    (_P, 8): Recipe((8,), "packing:8"),
+    (_P, 5): Recipe((1, 16), "packing:17"),
+    (_P, 11): Recipe((1, 10), "packing:11"),
+    (_C, 2): Recipe((8,), "covering:8"),
+    (_C, 8): Recipe((8,), "covering:8"),
+    (_C, 5): Recipe((1, 4, 12), "covering:17"),
+    (_C, 11): Recipe((1, 4, 6), "covering:11"),
 }
 
 
@@ -99,8 +100,9 @@ def join_layout(n: int, kind: Kind) -> tuple[range, ...]:
         raise InfeasibleOrderError(
             classify(n), f"order {n} is handled monolithically and has no join layout"
         )
-    recipe = RECIPES[kind, n % 12]
-    sizes = recipe.head + (recipe.tail,) * ((n - sum(recipe.head)) // recipe.tail)
+    head = RECIPES[kind, n % 12].head
+    tail = 12 if n % 2 else 6
+    sizes = head + (tail,) * ((n - sum(head)) // tail)
     starts = list(accumulate(sizes, initial=0))
     return tuple(range(a, b) for a, b in zip(starts, starts[1:]))
 
@@ -182,16 +184,6 @@ def _embed(design: Design, targets) -> tuple[tuple, frozenset, tuple]:
     return blocks, leave, padding
 
 
-def _leave_first(design: Design) -> Design:
-    """The design relabeled so its leave lies on its lowest labels, which a
-    placement joined with part 0 maps onto part 0."""
-    front = sorted({v for e in design.leave for v in e})
-    labels = range(design.host.n)
-    order = front + [v for v in labels if v not in front]
-    blocks, leave, padding = _embed(design, [order.index(v) for v in labels])
-    return Design(design.host, design.kind, blocks, leave, padding)
-
-
 @lru_cache(maxsize=None)
 def _fill(a: int, b: int) -> Design:
     """The hexagon fill of K_{a,b} on labels 0..a+b-1, left side first; it
@@ -221,11 +213,10 @@ def _assemble(n: int, kind: Kind) -> Design:
     heads = range(len(recipe.head))
     if recipe.head_entry is not None:
         place(catalog_get(recipe.head_entry), heads)
-    tail = catalog_get(recipe.tail_entry)
-    if recipe.joined:
-        tail = _leave_first(tail)
+    joined = n % 2 == 1
+    tail = catalog_get("decomposition:13" if joined else "decomposition:6")
     for i in range(len(heads), len(parts)):
-        place(tail, [0, i] if recipe.joined else [i])
+        place(tail, [0, i] if joined else [i])
 
     for i, j in combinations(range(len(parts)), 2):
         if (i, j) not in consumed and len(parts[i]) > 1 and len(parts[j]) > 1:

@@ -339,7 +339,7 @@ def _main_in_a_fresh_process(argv, *flags):
      {"bases"}, {"catalog", "bipartite", "constructions", "search"}),
     (["catalog"], 0, {"bases"}, {"catalog", "bipartite", "constructions", "search"}),
     (["search", "--n", "9"], 1,
-     {"search"}, {"constructions", "catalog", "bases", "bipartite", "verifier"}),
+     {"search"}, {"constructions", "catalog", "bases", "bipartite", "verifier", "designfile"}),
     # 479 nodes start no helper, so what a helper needs stays unloaded
     (["search", "--n", "9"], 1, {"search"}, {"mmap", "signal"}),
 ], ids=["construct", "construct-nonexistent", "verify", "classify", "catalog-export",

@@ -26,8 +26,10 @@ from hexprism.core import (
     Prism,
     block_edges,
     canonical_form,
+    edge,
     edge_set,
     recognize,
+    relabel_block,
 )
 from hexprism.designfile import dumps_design
 from hexprism.feasibility import UnsupportedOrderError
@@ -52,8 +54,8 @@ def test_layout_shapes_decomposition():
 
 
 def test_layout_shapes_packing():
-    assert _sizes(join_layout(8, Kind.PACKING)) == [2, 6]
-    assert _sizes(join_layout(14, Kind.PACKING)) == [2, 6, 6]
+    assert _sizes(join_layout(8, Kind.PACKING)) == [8]
+    assert _sizes(join_layout(14, Kind.PACKING)) == [8, 6]
     assert _sizes(join_layout(11, Kind.PACKING)) == [1, 10]
     assert _sizes(join_layout(17, Kind.PACKING)) == [1, 16]
     assert _sizes(join_layout(23, Kind.PACKING)) == [1, 10, 12]
@@ -105,6 +107,7 @@ def test_layout_refusals_carry_report():
         (multidecompose, 601, Kind.DECOMPOSITION),
         (max_multipack, 677, Kind.PACKING),
         (min_multicover, 677, Kind.COVERING),
+        (max_multipack, 662, Kind.PACKING),
     ],
 )
 def test_fills_match_the_per_pair_bipartite_fill(build, n, kind):
@@ -113,7 +116,7 @@ def test_fills_match_the_per_pair_bipartite_fill(build, n, kind):
     parts = join_layout(n, kind)
     recipe = RECIPES[kind, n % 12]
     consumed = set(combinations(range(len(recipe.head)), 2)) if recipe.head_entry else set()
-    if recipe.joined:
+    if n % 2:
         consumed.update((0, i) for i in range(1, len(parts)))
     expected = []
     for i, j in combinations(range(len(parts)), 2):
@@ -226,9 +229,35 @@ def test_pack_of_decomposable_order_is_the_decomposition():
     assert not min_multicover(13).padding
 
 
-def test_join_edge_is_the_leave():
-    for n in (14, 20, 26, 32):
-        assert max_multipack(n).leave == frozenset({(0, 1)})
+def test_only_the_head_entry_carries_a_leave_or_padding():
+    # the leave and padding are the head entry's, placed by position on the
+    # head parts; each tail part takes decomposition:6 on the part at even n,
+    # or decomposition:13 on part 0 plus the part at odd n
+    builds = {Kind.DECOMPOSITION: multidecompose, Kind.PACKING: max_multipack,
+              Kind.COVERING: min_multicover}
+    for n in range(6, 201):
+        for kind, build in builds.items():
+            try:
+                parts = join_layout(n, kind)
+            except InfeasibleOrderError:
+                continue
+            recipe = RECIPES[kind, n % 12]
+            design = build(n)
+            heads = len(recipe.head)
+            leave, padding, at = frozenset(), (), 0
+            if recipe.head_entry is not None:
+                entry = catalog.get(recipe.head_entry)
+                span = [v for part in parts[:heads] for v in part]
+                leave = edge_set((span[u], span[v]) for u, v in entry.leave)
+                padding = tuple(sorted(edge(span[u], span[v]) for u, v in entry.padding))
+                at = len(entry.blocks)
+            assert (design.leave, design.padding) == (leave, padding), (n, kind)
+            tail = catalog.get("decomposition:13" if n % 2 else "decomposition:6")
+            for part in parts[heads:]:
+                span = [0, *part] if n % 2 else list(part)
+                placed = tuple(relabel_block(b, span) for b in tail.blocks)
+                assert design.blocks[at:at + len(placed)] == placed, (n, kind, part)
+                at += len(placed)
 
 
 def test_packing_leaves_at_odd_residue():
@@ -286,7 +315,7 @@ def test_constructions_are_deterministic():
 
 # sha256 of every construct output for orders 6..100 plus every catalog
 # export; any change to a byte of construction output changes it
-GOLDEN_DIGEST = "21bdbe8d156c214537249d4b218c6c9c9b6121d87e322fd5cb23513bb0422e99"
+GOLDEN_DIGEST = "9083ce1ccb849837e9abd0102eee7787221cf6829e11dda63162324f5820f04d"
 
 
 def test_construct_and_catalog_json_are_byte_identical():

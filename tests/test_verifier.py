@@ -382,7 +382,7 @@ def test_mixed_type_leave_and_wrong_kind_or_host_are_findings():
     report = verify_design(covering)
     assert [(f.code, f.edges) for f in report.failures] == [
         ("padding-outside-host", (([1], [2]),)),
-        ("uncovered-edges", ((0, 1), ([1], [2]), ([1], [2]))),
+        ("uncovered-edges", ((2, 5), ([1], [2]), ([1], [2]))),
     ]
 
 
@@ -499,7 +499,7 @@ def _fingerprint(report) -> str:
 
 
 # a new value means some finding, count or incidence moved
-FUZZ_DIGEST = "7e1dd3a16a7a3656c1cbe18b623ab5f64e316a1eabda9f72762b3b194db20994"
+FUZZ_DIGEST = "00b11f708f8ce23462407bdbee6e02fd6c2a18220b7f06ad1bb693ea6713f9b8"
 
 
 def test_seeded_mutations_are_all_flagged():
