@@ -14,7 +14,7 @@ from __future__ import annotations
 from operator import itemgetter
 
 from .bases import load_base
-from .core import CompleteBipartite, Design, Kind, _hexagon
+from .core import CompleteBipartite, Design, Hexagon, Kind, _unchecked
 
 
 class InfeasibleParametersError(ValueError):
@@ -72,5 +72,5 @@ def c6_decompose_bipartite(host: CompleteBipartite) -> Design:
         for part in parts:
             seed = six if len(part) == 6 else four
             labels = part + group  # distinct, so the verified seeds need no re-check
-            blocks.extend(_hexagon(itemgetter(*b.vertices)(labels)) for b in seed)
+            blocks.extend(_unchecked(Hexagon, itemgetter(*b.vertices)(labels)) for b in seed)
     return Design(host=host, kind=Kind.DECOMPOSITION, blocks=tuple(blocks))

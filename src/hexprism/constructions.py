@@ -24,8 +24,7 @@ from .core import (
     Kind,
     Prism,
     Value,
-    _hexagon,
-    _prism,
+    _unchecked,
     canonical_form,
     edge,
 )
@@ -174,11 +173,7 @@ def _embed(design: Design, targets) -> tuple[tuple, frozenset, tuple]:
     vertices, position by position from its 0-based labels.  The design is
     verified and the targets are distinct, so every block keeps its shape and
     is built unchecked."""
-    blocks = tuple(
-        _hexagon(itemgetter(*b.vertices)(targets)) if type(b) is Hexagon
-        else _prism(itemgetter(*b.first)(targets), itemgetter(*b.second)(targets))
-        for b in design.blocks
-    )
+    blocks = tuple(_unchecked(type(b), itemgetter(*b.vertices)(targets)) for b in design.blocks)
     leave = frozenset(edge(targets[u], targets[v]) for u, v in design.leave)
     padding = tuple(edge(targets[u], targets[v]) for u, v in design.padding)
     return blocks, leave, padding

@@ -7,9 +7,11 @@ operation is a pure function, so values can be shared freely across threads.
 The value types rest on Value, a __slots__ base that stands in for frozen
 dataclasses at a fraction of their import cost.
 
-Blocks check their shape when built, relabel_block's results included.  The
-private _hexagon and _prism skip the check, for the design-file decoder and
-the placement of verified bundled designs, which establish it in bulk.
+Both shapes keep their six vertices in one tuple, .vertices, which
+EDGE_POSITIONS reads; a prism's .first and .second are views of its halves.
+Blocks check their shape when built, relabel_block's results included; the
+private _unchecked skips the check, for the design-file decoder and the
+placement of verified bundled designs, which establish it in bulk.
 """
 
 from __future__ import annotations
@@ -167,26 +169,34 @@ class Prism(Value):
     """Two triangles plus the matching pairing equal positions.
 
     [a, b, c; d, e, f] has triangles {a, b, c} and {d, e, f} and the rungs
-    a-d, b-e, c-f.  The edge set is the complement of a 6-cycle.
+    a-d, b-e, c-f.  The edge set is the complement of a 6-cycle.  It keeps the
+    one tuple vertices = first + second; the repr and replace() read its halves.
     """
 
-    __slots__ = ("first", "second")
+    __slots__ = ("vertices",)
 
     def __init__(self, first: tuple[int, int, int], second: tuple[int, int, int]):
-        self._assign(tuple(first), tuple(second))
-        if len(self.first) != 3 or len(self.second) != 3:
-            raise InvalidBlockError(
-                f"prism needs two vertex triples: {self.first}; {self.second}"
-            )
+        first, second = tuple(first), tuple(second)
+        if len(first) != 3 or len(second) != 3:
+            raise InvalidBlockError(f"prism needs two vertex triples: {first}; {second}")
+        _set(self, "vertices", first + second)
+
+    @property
+    def first(self) -> tuple[int, int, int]:
+        return self.vertices[:3]
+
+    @property
+    def second(self) -> tuple[int, int, int]:
+        return self.vertices[3:]
+
+    def __repr__(self) -> str:
+        return f"Prism(first={self.first!r}, second={self.second!r})"
+
+    def replace(self, **changes):
+        return Prism(**dict({"first": self.first, "second": self.second}, **changes))
 
 
 Block = Hexagon | Prism
-
-
-def block_vertices(block: Block) -> tuple[int, ...]:
-    if isinstance(block, Hexagon):
-        return block.vertices
-    return block.first + block.second
 
 
 # the edges of each shape, as position pairs in its vertex tuple
@@ -198,7 +208,7 @@ EDGE_POSITIONS = {
 
 def block_edges(block: Block) -> frozenset[Edge]:
     """The 6 (hexagon) or 9 (prism) edges of a block."""
-    vs = block_vertices(block)
+    vs = block.vertices
     if len(set(vs)) != 6:
         raise InvalidBlockError(f"block vertices must be distinct: {block}")
     return frozenset(edge(vs[i], vs[j]) for i, j in EDGE_POSITIONS[type(block)])
@@ -291,18 +301,10 @@ def recognize(edges) -> Block | None:
     return None
 
 
-def _hexagon(vertices: tuple) -> Hexagon:
-    """A Hexagon on a tuple of 6 vertices, built without __init__."""
-    block = _new(Hexagon)
+def _unchecked(shape: type, vertices: tuple) -> Block:
+    """A block of the given shape on a tuple of 6 vertices, built without __init__."""
+    block = _new(shape)
     _set(block, "vertices", vertices)
-    return block
-
-
-def _prism(first: tuple, second: tuple) -> Prism:
-    """A Prism on two vertex 3-tuples, built without __init__."""
-    block = _new(Prism)
-    _set(block, "first", first)
-    _set(block, "second", second)
     return block
 
 
@@ -310,9 +312,8 @@ def relabel_block(block: Block, mapping) -> Block:
     """The block with each vertex v replaced by mapping[v]: a dict, or a
     sequence indexed by 0-based label that places a design by position.
     The result is checked like any new block."""
-    if isinstance(block, Hexagon):
-        return Hexagon(itemgetter(*block.vertices)(mapping))
-    return Prism(itemgetter(*block.first)(mapping), itemgetter(*block.second)(mapping))
+    vs = itemgetter(*block.vertices)(mapping)
+    return Hexagon(vs) if isinstance(block, Hexagon) else Prism(vs[:3], vs[3:])
 
 
 # ---------------------------------------------------------------------------

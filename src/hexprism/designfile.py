@@ -38,8 +38,7 @@ from .core import (
     Host,
     Kind,
     Prism,
-    _hexagon,
-    _prism,
+    _unchecked,
     edge,
 )
 
@@ -128,13 +127,13 @@ def _block(obj):
     if kind == "hexagon":
         cycle = obj.get("vertices")
         if type(cycle) is list and tuple(map(type, cycle)) == _SIX_INTS:
-            return _hexagon(tuple(cycle))
+            return _unchecked(Hexagon, tuple(cycle))
     elif kind == "prism":
         pair = obj.get("triangles")
         if type(pair) is list and tuple(map(type, pair)) == (list, list):
             first, second = pair
             if len(first) == 3 and tuple(map(type, first + second)) == _SIX_INTS:
-                return _prism(tuple(first), tuple(second))
+                return _unchecked(Prism, tuple(first + second))
     return obj
 
 
@@ -209,7 +208,7 @@ def _chunks(design: Design):
     blocks = design.blocks
     for start in range(0, len(blocks), _RUN):
         yield (",\n" if start else "\n") + ",\n".join([
-            _HEXAGON % b.vertices if isinstance(b, Hexagon) else _PRISM % (b.first + b.second)
+            (_HEXAGON if isinstance(b, Hexagon) else _PRISM) % b.vertices
             for b in blocks[start:start + _RUN]
         ])
     yield '%s,\n  "leave": %s,\n  "padding": %s\n}\n' % (

@@ -60,7 +60,6 @@ from .core import (
     Kind,
     Prism,
     Value,
-    block_vertices,
     host_edges,
     host_vertices,
 )
@@ -721,7 +720,7 @@ class _Engine:
         root = self._root_block(self.host) if symmetric else None
         if root is not None:
             stats.nodes += 1
-            vs = tuple(self.idx[x] for x in block_vertices(root))
+            vs = tuple(self.idx[x] for x in root.vertices)
             self._place(_candidate(type(root), vs, self.eid))
         depth, rd = len(self.placed), list(map(int.bit_count, self.nbr))
         stats.nodes += 1

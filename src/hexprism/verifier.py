@@ -30,7 +30,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from itertools import chain, groupby
-from operator import add
 
 from .core import (
     Complete,
@@ -156,17 +155,9 @@ _PAIRS = {
 def _six(block):
     """A well-formed block's six vertices, or the finding code and text of
     one that cannot be checked edge by edge."""
-    # a block built without __init__ may lack its fields or their shape
-    if isinstance(block, Hexagon):
-        vs = getattr(block, "vertices", None)
-        shaped = type(vs) is tuple and len(vs) == 6
-    elif isinstance(block, Prism):
-        first, second = getattr(block, "first", None), getattr(block, "second", None)
-        shaped = type(first) is type(second) is tuple and len(first) == len(second) == 3
-        vs = first + second if shaped else None
-    else:
-        shaped = False
-    if not shaped:
+    # a block built without __init__ may lack its field or its shape
+    vs = getattr(block, "vertices", None) if isinstance(block, (Hexagon, Prism)) else None
+    if type(vs) is not tuple or len(vs) != 6:
         return "bad-block", "is not a hexagon or prism"
     if not set(map(type, vs)) <= {int}:
         return "non-integer-vertex", f"has a vertex that is not an integer: {block}"
@@ -215,8 +206,8 @@ def _inline_counts(blocks, n, claimed):
     """Count blocks on K_n with no call per block or edge, or return None.
 
     Bulk passes first decide that every block is a plain Hexagon or Prism
-    whose plain tuples hold 6 distinct plain ints in [0, n), so that none
-    could yield a finding.
+    whose vertices are a plain tuple of 6 distinct plain ints in [0, n), so
+    that none could yield a finding.
     Only then are the edges added to claimed, each ranked inline as
     before[v] + u for u < v.  Any other blocks leave claimed untouched and
     return None, for the block-by-block loop to report on.  Returns what
@@ -226,24 +217,19 @@ def _inline_counts(blocks, n, claimed):
         return None
     try:
         hexagons = [b.vertices for b in blocks if type(b) is Hexagon]
-        firsts = [b.first for b in blocks if type(b) is Prism]
-        seconds = [b.second for b in blocks if type(b) is Prism]
-    except AttributeError:  # a block built without its fields
+        prisms = [b.vertices for b in blocks if type(b) is Prism]
+    except AttributeError:  # a block built without its field
         return None
+    sixes = hexagons + prisms
     # types before anything measures, hashes or orders; a bool is not an int
-    if not set(map(type, chain(hexagons, firsts, seconds))) <= {tuple}:
+    if not set(map(type, sixes)) <= {tuple}:
         return None
-    if not set(map(type, chain.from_iterable(chain(hexagons, firsts, seconds)))) <= {int}:
+    if not set(map(type, chain.from_iterable(sixes))) <= {int}:
         return None
-    if not (
-        set(map(len, hexagons)) | set(map(len, map(set, hexagons))) <= {6}
-        and set(map(len, firsts)) | set(map(len, seconds)) <= {3}
-        and set(map(len, map(set, map(add, firsts, seconds)))) <= {6}
-    ):
+    if not set(map(len, sixes)) | set(map(len, map(set, sixes))) <= {6}:
         return None
     hexagon_uses = Counter(chain.from_iterable(hexagons))
-    prism_uses = Counter(chain.from_iterable(firsts))
-    prism_uses.update(chain.from_iterable(seconds))
+    prism_uses = Counter(chain.from_iterable(prisms))
     used = hexagon_uses.keys() | prism_uses.keys()
     if used and (min(used) < 0 or max(used) >= n):
         return None
@@ -255,7 +241,7 @@ def _inline_counts(blocks, n, claimed):
         claimed[before[d] + e if e < d else before[e] + d] += 1
         claimed[before[e] + f if f < e else before[f] + e] += 1
         claimed[before[f] + a if a < f else before[a] + f] += 1
-    for (a, b, c), (d, e, f) in zip(firsts, seconds):
+    for a, b, c, d, e, f in prisms:
         claimed[before[a] + b if b < a else before[b] + a] += 1
         claimed[before[b] + c if c < b else before[c] + b] += 1
         claimed[before[a] + c if c < a else before[c] + a] += 1
@@ -265,7 +251,7 @@ def _inline_counts(blocks, n, claimed):
         claimed[before[a] + d if d < a else before[d] + a] += 1
         claimed[before[b] + e if e < b else before[e] + b] += 1
         claimed[before[c] + f if f < c else before[f] + c] += 1
-    return len(hexagons), len(firsts), hexagon_uses, prism_uses
+    return len(hexagons), len(prisms), hexagon_uses, prism_uses
 
 
 def incidence_table(design: Design) -> dict:

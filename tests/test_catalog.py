@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import os
 import sys
 import threading
 from collections import Counter
@@ -17,6 +18,7 @@ from hexprism.core import (
     edge,
     relabel_block,
 )
+from hexprism.designfile import dumps_design
 from hexprism.verifier import incidence_table, verify_design
 
 import _original_labels as source
@@ -147,6 +149,14 @@ def test_every_entry_verifies():
         kind = key.partition(":")[0]
         report = verify_design(design, require_both_types=kind not in _SINGLE_SHAPE)
         assert report.valid, (key, [f.code for f in report.failures])
+
+
+@pytest.mark.parametrize("key", keys())
+def test_data_files_are_canonical(key):
+    # each shipped file is the encoder's own text for the design it holds
+    path = os.path.join(os.path.dirname(bases.__file__), "data", f"{bases.FILES[key]}.json")
+    with open(path, encoding="utf-8", newline="") as fp:
+        assert fp.read() == dumps_design(get(key))
 
 
 def test_block_counts_of_bundled_decompositions():

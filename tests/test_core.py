@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+from hexprism.catalog import get as catalog_get
 from hexprism.core import (
     Complete,
     CompleteBipartite,
@@ -16,6 +17,7 @@ from hexprism.core import (
     InvalidBlockError,
     Kind,
     Prism,
+    _unchecked,
     block_edges,
     canonical_form,
     edge,
@@ -65,6 +67,18 @@ def test_prism_edges():
     tris = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]
     rungs = [(0, 3), (1, 4), (2, 5)]
     assert block_edges(p) == edge_set(tris + rungs)
+
+
+def test_both_shapes_keep_six_vertices_in_one_tuple():
+    first, second = (4, 0, 7), (2, 9, 6)
+    p = Prism(first, second)
+    assert p.vertices == first + second and p.__slots__ == ("vertices",)
+    assert (p.first, p.second) == (first, second)
+    for name in ("first", "second"):
+        with pytest.raises(AttributeError):
+            setattr(p, name, (1, 2, 3))
+    for block in catalog_get("decomposition:13").blocks:
+        assert _unchecked(type(block), block.vertices) == block
 
 
 def test_block_edges_rejects_repeats():

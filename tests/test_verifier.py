@@ -19,7 +19,6 @@ from hexprism.core import (
     Kind,
     Prism,
     block_edges,
-    block_vertices,
     host_edges,
     host_vertices,
     relabel_design,
@@ -101,10 +100,10 @@ def test_malformed_block_object_is_a_bad_block_finding():
     # blocks built without __init__ skip the shape check; each must give a
     # finding, not an exception, whichever counting path sees it first
     malformed = [
-        core._prism((0, 1), (2, 3, 4, 5)),
-        core._prism([0, 1, 2], (3, 4, 5)),
-        core._hexagon(5),
-        core._hexagon(None),
+        core._unchecked(Prism, (0, 1, 2, 3, 4)),
+        core._unchecked(Prism, [0, 1, 2, 3, 4, 5]),
+        core._unchecked(Hexagon, 5),
+        core._unchecked(Hexagon, None),
         object.__new__(Prism),
         object.__new__(Hexagon),
     ]
@@ -456,7 +455,7 @@ def _mutations(rng, design):
     )
     i = rng.randrange(len(blocks))
     block = blocks[i]
-    vs = list(block_vertices(block))
+    vs = list(block.vertices)
     j, k = rng.sample(range(6), 2)
     yield "drop", design.replace(blocks=blocks[:i] + blocks[i + 1 :])
     yield "duplicate", design.replace(blocks=blocks[:i] + (block,) + blocks[i:])
@@ -555,7 +554,7 @@ def _reference(design, host, both):
     host.update(tuple(sorted(e)) for e in design.padding)
     used = Counter(tuple(sorted(e)) for e in design.leave)
     good = [b for b in design.blocks
-            if {type(v) for v in block_vertices(b)} == {int} and len(set(block_vertices(b))) == 6]
+            if {type(v) for v in b.vertices} == {int} and len(set(b.vertices)) == 6]
     used.update(itertools.chain.from_iterable(map(block_edges, good)))
     shapes = Counter(map(type, good))
     malformed = len(good) < len(design.blocks)
@@ -584,7 +583,7 @@ def _large_mutations(design, shape):
     yield "drop", design.replace(blocks=blocks[:-1]), complete
     yield "duplicate", design.replace(blocks=blocks + blocks[-1:]), complete
     i = next(i for i, b in enumerate(blocks) if isinstance(b, shape))
-    vs = list(block_vertices(blocks[i]))
+    vs = list(blocks[i].vertices)
     others = sorted(set(host_vs) - set(vs))
     for name, v, inline in (("retarget", others[len(others) // 2], complete),
                             ("repeat", vs[1], False), ("n", host_vs[-1] + 1, False),
