@@ -12,7 +12,8 @@ and Elliott, Artif. Intell. 14, 1980), as SAT propagation looks only at what
 an assignment changes (Moskewicz et al., Chaff, DAC 2001), and each run of
 children cut for one reason is counted at once.  Runs are deterministic:
 identical inputs give identical statistics and designs, and the reported
-design is the one on the first branch, in generation order, that completes.
+design is the one on the first branch, in generation order, that completes,
+collected block by block as the search unwinds from it.
 
 The engine state is plain ints and lists, as in a bitset exact cover
 (Knuth, Dancing Links, arXiv cs/0011047): an int mask of unmet edges and an
@@ -24,9 +25,9 @@ blocks through each branch edge are listed once and judged per node in bulk.
 
 Different block orders reach the same placed state, whose subtree depends on
 the state alone, so a state met again after its subtree exhausted adds what
-that subtree counted instead of being expanded, as component caching in model
-counting (Sang et al., SAT 2004) and transposition tables in game-tree search
-reuse a solved subproblem; counts stay those of the full tree.
+that subtree counted instead of being placed and expanded, as component
+caching in model counting (Sang et al., SAT 2004) and transposition tables in
+game-tree search reuse a solved subproblem; counts stay those of the full tree.
 
 That holds whoever counted the subtree, so a long run takes a helper process
 under the Young Brothers Wait rule of parallel game-tree search (Feldmann,
@@ -300,9 +301,10 @@ class _Engine:
     Bit i of avail is set while edge i is unmet, and nbr[v] has bit w set
     while edge vw is unmet, so the remaining degree of v is
     nbr[v].bit_count(); flips[i] holds the endpoints of edge i and their
-    bits.  placed is a stack of (candidate, newly met edge mask), so the
-    edges a block reuses are the bits of mask ^ new; Hexagon and Prism
-    objects are built only for the solution.
+    bits.  _node places and lifts each block but run's root; solution
+    collects the found design's (candidate, newly met edge mask) pairs as
+    the search unwinds, so the edges a block reuses are the bits of
+    mask ^ new; Hexagon and Prism objects are built only for it.
 
     padding_budget > 0 switches to covering mode: blocks may reuse edges
     whose requirement is already met, (mask & ~avail).bit_count() of them,
@@ -313,13 +315,13 @@ class _Engine:
     _judged_covers walks one shape's bits; exact mode walks the live masks.
     Either judge counts each run of children it cuts through _count and
     yields the survivors as (shape, vertex indices), and only those that
-    _node places get edge ids and a mask.
+    _expand hands _node get edge ids and a mask.
 
     The config's counts become one range, lo <= (hexagons, prisms) <= hi:
     a target sets hi and raises lo to itself, a disabled shape gets hi = 0,
     and otherwise hi is the edge-use total, which no count can reach.
 
-    exhausted maps each placed state whose subtree exhausted, keyed by avail
+    exhausted maps each state whose subtree exhausted, keyed by avail
     packed over pad_used, hex_placed and prism_placed (nbr and rd follow from
     avail), to what that subtree added to the _REPLAYED counters, then the
     deepest depth it reached, which a replay raises max_depth to, since a
@@ -382,14 +384,6 @@ class _Engine:
             x, by, y, bx = flips[i]
             nbr[x] ^= by
             nbr[y] ^= bx
-
-    def _place(self, cand) -> None:
-        new = cand[3] & self.avail
-        self.placed.append((cand, new))
-        self._toggle(cand, new, 1)
-
-    def _unplace(self) -> None:
-        self._toggle(*self.placed.pop(), -1)
 
     # -- pruning
 
@@ -555,35 +549,44 @@ class _Engine:
                     best, best_key = (u, v), key
         return best
 
-    def _node(self, depth: int) -> bool:
-        """Complete a placed state with no unmet edge; else replay its counts
-        if its subtree exhausted before and they fit the budget, else expand
-        it and keep them if it exhausts."""
-        if not self.avail:
-            return self._complete()
-        stats, key = self.stats, self._key()
+    def _node(self, cand, depth: int) -> bool:
+        """Visit the state at depth that placing cand reaches.  Replay its
+        counts, with cand never placed, if its subtree exhausted before and
+        they fit the budget; else place cand, complete the state if no edge
+        is unmet, else expand it and keep its counts if it exhausts, and lift
+        cand.  A visit that finds the design appends (cand, new) to solution."""
+        stats, key = self.stats, self._key(cand)
         if (seen := self.exhausted.get(key)) and stats.nodes + seen[0] <= self.limit:
             for name, d in zip(_REPLAYED, seen):
                 setattr(stats, name, getattr(stats, name) + d)
             stats.max_depth = max(stats.max_depth, seen[-1])
             return False
-        before = [getattr(stats, name) for name in _REPLAYED]
-        top, stats.max_depth = stats.max_depth, depth  # the subtree's own deepest, for its entry
-        done = self._expand(depth)
-        deepest, stats.max_depth = stats.max_depth, max(top, stats.max_depth)
-        if not (done or stats.nodes > self.limit) and len(self.exhausted) < _REPLAY_CAP:
-            self.exhausted[key] = (*[getattr(stats, n) - b for n, b in zip(_REPLAYED, before)],
-                                   deepest)
+        new = cand[3] & self.avail
+        self._toggle(cand, new, 1)
+        if not self.avail:
+            done = self._complete()
+        else:
+            before = [getattr(stats, name) for name in _REPLAYED]
+            top, stats.max_depth = stats.max_depth, depth  # the subtree's deepest, for its entry
+            done = self._expand(depth)
+            deepest, stats.max_depth = stats.max_depth, max(top, stats.max_depth)
+            if not (done or stats.nodes > self.limit) and len(self.exhausted) < _REPLAY_CAP:
+                self.exhausted[key] = (*[getattr(stats, n) - b for n, b in zip(_REPLAYED, before)],
+                                       deepest)
+        self._toggle(cand, new, -1)
+        if done:
+            self.solution.append((cand, new))
         return done
 
-    def _key(self) -> int:
-        """The placed state's key in exhausted."""
-        w = self.width
-        return ((self.avail << w | self.pad_used) << w | self.hex_placed) << w | self.prism_placed
+    def _key(self, cand) -> int:
+        """The key in exhausted of the state that placing cand reaches."""
+        w, avail, hexagon, mask = self.width, self.avail, cand[0] is Hexagon, cand[3]
+        key = (avail & ~mask) << w | self.pad_used + (mask & ~avail).bit_count()
+        return (key << w | self.hex_placed + hexagon) << w | self.prism_placed + (not hexagon)
 
     def _expand(self, depth: int) -> bool:
-        """Count each child of a placed state that the judges pass, then place
-        it and descend; the judges count the children they cut."""
+        """Count each child of the state that the judges pass, then visit it
+        through _node; the judges count the children they cut."""
         rd = list(map(int.bit_count, self.nbr))
         odd = sum(map(_ODD, rd)) if self.cfg.degree_prunes else 0
         stats, limit, eid = self.stats, self.limit, self.eid
@@ -594,9 +597,7 @@ class _Engine:
                 stats.max_depth = depth
             if stats.nodes > limit:
                 return False
-            self._place(_candidate(shape, vs, eid))
-            done = self._node(depth)
-            self._unplace()
+            done = self._node(_candidate(shape, vs, eid), depth)
             if done or stats.nodes > limit:
                 return done
             if depth < self.split_below and stats.nodes >= self.help_from:
@@ -657,32 +658,28 @@ class _Engine:
         n = len(todo)
         while (len(self.exhausted) < _REPLAY_CAP and parent in (None, os.getppid())
                and (i := _claim(table, n)) is not None):
-            self._place(_candidate(*todo[i], self.eid))
-            key = self._key()
-            done = self._node(depth)
-            self._unplace()
-            if done or self.stats.nodes > self.limit:
+            cand = _candidate(*todo[i], self.eid)
+            if self._node(cand, depth) or self.stats.nodes > self.limit:
                 table[0] = 1
-            elif parent and (entry := self.exhausted.get(key)):
+            elif parent and (entry := self.exhausted.get(self._key(cand))):
                 at = 1 + n + i * _SLOT
                 table[at:at + _SLOT] = b"".join(c.to_bytes(_WORD, "little") for c in entry)
                 table[i + 1] = _IN_SLOT  # only once its slot is written
 
     def _read_slots(self, table, todo: list) -> None:
         """Store each finished slot of the table under its child's key, while
-        under _REPLAY_CAP; the engine stands at the children's parent."""
+        under _REPLAY_CAP; the engine stands at the children's parent, placing none."""
         for i, at in enumerate(range(1 + len(todo), len(table), _SLOT)):
             if table[i + 1] == _IN_SLOT and len(self.exhausted) < _REPLAY_CAP:
-                self._place(_candidate(*todo[i], self.eid))
-                self.exhausted[self._key()] = tuple(int.from_bytes(table[j:j + _WORD], "little")
-                                                    for j in range(at, at + _SLOT, _WORD))
-                self._unplace()
+                key = self._key(_candidate(*todo[i], self.eid))
+                self.exhausted[key] = tuple(int.from_bytes(table[j:j + _WORD], "little")
+                                            for j in range(at, at + _SLOT, _WORD))
 
     def _complete(self) -> bool:
         counts = (self.hex_placed, self.prism_placed)
         if not all(lo <= c <= hi for lo, c, hi in zip(self.lo, counts, self.hi)):
             return False
-        self.solution = list(self.placed)
+        self.solution = []  # _node adds each block as the search unwinds
         return True
 
     def _root_block(self, host) -> Block | None:
@@ -709,7 +706,6 @@ class _Engine:
         self.limit = math.inf if budget is None else stats.nodes + budget
         self.nbr, self.avail = list(self.host_nbr), (1 << len(self.order)) - 1
         self.hex_placed = self.prism_placed = self.pad_used = 0
-        self.placed = []
         self.split_below, self.help_from = len(self.order) + 2, stats.nodes + _HELP_AFTER
         for x, y in ((self.idx[a], self.idx[b]) for a, b in leave):
             self.avail ^= 1 << self.eid[x][y]
@@ -720,20 +716,21 @@ class _Engine:
         root = self._root_block(self.host) if symmetric else None
         if root is not None:
             stats.nodes += 1
-            vs = tuple(self.idx[x] for x in root.vertices)
-            self._place(_candidate(type(root), vs, self.eid))
-        depth, rd = len(self.placed), list(map(int.bit_count, self.nbr))
+            root = _candidate(type(root), tuple(self.idx[x] for x in root.vertices), self.eid)
+            self._toggle(root, root[3], 1)  # no leave, so each of its edges is unmet
+        depth, rd = int(root is not None), list(map(int.bit_count, self.nbr))
         stats.nodes += 1
         stats.max_depth = max(stats.max_depth, depth)
         found = (stats.nodes <= self.limit and not (self.avail and self._verdict(rd))
-                 and self._node(depth))
+                 and (self._expand(depth) if self.avail else self._complete()))
         stats.placements += stats.nodes - first
         stats.elapsed_s += perf_counter() - start
         if not found:
             status = Status.BUDGET if stats.nodes > self.limit else Status.EXHAUSTED
             return SearchOutcome(status, None, stats)
-        blocks = tuple(_block(shape, vs, self.labels) for (shape, vs, _, _), _ in self.solution)
-        padding = tuple(self.order[i] for (_, _, ids, _), new in self.solution
+        solution = ([(root, root[3])] if root else []) + self.solution[::-1]
+        blocks = tuple(_block(shape, vs, self.labels) for (shape, vs, _, _), _ in solution)
+        padding = tuple(self.order[i] for (_, _, ids, _), new in solution
                         for i in ids if not new >> i & 1)
         design = Design(host=self.host, kind=self.kind, blocks=blocks,
                         leave=frozenset(leave), padding=padding)

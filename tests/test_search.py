@@ -457,6 +457,41 @@ def test_each_exhausted_state_is_expanded_once(run, expanded, monkeypatch):
     assert len(calls) == expanded
 
 
+def test_no_replayed_state_is_placed(monkeypatch):
+    # a child whose state exhausted before replays its counts without its
+    # block being placed, so every block placed is expanded or completed
+    # before it is lifted; the helper is kept off, so all placing is here
+    from hexprism import search
+
+    monkeypatch.setattr(search, "_HELP_AFTER", math.inf)
+    engine = search._Engine
+    toggle, placed, idle = engine._toggle, [], []
+
+    def toggled(self, cand, new, sign):
+        if sign > 0:
+            placed.append(False)
+        elif not placed.pop():
+            idle[-1] += 1
+        return toggle(self, cand, new, sign)
+
+    def visiting(method):
+        def visited(self, *args):
+            if placed:
+                placed[-1] = True
+            return method(self, *args)
+        return visited
+
+    monkeypatch.setattr(engine, "_toggle", toggled)
+    for name in ("_expand", "_complete"):
+        monkeypatch.setattr(engine, name, visiting(getattr(engine, name)))
+    for run in (lambda: confirm_nonexistence(7),
+                lambda: find_extremal(Complete(7), Kind.COVERING, 3)):
+        idle.append(0)
+        run()
+        assert not placed
+    assert idle == [0, 0]
+
+
 def test_replay_cap_changes_no_count(monkeypatch):
     # the engine find_extremal runs for K7 covering-3, keeping at most 10 states
     from hexprism import search
@@ -632,6 +667,31 @@ def test_engine_fingerprint_is_pinned(run, expected):
     assert _fingerprint(run()) == expected
 
 
+def test_found_designs_are_pinned():
+    # one sha256 over each run's _counts and the dumps_design text of the
+    # design it found, blocks in the order the engine placed them
+    digest = hashlib.sha256()
+    for outcome in (
+        search_multidecomposition(Complete(15), _MIXED.replace(node_budget=1_000_000)),
+        search_multidecomposition(Complete(12), _MIXED.replace(node_budget=200_000)),
+        search_multidecomposition(Complete(9), SearchConfig(prisms=False, symmetry_breaking=True)),
+        search_multidecomposition(Complete(10), SearchConfig(hexagons=False,
+                                                             symmetry_breaking=True)),
+        search_multidecomposition(_BIPARTITE_6X6, SearchConfig(prisms=False, symmetry_breaking=True,
+                                                               node_budget=50_000)),
+        find_extremal(Complete(8), Kind.PACKING, 1),
+        find_extremal(Complete(7), Kind.PACKING, 6),
+        find_extremal(Complete(7), Kind.COVERING, 6),
+        find_extremal(Complete(8), Kind.COVERING, 2, node_budget=200_000),
+        search_multidecomposition(Complete(13), SearchConfig(target_counts=(7, 4),
+                                                             symmetry_breaking=True,
+                                                             node_budget=64_000)),
+    ):
+        digest.update(repr(_counts(outcome)).encode())
+        digest.update(dumps_design(outcome.design).encode())
+    assert digest.hexdigest() == "b32177aa2bc79c4dcc741e1a0e05be870d19fed2150d3e8d30f6c57687e6c70b"
+
+
 # covering finds off the benchmark workload, at a 300k budget: every _counts
 # field, then the sha256 of dumps_design of the found design, which verifies
 _COVERING_FINDS = pytest.mark.parametrize(
@@ -747,10 +807,10 @@ def test_no_process_outlives_a_search_that_raises(monkeypatch, helper_from_the_f
 
     node, main = search._Engine._node, os.getpid()
 
-    def failing(engine, depth):
+    def failing(engine, cand, depth):
         if helper_from_the_first_backtrack and os.getpid() == main:
             raise RuntimeError("node failed")
-        return node(engine, depth)
+        return node(engine, cand, depth)
 
     monkeypatch.setattr(search._Engine, "_node", failing)
     with pytest.raises(RuntimeError, match="node failed"):
@@ -790,12 +850,7 @@ def _keys(engine, children):
     """The key in exhausted of each child of the node the engine stands at."""
     from hexprism import search
 
-    keys = []
-    for shape, vs in children:
-        engine._place(search._candidate(shape, vs, engine.eid))
-        keys.append(engine._key())
-        engine._unplace()
-    return keys
+    return [engine._key(search._candidate(shape, vs, engine.eid)) for shape, vs in children]
 
 
 def test_a_helper_stops_when_its_parent_is_gone():
