@@ -1,11 +1,11 @@
 """Recursive construction of decompositions, packings, and coverings.
 
-A complete graph is split into an ordered join of cliques.  Bundled base
-designs land on single parts or on small groups of parts, every remaining
-cross pair gets a bipartite hexagon fill, and the concatenation in layout
-order is the output.  The exceptional orders have no layout: the MONOLITHIC
-table builds each of their packings and coverings from a bundled design,
-transforming its first block where needed.
+A complete graph is split into an ordered join of cliques.  Bundled designs
+are placed by position on parts or groups of parts, in layout order; the head
+entry alone carries a leave or padding.  Every cross pair outside it, between
+parts of two or more vertices, gets a bipartite hexagon fill.  The exceptional
+orders have no layout: the MONOLITHIC table builds each of their packings and
+coverings from a bundled design, transforming its first block where needed.
 """
 
 from __future__ import annotations
@@ -42,11 +42,12 @@ class InfeasibleOrderError(ValueError):
 class Recipe(Value):
     """How one residue class of n is built: head parts, then tail parts.
 
-    head_entry (when set) spans all head parts and alone carries a leave or
-    padding.  An even n tiles its tail with parts of 6, each taking
-    decomposition:6; an odd n with parts of 12, each taking decomposition:13
-    joined with part 0, a single vertex in every odd recipe.  Each cross pair
-    left over, unless on a single-vertex part, gets a bipartite fill.
+    head_entry (when set) is placed by position over all head parts and alone
+    carries a leave or padding.  An even n tiles its tail with parts of 6,
+    each taking decomposition:6; an odd n with parts of 12, each taking
+    decomposition:13 joined with part 0, a single vertex in every odd recipe.
+    Every other cross pair, unless inside the head entry or on a single-vertex
+    part, gets a bipartite fill.
     """
 
     __slots__ = ("head", "head_entry")
@@ -168,17 +169,6 @@ MONOLITHIC = {
 # assembly helpers
 
 
-def _embed(design: Design, targets) -> tuple[tuple, frozenset, tuple]:
-    """Blocks, leave, and padding of a bundled design mapped onto the target
-    vertices, position by position from its 0-based labels.  The design is
-    verified and the targets are distinct, so every block keeps its shape and
-    is built unchecked."""
-    blocks = tuple(_unchecked(type(b), itemgetter(*b.vertices)(targets)) for b in design.blocks)
-    leave = frozenset(edge(targets[u], targets[v]) for u, v in design.leave)
-    padding = tuple(edge(targets[u], targets[v]) for u, v in design.padding)
-    return blocks, leave, padding
-
-
 @lru_cache(maxsize=None)
 def _fill(a: int, b: int) -> Design:
     """The hexagon fill of K_{a,b} on labels 0..a+b-1, left side first; it
@@ -187,34 +177,37 @@ def _fill(a: int, b: int) -> Design:
 
 
 def _assemble(n: int, kind: Kind) -> Design:
-    """Place the recipe's catalog entries over the layout and fill the
-    remaining cross pairs with bipartite hexagons."""
+    """Place the recipe's catalog entries over the layout by position, map
+    the head entry's leave and padding once onto its span, and fill every
+    cross pair outside the head entry, between parts of two or more
+    vertices, with bipartite hexagons."""
     parts = join_layout(n, kind)
     recipe = RECIPES[kind, n % 12]
     blocks: list = []
-    leave: frozenset = frozenset()
-    padding: tuple = ()
-    consumed: set = set()
 
-    def place(design: Design, indices) -> None:
-        nonlocal leave, padding
+    def place(design: Design, indices) -> list:
+        # label k goes to the span's k-th vertex; verified design, distinct span
         span = [v for i in indices for v in parts[i]]
-        got_blocks, got_leave, got_padding = _embed(design, span)
-        blocks.extend(got_blocks)
-        leave |= got_leave
-        padding += got_padding
-        consumed.update(combinations(indices, 2))
+        blocks.extend(_unchecked(type(b), itemgetter(*b.vertices)(span)) for b in design.blocks)
+        return span
 
-    heads = range(len(recipe.head))
+    heads = len(recipe.head)
+    leave, padding = frozenset(), ()
     if recipe.head_entry is not None:
-        place(catalog_get(recipe.head_entry), heads)
+        entry = catalog_get(recipe.head_entry)
+        span = place(entry, range(heads))
+        leave = frozenset(edge(span[u], span[v]) for u, v in entry.leave)
+        padding = tuple(edge(span[u], span[v]) for u, v in entry.padding)
     joined = n % 2 == 1
     tail = catalog_get("decomposition:13" if joined else "decomposition:6")
-    for i in range(len(heads), len(parts)):
+    for i in range(heads, len(parts)):
         place(tail, [0, i] if joined else [i])
 
+    # the pairs inside the head are the head entry's; the size test skips
+    # those on a single-vertex part 0, which a joined tail or the head holds
+    covered = heads if recipe.head_entry is not None else 0
     for i, j in combinations(range(len(parts)), 2):
-        if (i, j) not in consumed and len(parts[i]) > 1 and len(parts[j]) > 1:
+        if j >= covered and len(parts[i]) > 1 and len(parts[j]) > 1:
             place(_fill(len(parts[i]), len(parts[j])), (i, j))
 
     return Design(Complete(n), kind, blocks, leave, padding)

@@ -333,3 +333,23 @@ def test_construct_and_catalog_json_are_byte_identical():
         digest.update(dumps_design(catalog.get(key)).encode())
     assert built == 251
     assert digest.hexdigest() == GOLDEN_DIGEST
+
+
+# sha256 of every construct output for orders 101..200, so the promise of
+# byte-identical construct JSON holds up to n = 200, not only to 100
+GOLDEN_DIGEST_101_200 = "b8134ae0dc21cdedfd076ae5711053b6ea9638e6c2c847457c8d2000e927b58f"
+
+
+def test_construct_json_for_orders_101_to_200_is_byte_identical():
+    digest = hashlib.sha256()
+    built = 0
+    for n in range(101, 201):
+        for build in (multidecompose, max_multipack, min_multicover):
+            try:
+                text = dumps_design(build(n))
+                built += 1
+            except InfeasibleOrderError:
+                text = "infeasible\n"
+            digest.update(text.encode())
+    assert built == 266
+    assert digest.hexdigest() == GOLDEN_DIGEST_101_200
